@@ -25,7 +25,6 @@ from .config import ScenarioConfig, default_scenario
 from .experiment import (
     DEFAULT_EVAL_RUNS,
     DEFAULT_TRAIN_RUNS,
-    atomic_write_text,
     calibrate_discretizer,
     evaluate,
     overall_windowed_mse,
@@ -35,6 +34,7 @@ from .experiment import (
     save_run_csv,
     train_qlearning,
 )
+from .fileio import atomic_write_text
 from .policy import (
     BandwidthScalingPolicy,
     Discretizer,
@@ -143,6 +143,17 @@ def _truth(scenario: ScenarioConfig):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
+def _load_table(path: str, scenario: ScenarioConfig) -> QTable:
+    """Load a Q-table whose action menu matches the scenario's."""
+    table = QTable.load(path)
+    if table.actions != scenario.actions:
+        raise ValueError(
+            f"Q-table {path}: actions_hz {list(table.actions.bandwidths)} differ "
+            f"from the scenario's actions_hz {list(scenario.actions.bandwidths)}"
+        )
+    return table
+
+
 def _build_policy(
     spec: PolicySpec, scenario: ScenarioConfig, qtable_path: Optional[str]
 ) -> Policy:
@@ -167,7 +178,7 @@ def _build_policy(
         raise UsageError(f"{spec.name} needs a Q-table: {spec.name}:PATH or --qtable PATH")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"Q-table file not found: {path}")
-    return QLearningPolicy(QTable.load(path), epsilon=0.0)
+    return QLearningPolicy(_load_table(path, scenario), epsilon=0.0)
 
 
 def _slug(spec: PolicySpec) -> str:
@@ -223,7 +234,7 @@ def _cmd_train(manifest: RunManifest) -> int:
     trajectory = _truth(scenario)
     base_seed = _base_seed(manifest, scenario)
     if manifest.qtable_path is not None:
-        table = QTable.load(manifest.qtable_path)
+        table = _load_table(manifest.qtable_path, scenario)
     else:
         if manifest.edges_path is not None:
             discretizer = Discretizer.load(manifest.edges_path)
@@ -287,10 +298,13 @@ def _cmd_compare(manifest: RunManifest) -> int:
     trajectory = _truth(scenario)
     base_seed = _base_seed(manifest, scenario)
     n_runs = manifest.runs if manifest.runs is not None else DEFAULT_EVAL_RUNS
+    policies = [
+        (spec, _build_policy(spec, scenario, manifest.qtable_path))
+        for spec in manifest.policies
+    ]
     slugs: dict[str, int] = {}
     rows = []
-    for spec in manifest.policies:
-        policy = _build_policy(spec, scenario, manifest.qtable_path)
+    for spec, policy in policies:
         results, report = evaluate(
             trajectory,
             policy,

@@ -12,16 +12,21 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from .experiment import EpisodeConfig, atomic_write_text
-from .policy import ActionSet, Discretizer, QTable
+from .experiment import EpisodeConfig
+from .fileio import atomic_write_text
+from .policy import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    DEFAULT_GAMMA,
+    DEFAULT_REWARD_CLIP,
+    ActionSet,
+    Discretizer,
+    QTable,
+)
 from .radar import RadarConfig
 from .tracker import ProcessModel
 from .trajectory import Phase, TrajectoryConfig
 
-DEFAULT_ALPHA = 0.1
-DEFAULT_GAMMA = 0.9
-DEFAULT_EPSILON = 0.2
-DEFAULT_REWARD_CLIP = 2.0
 DEFAULT_LOOKAHEAD = 5
 
 
@@ -51,6 +56,9 @@ class ScenarioConfig:
         bws = self.actions.bandwidths
         if bws[0] < self.radar.min_bw or bws[-1] > self.radar.max_bw:
             raise ValueError("action bandwidths must lie within radar [min_bw, max_bw]")
+        init_bw = self.episode.initial_bandwidth
+        if init_bw is not None and not self.radar.min_bw <= init_bw <= self.radar.max_bw:
+            raise ValueError("episode.initial_bandwidth must lie within radar [min_bw, max_bw]")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -107,6 +115,7 @@ class ScenarioConfig:
         traj = dict(data["trajectory"])
         traj["launch_position"] = tuple(traj["launch_position"])
         radar = dict(data["radar"])
+        radar.pop("transmit_energy", None)  # dropped field, still in older files
         radar["position"] = tuple(radar["position"])
         noise = {Phase(name): std for name, std in data["process"]["accel_noise_std"].items()}
         hyper = data["hyperparams"]

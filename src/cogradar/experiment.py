@@ -1,10 +1,11 @@
 """Closed-loop episodes, training and evaluation campaigns, and metrics.
 
 One episode walks a trajectory one transmission per sample: predict, let the
-policy pick a bandwidth, measure, gate, update or coast, score.  The first
-sample initializes the track (velocity unknown, large covariance) and the
-remaining samples form the decision loop.  Episodes stop early when the gate
-misses ``miss_limit`` times in a row.
+policy pick a bandwidth, measure, gate on the predicted residual, update on a
+hit (a miss keeps the prediction), score.  The first sample initializes the
+track (velocity unknown, large covariance) and the remaining samples form the
+decision loop.  Episodes stop early when the gate misses ``miss_limit`` times
+in a row.
 
 Reproducibility contract: every random draw flows from the episode rng, and
 campaigns seed run i with base_seed + i, so any run can be replayed alone.
@@ -14,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write_text
 from .policy import (
     ActionSet,
     FixedPolicy,
@@ -31,13 +31,13 @@ from .policy import (
     QTable,
     reward,
 )
-from .radar import RadarConfig, WaveformParams, measure, observe_jacobian
+from .radar import RadarConfig, measure, observe_jacobian
 from .tracker import (
     ProcessModel,
     TrackStatus,
-    coast,
     gate,
     initialize_track,
+    innovation,
     predict,
     step_status,
     update,
@@ -183,7 +183,7 @@ def run_episode(
         if episode.initial_bandwidth is not None
         else policy.initial_bandwidth()
     )
-    z0 = measure(trajectory[0], WaveformParams(bandwidth=init_bw), radar, rng)
+    z0 = measure(trajectory[0], init_bw, radar, rng)
     track = initialize_track(z0, radar)
     status = TrackStatus()
     last_meas_var = float(z0.noise_cov[0, 0])
@@ -205,14 +205,14 @@ def run_episode(
             step=k,
         )
         bandwidth = policy.choose(ctx, rng)
-        z = measure(truth, WaveformParams(bandwidth=bandwidth), radar, rng)
-        posterior, innovation = update(prior, z, radar)
-        decision = gate(innovation, z)
+        z = measure(truth, bandwidth, radar, rng)
+        nu = innovation(prior, z, radar_position)
+        decision = gate(nu, z)
         if decision.correlated:
-            track = posterior
+            track = update(prior, z, H, nu)
             streak += 1
         else:
-            track = coast(prior)
+            track = prior
             streak = 0
         status = step_status(status, decision.correlated, episode.miss_limit)
 
@@ -410,20 +410,6 @@ def success_histogram(
 def _fmt(value: float) -> str:
     """Shortest representation that round-trips a float exactly."""
     return f"{value:.17g}"
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_run_csv(result: RunResult, path: str) -> None:

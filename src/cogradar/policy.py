@@ -16,15 +16,14 @@ newest first, against the evolving table.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write_text
 from .radar import DEFAULT_MAX_BW, DEFAULT_MIN_BW
 
 DEFAULT_ACTIONS_HZ = (0.5e6, 1.0e6, 2.5e6, 5.0e6, 7.5e6, 10.0e6)
@@ -46,19 +45,6 @@ _QTABLE_JSON_KEYS = (
     "meas_var_edges",
     "values",
 )
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass(frozen=True)
@@ -180,7 +166,7 @@ class Discretizer:
         }
 
     def save(self, path: str) -> None:
-        _atomic_write(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Discretizer":
@@ -270,7 +256,7 @@ class QTable:
 
     def save(self, path: str) -> None:
         """Atomic write: the file appears complete or not at all."""
-        _atomic_write(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "QTable":
@@ -302,27 +288,6 @@ class QTable:
         return self.C / (1.0 - self.gamma)
 
 
-class TransitionBuffer:
-    """Ring buffer of the last ``capacity`` (state, action) pairs."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._pairs: deque[tuple[int, int]] = deque(maxlen=capacity)
-
-    def push(self, state: int, action: int) -> None:
-        self._pairs.append((int(state), int(action)))
-
-    def clear(self) -> None:
-        self._pairs.clear()
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def newest_first(self) -> list[tuple[int, int]]:
-        return list(reversed(self._pairs))
-
-
 # ---------------------------------------------------------------------------
 # Learning rules
 # ---------------------------------------------------------------------------
@@ -347,16 +312,17 @@ def q_update(table: QTable, s_prev: int, a_prev: int, r: float, s_now: int) -> Q
 
 
 def lookahead_update(
-    table: QTable, buffer: TransitionBuffer, r: float, s_now: int
+    table: QTable, pairs: Sequence[tuple[int, int]], r: float, s_now: int
 ) -> QTable:
-    """Back up the same reward to every buffered pair, newest first.
+    """Back up the same reward to every (state, action) pair, given newest
+    first.
 
     Each sub-update re-reads the bootstrap term from the table as it stands,
     so earlier sub-updates feed later ones.
     """
-    if len(buffer) == 0:
-        raise ValueError("empty transition buffer")
-    for s_prev, a_prev in buffer.newest_first():
+    if len(pairs) == 0:
+        raise ValueError("empty pair list")
+    for s_prev, a_prev in pairs:
         q_update(table, s_prev, a_prev, r, s_now)
     return table
 
@@ -492,7 +458,8 @@ class QLearningPolicy(Policy):
         self.epsilon = table.epsilon if epsilon is None else float(epsilon)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        self._buffer = TransitionBuffer(table.L)
+        # last L (state, action) pairs, newest first
+        self._pairs: deque[tuple[int, int]] = deque(maxlen=table.L)
         self._pending: Optional[tuple[int, int]] = None
         self.reset()
 
@@ -502,7 +469,7 @@ class QLearningPolicy(Policy):
 
     def reset(self) -> None:
         super().reset()
-        self._buffer.clear()
+        self._pairs.clear()
         self._pending = None
 
     def initial_bandwidth(self) -> float:
@@ -521,7 +488,8 @@ class QLearningPolicy(Policy):
         if self._pending is None:
             raise ValueError("learn called before choose")
         s_now, _ = self._pending
-        if len(self._buffer) > 0:
-            lookahead_update(self.table, self._buffer, r, s_now)
-        self._buffer.push(*self._pending)
+        if self._pairs:
+            lookahead_update(self.table, self._pairs, r, s_now)
+        # appendleft on a full deque drops the oldest pair from the right
+        self._pairs.appendleft(self._pending)
         self._pending = None

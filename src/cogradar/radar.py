@@ -17,23 +17,8 @@ import numpy as np
 from .trajectory import TruthPoint
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-DEFAULT_PRF = 1_000.0  # Hz, held constant; bandwidth is the adapted parameter
 DEFAULT_MIN_BW = 0.5e6  # Hz
 DEFAULT_MAX_BW = 10.0e6  # Hz
-
-
-@dataclass(frozen=True)
-class WaveformParams:
-    """Transmit waveform decision vector: PRF and chirp bandwidth."""
-
-    bandwidth: float  # Hz
-    prf: float = DEFAULT_PRF  # Hz
-
-    def __post_init__(self) -> None:
-        if self.prf <= 0.0:
-            raise ValueError("prf must be > 0")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be > 0")
 
 
 @dataclass(frozen=True)
@@ -41,7 +26,6 @@ class RadarConfig:
     position: tuple[float, float, float] = (20_000.0, -12_000.0, 0.0)
     carrier_freq: float = 10.0e9  # Hz
     pulse_duration: float = 1.0e-4  # s
-    transmit_energy: float = 1.0  # J, carried for completeness
     snr_ref: float = 300.0  # SNR at range_ref
     range_ref: float = 25_000.0  # m
     angle_noise_std: float = 2.0e-3  # rad, azimuth and elevation
@@ -74,7 +58,6 @@ class Measurement:
     azimuth: float  # rad
     elevation: float  # rad
     noise_cov: np.ndarray  # (4, 4)
-    waveform: WaveformParams
     t: float  # s
 
     def __post_init__(self) -> None:
@@ -140,7 +123,7 @@ def snr_at_range(range_m: float, config: RadarConfig) -> float:
 
 
 def measurement_noise_cov(
-    waveform: WaveformParams, snr: float, config: RadarConfig
+    bandwidth: float, snr: float, config: RadarConfig
 ) -> np.ndarray:
     """Diagonal measurement covariance R(theta) for one transmission.
 
@@ -148,10 +131,12 @@ def measurement_noise_cov(
     sigma_range_rate = c / (2 f_c tau sqrt(2 SNR))
     sigma_az = sigma_el = angle_noise_std
     """
+    if bandwidth <= 0.0:
+        raise ValueError("bandwidth must be > 0")
     if snr <= 0.0:
         raise ValueError("snr must be > 0")
     root = np.sqrt(2.0 * snr)
-    sigma_range = SPEED_OF_LIGHT / (2.0 * waveform.bandwidth * root)
+    sigma_range = SPEED_OF_LIGHT / (2.0 * bandwidth * root)
     sigma_rate = SPEED_OF_LIGHT / (
         2.0 * config.carrier_freq * config.pulse_duration * root
     )
@@ -167,7 +152,7 @@ def measurement_noise_cov(
 
 def measure(
     truth: TruthPoint,
-    waveform: WaveformParams,
+    bandwidth: float,
     config: RadarConfig,
     rng: np.random.Generator,
 ) -> Measurement:
@@ -175,7 +160,7 @@ def measure(
     state = np.concatenate([truth.position, truth.velocity])
     z_true = observe(state, config.position_array)
     snr = snr_at_range(float(z_true[0]), config)
-    R = measurement_noise_cov(waveform, snr, config)
+    R = measurement_noise_cov(bandwidth, snr, config)
     noise = np.sqrt(np.diag(R)) * rng.standard_normal(4)
     z = z_true + noise
     return Measurement(
@@ -184,6 +169,5 @@ def measure(
         azimuth=float(z[2]),
         elevation=float(z[3]),
         noise_cov=R,
-        waveform=waveform,
         t=truth.t,
     )

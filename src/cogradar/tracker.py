@@ -1,9 +1,10 @@
 """Extended Kalman Filter track maintenance.
 
 Constant-velocity motion model with phase-dependent white-noise-acceleration
-process noise, Joseph-form measurement updates, a range-only innovation gate,
-and consecutive-miss bookkeeping that declares track loss.  All operations are
-pure: each returns a new value, so parallel episodes never share state.
+process noise, a range-only gate on the predicted residual, Joseph-form
+measurement updates for the transmissions that pass it, and consecutive-miss
+bookkeeping that declares track loss.  All operations are pure: each returns a
+new value, so parallel episodes never share state.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .radar import Measurement, RadarConfig, observe, observe_jacobian
+from .radar import Measurement, RadarConfig, observe
 from .trajectory import Phase
 
 DEFAULT_MISS_LIMIT = 5
@@ -88,14 +89,6 @@ class ProcessModel:
 
 
 @dataclass(frozen=True)
-class Innovation:
-    """Measurement residual and its covariance, angles wrapped to (-pi, pi]."""
-
-    nu: np.ndarray  # (4,)
-    S: np.ndarray  # (4, 4)
-
-
-@dataclass(frozen=True)
 class GateResult:
     correlated: bool
     range_window: float  # m, 95% CI half-width from the range noise entry
@@ -127,17 +120,38 @@ def predict(track: TrackState, model: ProcessModel, phase: Phase) -> TrackState:
     return TrackState(x_hat=x, P=P, t=track.t + model.dt)
 
 
-def update(
-    track: TrackState, z: Measurement, radar: RadarConfig
-) -> tuple[TrackState, Innovation]:
-    """Joseph-form EKF measurement update at the predicted state."""
-    radar_position = radar.position_array
-    H = observe_jacobian(track.x_hat, radar_position)
-    R = z.noise_cov
+def innovation(
+    track: TrackState, z: Measurement, radar_position: np.ndarray
+) -> np.ndarray:
+    """Measurement residual at the predicted state, angles wrapped to (-pi, pi]."""
     nu = z.z - observe(track.x_hat, radar_position)
     nu[2] = wrap_angle(nu[2])
     nu[3] = wrap_angle(nu[3])
+    return nu
 
+
+def gate(nu: np.ndarray, z: Measurement) -> GateResult:
+    """Range-only correlation test on the predicted residual.
+
+    The window is the 95% CI half-width of the range measurement noise; the
+    transmission correlates when the range innovation stays within three
+    windows on either side.
+    """
+    window = 1.96 * np.sqrt(z.noise_cov[0, 0])
+    nu_range = float(nu[0])
+    return GateResult(
+        correlated=bool(abs(nu_range) <= 3.0 * window),
+        range_window=float(window),
+        range_innovation=nu_range,
+    )
+
+
+def update(
+    track: TrackState, z: Measurement, H: np.ndarray, nu: np.ndarray
+) -> TrackState:
+    """Joseph-form EKF measurement update with Jacobian ``H`` and residual
+    ``nu``, both taken at the predicted state."""
+    R = z.noise_cov
     S = H @ track.P @ H.T + R
     S = 0.5 * (S + S.T)
     if np.linalg.cond(S) > _MAX_CONDITION:
@@ -149,23 +163,7 @@ def update(
     I_KH = np.eye(6) - K @ H
     P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
     P = 0.5 * (P + P.T)
-    return TrackState(x_hat=x, P=P, t=track.t), Innovation(nu=nu, S=S)
-
-
-def gate(innovation: Innovation, z: Measurement) -> GateResult:
-    """Range-only correlation test.
-
-    The window is the 95% CI half-width of the range measurement noise; the
-    transmission correlates when the range innovation stays within three
-    windows on either side.
-    """
-    window = 1.96 * np.sqrt(z.noise_cov[0, 0])
-    nu_range = float(innovation.nu[0])
-    return GateResult(
-        correlated=bool(abs(nu_range) <= 3.0 * window),
-        range_window=float(window),
-        range_innovation=nu_range,
-    )
+    return TrackState(x_hat=x, P=P, t=track.t)
 
 
 def step_status(
@@ -188,11 +186,6 @@ def step_status(
         lost_at_step=transmissions if lost else None,
         transmissions=transmissions,
     )
-
-
-def coast(track: TrackState) -> TrackState:
-    """Miss handling: discard the measurement, keep the predicted state."""
-    return track
 
 
 def initialize_track(

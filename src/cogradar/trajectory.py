@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .fileio import atomic_write_text
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -259,12 +262,13 @@ CSV_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "phase"]
 
 def save_trajectory_csv(trajectory: Sequence[TruthPoint], path) -> None:
     """Write one row per step; floats at 17 significant digits (exact round-trip)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for p in trajectory:
-            row = [p.t, *p.position, *p.velocity]
-            writer.writerow([f"{x:.17g}" for x in row] + [p.phase.value])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(CSV_HEADER)
+    for p in trajectory:
+        row = [p.t, *p.position, *p.velocity]
+        writer.writerow([f"{x:.17g}" for x in row] + [p.phase.value])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def load_trajectory_csv(path) -> list[TruthPoint]:

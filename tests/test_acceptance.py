@@ -27,7 +27,6 @@ from cogradar.policy import (
     FixedPolicy,
     PolicyContext,
     QLearningPolicy,
-    TransitionBuffer,
     bandwidth_scaling_step,
     lookahead_update,
     q_update,
@@ -35,19 +34,17 @@ from cogradar.policy import (
 from cogradar.radar import (
     Measurement,
     RadarConfig,
-    WaveformParams,
     measure,
     measurement_noise_cov,
     observe_jacobian,
     snr_at_range,
 )
 from cogradar.tracker import (
-    Innovation,
     ProcessModel,
     TrackState,
     TrackStatus,
-    coast,
     gate,
+    innovation,
     predict,
     step_status,
     update,
@@ -224,9 +221,7 @@ def test_02_q_update_exactness(capsys, scenario, discretizer):
         a_prev = rng.integers(0, 6)
         r = -2.0 * rng.random()
         q_update(vanilla, int(s_prev), int(a_prev), r, int(s_now))
-        buffer = TransitionBuffer(1)
-        buffer.push(int(s_prev), int(a_prev))
-        lookahead_update(look, buffer, r, int(s_now))
+        lookahead_update(look, [(int(s_prev), int(a_prev))], r, int(s_now))
         identical &= np.array_equal(vanilla.values, look.values)
     _report(capsys, 2, "q-update exactness", [
         ("zero-table update equals -0.05", abs(entry - (-0.05)) <= 1e-12),
@@ -258,6 +253,13 @@ def _fd_jacobian(state, radar_position, step=1e-3):
         lo[j] -= step
         jac[:, j] = (observe(hi, radar_position) - observe(lo, radar_position)) / (2 * step)
     return jac
+
+
+def _ekf_update(track, z, radar):
+    """The episode loop's hit path: residual and Jacobian at the prior."""
+    radar_position = radar.position_array
+    nu = innovation(track, z, radar_position)
+    return update(track, z, observe_jacobian(track.x_hat, radar_position), nu)
 
 
 def test_04_ekf_numerics(capsys, scenario):
@@ -298,11 +300,9 @@ def test_04_ekf_numerics(capsys, scenario):
     for i in range(10_000):
         phase = phases[(i // 100) % 3]
         track = predict(track, model, phase)
-        if i % 7 == 3:
-            track = coast(track)
-        else:
-            z = measure(truth, WaveformParams(actions[i % 6]), radar, rng)
-            track, _ = update(track, z, radar)
+        if i % 7 != 3:  # every seventh step keeps the prediction, as a miss does
+            z = measure(truth, actions[i % 6], radar, rng)
+            track = _ekf_update(track, z, radar)
         symmetric &= bool(np.array_equal(track.P, track.P.T))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(track.P).min()))
 
@@ -317,12 +317,12 @@ def test_04_ekf_numerics(capsys, scenario):
     )
     z = Measurement(
         range=r0 + 30.0, range_rate=2.0, azimuth=1e-4, elevation=-2e-4,
-        noise_cov=noise, waveform=WaveformParams(1e6), t=0.0,
+        noise_cov=noise, t=0.0,
     )
     track0 = TrackState(
         x_hat=np.array([r0, 0.0, 0.0, 0.0, 0.0, 0.0]), P=prior, t=0.0
     )
-    posterior, _ = update(track0, z, origin_radar)
+    posterior = _ekf_update(track0, z, origin_radar)
     scalar_rel = []
     for x_idx, z_val, prior_var, noise_var in (
         (0, z.range - r0, 400.0, 100.0),
@@ -439,13 +439,10 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario):
     noise = np.diag([100.0, 4.0, 1e-6, 1e-6])  # sigma_range = 10 m
     z = Measurement(
         range=20_000.0, range_rate=0.0, azimuth=0.1, elevation=0.1,
-        noise_cov=noise, waveform=WaveformParams(1e6), t=0.0,
+        noise_cov=noise, t=0.0,
     )
     def gated(nu_range):
-        innovation = Innovation(
-            nu=np.array([nu_range, 0.0, 0.0, 0.0]), S=np.eye(4)
-        )
-        return gate(innovation, z)
+        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), z)
     window = gated(0.0).range_window
     outside = gated(58.9)
     inside = gated(58.7)

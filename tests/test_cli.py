@@ -8,7 +8,7 @@ import pytest
 
 from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
-from cogradar.policy import Discretizer, QTable
+from cogradar.policy import ActionSet, Discretizer, QTable
 from cogradar.trajectory import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
@@ -226,6 +226,54 @@ class TestTrace:
             rows = handle.read().strip().splitlines()
         assert rows[0].startswith("step,bandwidth_hz,")
         assert len(rows) <= 1 + 40
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_modes_follow_umask(self, capsys, tmp_path, umask):
+        out = str(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert run("generate-trajectory", "--out", out) == 0
+            assert run("calibrate", "--runs", "2", *FAST, "--out", out) == 0
+            assert run("trace", "--policy", "scaling", *FAST, "--out", out) == 0
+        finally:
+            os.umask(old)
+        modes = {name: os.stat(os.path.join(out, name)).st_mode & 0o777
+                 for name in os.listdir(out)}
+        assert set(modes) == {"trajectory.csv", "edges.json", "trace.csv"}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+class TestQTableActions:
+    """A Q-table trained on another action menu is rejected at load time."""
+
+    @pytest.fixture
+    def foreign_table(self, tmp_path):
+        path = str(tmp_path / "foreign.json")
+        actions = ActionSet((0.1e6, 1e6, 5e6, 10e6, 25e6, 50e6))
+        edges = Discretizer(
+            pred_var_edges=tuple(float(i) for i in range(1, 10)),
+            meas_var_edges=tuple(float(i) for i in range(1, 8)),
+        )
+        QTable.zeros(edges, actions=actions).save(path)
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--policy", "qlearn", "--runs", "1"],
+            ["compare", "--policy", "fixed:1e6,qlearn", "--runs", "1"],
+            ["trace", "--policy", "qlearn"],
+            ["train", "--policy", "qlearn", "--runs", "1"],
+        ],
+    )
+    def test_mismatched_actions_rejected(self, capsys, tmp_path, foreign_table, argv):
+        out = str(tmp_path / "out")
+        assert run(*argv, "--qtable", foreign_table, *FAST, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "actions_hz" in err and foreign_table in err
+        assert not os.path.exists(out) or not os.listdir(out)
 
 
 def test_console_entry_point():

@@ -40,6 +40,14 @@ def test_actions_outside_radar_bounds_rejected():
         ScenarioConfig(actions=ActionSet((0.5e6, 20.0e6)))
 
 
+def test_initial_bandwidth_outside_radar_bounds_rejected():
+    for bandwidth in (5e9, 0.1e6):
+        with pytest.raises(ValueError, match="episode.initial_bandwidth"):
+            ScenarioConfig(episode=EpisodeConfig(initial_bandwidth=bandwidth))
+    sc = ScenarioConfig(episode=EpisodeConfig(initial_bandwidth=1e7))
+    assert sc.episode.initial_bandwidth == sc.radar.max_bw
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -112,6 +120,14 @@ def test_json_layout_uses_phase_names(tmp_path):
     }
     assert set(data["process"]["accel_noise_std"]) == {"boost", "mid_course", "terminal"}
     assert set(data["hyperparams"]) == {"alpha", "gamma", "epsilon", "C", "L"}
+
+
+def test_load_accepts_older_json_with_transmit_energy():
+    # scenario files written before the unused field was dropped still load
+    data = default_scenario().to_json_dict()
+    assert "transmit_energy" not in data["radar"]
+    data["radar"]["transmit_energy"] = 1.0
+    assert ScenarioConfig.from_json_dict(data) == default_scenario()
 
 
 def test_load_rejects_missing_section():

@@ -14,7 +14,6 @@ from cogradar.policy import (
     PolicyContext,
     QLearningPolicy,
     QTable,
-    TransitionBuffer,
     bandwidth_scaling_step,
     discretize,
     lookahead_update,
@@ -222,24 +221,19 @@ class TestLookaheadUpdate:
     def test_l1_reduces_to_q_update(self):
         rng = np.random.default_rng(17)
         vanilla, look = make_table(), make_table(L=1)
-        buffer = TransitionBuffer(capacity=1)
         for _ in range(1000):
             s, a = int(rng.integers(80)), int(rng.integers(6))
             s_now = int(rng.integers(80))
             r = float(-2.0 * rng.random())
             q_update(vanilla, s, a, r, s_now)
-            buffer.push(s, a)
-            lookahead_update(look, buffer, r, s_now)
+            lookahead_update(look, [(s, a)], r, s_now)
         assert np.array_equal(vanilla.values, look.values)
 
     def test_hand_triple(self):
         # zero table, r = -1, three distinct pairs, bootstrap row stays zero:
         # each entry gets 0.1 * (-1) = -0.1
         table = make_table(L=3)
-        buffer = TransitionBuffer(capacity=3)
-        for s, a in [(0, 0), (8, 1), (16, 2)]:
-            buffer.push(s, a)
-        lookahead_update(table, buffer, r=-1.0, s_now=40)
+        lookahead_update(table, [(16, 2), (8, 1), (0, 0)], r=-1.0, s_now=40)
         for s, a in [(0, 0), (8, 1), (16, 2)]:
             assert table.values[s, a] == pytest.approx(-0.1, abs=1e-15)
         assert np.count_nonzero(table.values) == 3
@@ -248,10 +242,9 @@ class TestLookaheadUpdate:
         # the newest pair is updated first; if an older pair bootstraps from
         # the row just written, it must see the new value
         table = make_table(L=2)
-        buffer = TransitionBuffer(capacity=2)
-        buffer.push(7, 3)  # older; will bootstrap from s_now = 5
-        buffer.push(5, 0)  # newest; shares its state with s_now
-        lookahead_update(table, buffer, r=-1.0, s_now=5)
+        # newest (5, 0) shares its state with s_now; older (7, 3) bootstraps
+        # from s_now = 5
+        lookahead_update(table, [(5, 0), (7, 3)], r=-1.0, s_now=5)
         # newest first: Q[5,0] = 0.1 * (-1 + 0.9 * 0) = -0.1 (row max still 0)
         assert table.values[5, 0] == pytest.approx(-0.1, abs=1e-15)
         # then Q[7,3] = 0.1 * (-1 + 0.9 * max Q[5,:]) with max now 0 (other
@@ -261,10 +254,7 @@ class TestLookaheadUpdate:
     def test_sequential_coupling_when_row_max_changes(self):
         table = make_table(L=2)
         table.values[5] = -0.5  # whole row at -0.5
-        buffer = TransitionBuffer(capacity=2)
-        buffer.push(7, 3)
-        buffer.push(5, 0)
-        lookahead_update(table, buffer, r=-1.0, s_now=5)
+        lookahead_update(table, [(5, 0), (7, 3)], r=-1.0, s_now=5)
         # newest: Q[5,0] = -0.5 + 0.1 * (-1 + 0.9 * -0.5 + 0.5) = -0.595
         assert table.values[5, 0] == pytest.approx(-0.595, abs=1e-12)
         # older pair sees the updated row max of row 5, still -0.5
@@ -274,21 +264,27 @@ class TestLookaheadUpdate:
 
     def test_buffer_shorter_than_l(self):
         table = make_table(L=5)
-        buffer = TransitionBuffer(capacity=5)
-        buffer.push(3, 3)
-        lookahead_update(table, buffer, r=-1.0, s_now=60)
+        lookahead_update(table, [(3, 3)], r=-1.0, s_now=60)
         assert np.count_nonzero(table.values) == 1
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            lookahead_update(make_table(), TransitionBuffer(capacity=2), -1.0, 0)
+            lookahead_update(make_table(), [], -1.0, 0)
 
     def test_ring_drops_oldest(self):
-        buffer = TransitionBuffer(capacity=2)
-        for pair in [(1, 1), (2, 2), (3, 3)]:
-            buffer.push(*pair)
-        assert buffer.newest_first() == [(3, 3), (2, 2)]
-        assert len(buffer) == 2
+        # QLearningPolicy keeps the last L pairs: with L = 2 the fourth
+        # reward backs up (72, 0) and (26, 0) but no longer (0, 0)
+        table = make_table(L=2)
+        policy = QLearningPolicy(table, epsilon=0.0)
+        rng = np.random.default_rng(0)
+        for pred, meas, r in [(0.5, 0.5, -0.5), (3.5, 2.5, -1.0), (9.5, 0.5, -2.0)]:
+            policy.choose(ctx(pred=pred, meas=meas), rng)  # s = 0, 26, 72
+            policy.learn(r)
+        before = table.values.copy()
+        policy.choose(ctx(pred=5.5, meas=0.5), rng)  # s = 40
+        policy.learn(-1.0)
+        changed = {tuple(i) for i in np.argwhere(table.values != before)}
+        assert changed == {(72, 0), (26, 0)}
 
 
 class TestSelectAction:

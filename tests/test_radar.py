@@ -5,7 +5,6 @@ from cogradar.radar import (
     SPEED_OF_LIGHT,
     Measurement,
     RadarConfig,
-    WaveformParams,
     measure,
     measurement_noise_cov,
     observe,
@@ -145,7 +144,7 @@ class TestMeasurementNoiseCov:
     def test_direct_formula(self):
         # sigma_range = c / (2e6 * sqrt(200)) ~ 10.6 m
         cfg = RadarConfig()
-        R = measurement_noise_cov(WaveformParams(bandwidth=1.0e6), 100.0, cfg)
+        R = measurement_noise_cov(1.0e6, 100.0, cfg)
         sigma_range = SPEED_OF_LIGHT / (2.0e6 * np.sqrt(200.0))
         assert np.sqrt(R[0, 0]) == pytest.approx(sigma_range)
         assert sigma_range == pytest.approx(10.6, abs=0.02)
@@ -158,15 +157,15 @@ class TestMeasurementNoiseCov:
 
     def test_double_bandwidth_halves_sigma_range(self):
         cfg = RadarConfig()
-        R1 = measurement_noise_cov(WaveformParams(bandwidth=2.0e6), 50.0, cfg)
-        R2 = measurement_noise_cov(WaveformParams(bandwidth=4.0e6), 50.0, cfg)
+        R1 = measurement_noise_cov(2.0e6, 50.0, cfg)
+        R2 = measurement_noise_cov(4.0e6, 50.0, cfg)
         assert np.sqrt(R2[0, 0]) == pytest.approx(0.5 * np.sqrt(R1[0, 0]))
         assert R2[2, 2] == pytest.approx(R1[2, 2])
 
     def test_quadruple_snr_halves_sigmas(self):
         cfg = RadarConfig()
-        R1 = measurement_noise_cov(WaveformParams(bandwidth=1.0e6), 25.0, cfg)
-        R2 = measurement_noise_cov(WaveformParams(bandwidth=1.0e6), 100.0, cfg)
+        R1 = measurement_noise_cov(1.0e6, 25.0, cfg)
+        R2 = measurement_noise_cov(1.0e6, 100.0, cfg)
         assert np.sqrt(R2[0, 0]) == pytest.approx(0.5 * np.sqrt(R1[0, 0]))
         assert np.sqrt(R2[1, 1]) == pytest.approx(0.5 * np.sqrt(R1[1, 1]))
 
@@ -174,7 +173,7 @@ class TestMeasurementNoiseCov:
         cfg = RadarConfig()
         for b in np.linspace(cfg.min_bw, cfg.max_bw, 7):
             for snr in (1.0, 30.0, 1e4):
-                R = measurement_noise_cov(WaveformParams(bandwidth=b), snr, cfg)
+                R = measurement_noise_cov(b, snr, cfg)
                 assert R == pytest.approx(np.diag(np.diag(R)))
                 assert np.all(np.diag(R) > 0.0)
 
@@ -182,7 +181,7 @@ class TestMeasurementNoiseCov:
         cfg = RadarConfig()
         grid = np.linspace(cfg.min_bw, cfg.max_bw, 50)
         sigmas = [
-            np.sqrt(measurement_noise_cov(WaveformParams(bandwidth=b), 40.0, cfg)[0, 0])
+            np.sqrt(measurement_noise_cov(b, 40.0, cfg)[0, 0])
             for b in grid
         ]
         assert np.all(np.diff(sigmas) < 0.0)
@@ -201,16 +200,14 @@ class TestMeasure:
     def test_determinism(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig()
-        wf = WaveformParams(bandwidth=5.0e6)
-        m1 = measure(truth, wf, cfg, np.random.default_rng(11))
-        m2 = measure(truth, wf, cfg, np.random.default_rng(11))
+        m1 = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
+        m2 = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
         assert m1.z == pytest.approx(m2.z, abs=0.0)
 
     def test_high_snr_limit(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig(snr_ref=1e18, angle_noise_std=1e-12)
-        wf = WaveformParams(bandwidth=10.0e6)
-        m = measure(truth, wf, cfg, np.random.default_rng(0))
+        m = measure(truth, 10.0e6, cfg, np.random.default_rng(0))
         state = np.concatenate([truth.position, truth.velocity])
         assert m.z == pytest.approx(observe(state, cfg.position_array), abs=1e-3)
 
@@ -218,35 +215,37 @@ class TestMeasure:
         # 10 000 draws, sample std within 5% of sigma_range
         truth = truth_point([15_000.0, -7000.0, 6000.0], [0.0, 0.0, -100.0])
         cfg = RadarConfig()
-        wf = WaveformParams(bandwidth=1.0e6)
+        bw = 1.0e6
         state = np.concatenate([truth.position, truth.velocity])
         true_range = observe(state, cfg.position_array)[0]
         sigma = np.sqrt(
-            measurement_noise_cov(wf, snr_at_range(true_range, cfg), cfg)[0, 0]
+            measurement_noise_cov(bw, snr_at_range(true_range, cfg), cfg)[0, 0]
         )
         rng = np.random.default_rng(123)
         errors = np.array(
-            [measure(truth, wf, cfg, rng).range - true_range for _ in range(10_000)]
+            [measure(truth, bw, cfg, rng).range - true_range for _ in range(10_000)]
         )
         assert abs(errors.std(ddof=1) - sigma) / sigma < 0.05
         assert abs(errors.mean()) < 5.0 * sigma / np.sqrt(10_000.0)
 
-    def test_carries_waveform_and_cov(self):
+    def test_carries_bandwidth_cov_and_time(self):
         truth = truth_point([8000.0, 0.0, 4000.0], [0.0, 0.0, 0.0])
         cfg = RadarConfig()
-        wf = WaveformParams(bandwidth=2.5e6)
-        m = measure(truth, wf, cfg, np.random.default_rng(5))
-        assert m.waveform is wf
-        assert m.noise_cov.shape == (4, 4)
+        m = measure(truth, 2.5e6, cfg, np.random.default_rng(5))
+        true_range = np.linalg.norm(truth.position - cfg.position_array)
+        snr = snr_at_range(float(true_range), cfg)
+        assert np.array_equal(m.noise_cov, measurement_noise_cov(2.5e6, snr, cfg))
         assert m.t == truth.t
 
 
 class TestValidation:
     def test_waveform_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            WaveformParams(bandwidth=0.0)
-        with pytest.raises(ValueError):
-            WaveformParams(bandwidth=1e6, prf=-1.0)
+        truth = truth_point([8000.0, 0.0, 4000.0], [0.0, 0.0, 0.0])
+        for bandwidth in (0.0, -1e6):
+            with pytest.raises(ValueError, match="bandwidth"):
+                measurement_noise_cov(bandwidth, 100.0, RadarConfig())
+            with pytest.raises(ValueError, match="bandwidth"):
+                measure(truth, bandwidth, RadarConfig(), np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -270,6 +269,5 @@ class TestValidation:
                 azimuth=0.0,
                 elevation=1.8,
                 noise_cov=np.eye(4),
-                waveform=WaveformParams(bandwidth=1e6),
                 t=0.0,
             )

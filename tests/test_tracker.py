@@ -6,22 +6,21 @@ from hypothesis import strategies as st
 from cogradar.radar import (
     Measurement,
     RadarConfig,
-    WaveformParams,
     measure,
     measurement_noise_cov,
     observe,
+    observe_jacobian,
     snr_at_range,
 )
 from cogradar.tracker import (
     DegenerateInnovationError,
     GateResult,
-    Innovation,
     ProcessModel,
     TrackState,
     TrackStatus,
-    coast,
     gate,
     initialize_track,
+    innovation,
     predict,
     step_status,
     update,
@@ -36,16 +35,24 @@ def make_model(sigma=1.0, dt=0.5):
     return ProcessModel(dt=dt, accel_noise_std={p: sigma for p in Phase})
 
 
-def make_measurement(z, noise_cov, t=0.0, bandwidth=1.0e6):
+def make_measurement(z, noise_cov, t=0.0):
     return Measurement(
         range=float(z[0]),
         range_rate=float(z[1]),
         azimuth=float(z[2]),
         elevation=float(z[3]),
         noise_cov=np.asarray(noise_cov, float),
-        waveform=WaveformParams(bandwidth=bandwidth),
         t=t,
     )
+
+
+def ekf_update(track, z, radar):
+    """The episode loop's hit path: residual and Jacobian at the prior, then
+    the update.  Returns the posterior and the residual."""
+    radar_position = radar.position_array
+    nu = innovation(track, z, radar_position)
+    H = observe_jacobian(track.x_hat, radar_position)
+    return update(track, z, H, nu), nu
 
 
 def scalar_posterior_var(prior_var, noise_var):
@@ -164,7 +171,7 @@ class TestUpdateScalarOracle:
         self.z = make_measurement(z, self.R)
 
     def test_posterior_variances_match_scalar_formula(self):
-        posterior, _ = update(self.track, self.z, self.radar)
+        posterior, _ = ekf_update(self.track, self.z, self.radar)
         # range measures x position, range rate measures x velocity
         cases = [
             (0, scalar_posterior_var(self.prior[0], self.R[0, 0])),
@@ -178,17 +185,17 @@ class TestUpdateScalarOracle:
             assert abs(got - expected) / expected < 1e-10
 
     def test_posterior_mean_matches_scalar_gain(self):
-        posterior, innovation = update(self.track, self.z, self.radar)
+        posterior, nu = ekf_update(self.track, self.z, self.radar)
         gain_x = self.prior[0] / (self.prior[0] + self.R[0, 0])
         assert abs(
             posterior.x_hat[0] - (self.R0 + gain_x * 25.0)
         ) / self.R0 < 1e-10
         gain_vx = self.prior[3] / (self.prior[3] + self.R[1, 1])
         assert posterior.x_hat[3] == pytest.approx(gain_vx * 5.0, rel=1e-10)
-        assert innovation.nu[0] == pytest.approx(25.0)
+        assert nu[0] == pytest.approx(25.0)
 
     def test_decoupled_posterior_stays_nearly_diagonal(self):
-        posterior, _ = update(self.track, self.z, self.radar)
+        posterior, _ = ekf_update(self.track, self.z, self.radar)
         off = posterior.P - np.diag(np.diag(posterior.P))
         assert np.abs(off).max() < 1e-6 * np.diag(posterior.P).max()
 
@@ -206,8 +213,8 @@ class TestUpdate:
     def test_zero_innovation_keeps_mean_contracts_covariance(self):
         z_pred = observe(self.track.x_hat, self.radar.position_array)
         z = make_measurement(z_pred, self.R)
-        posterior, innovation = update(self.track, z, self.radar)
-        assert innovation.nu == pytest.approx(np.zeros(4), abs=1e-12)
+        posterior, nu = ekf_update(self.track, z, self.radar)
+        assert nu == pytest.approx(np.zeros(4), abs=1e-12)
         assert posterior.x_hat == pytest.approx(self.track.x_hat)
         assert np.trace(posterior.P) < np.trace(self.track.P)
 
@@ -215,7 +222,7 @@ class TestUpdate:
         z_true = observe(self.track.x_hat, self.radar.position_array)
         z_vec = z_true + np.array([40.0, 3.0, 1e-4, -1e-4])
         tiny = np.diag([1e-8, 1e-8, 1e-14, 1e-14])
-        posterior, _ = update(self.track, make_measurement(z_vec, tiny), self.radar)
+        posterior, _ = ekf_update(self.track, make_measurement(z_vec, tiny), self.radar)
         z_post = observe(posterior.x_hat, self.radar.position_array)
         assert abs(z_post[0] - z_vec[0]) / z_vec[0] < 1e-6
 
@@ -229,8 +236,9 @@ class TestUpdate:
         assert z_pred[2] > 3.0  # azimuth near +pi
         z_vec = z_pred.copy()
         z_vec[2] = z_pred[2] - 2.0 * np.pi + 0.02  # same bearing, other branch
-        _, innovation = update(track, make_measurement(z_vec, self.R), self.radar)
-        assert innovation.nu[2] == pytest.approx(0.02, abs=1e-9)
+        z = make_measurement(z_vec, self.R)
+        nu = innovation(track, z, self.radar.position_array)
+        assert nu[2] == pytest.approx(0.02, abs=1e-9)
 
     def test_degenerate_innovation_covariance(self):
         flat = TrackState(x_hat=self.track.x_hat, P=np.zeros((6, 6)), t=0.0)
@@ -239,25 +247,28 @@ class TestUpdate:
         with pytest.raises(
             DegenerateInnovationError, match="degenerate innovation covariance"
         ):
-            update(flat, make_measurement(z_pred, badly_scaled), self.radar)
+            ekf_update(flat, make_measurement(z_pred, badly_scaled), self.radar)
 
     def test_innovation_covariance_spd(self):
+        # S = H P H' + R is SPD here, so the Joseph update must agree with
+        # the information form P+^-1 = P^-1 + H' R^-1 H
         z_pred = observe(self.track.x_hat, self.radar.position_array)
-        _, innovation = update(self.track, make_measurement(z_pred, self.R), self.radar)
-        assert innovation.S == pytest.approx(innovation.S.T)
-        assert np.linalg.eigvalsh(innovation.S).min() > 0.0
+        H = observe_jacobian(self.track.x_hat, self.radar.position_array)
+        S = H @ self.track.P @ H.T + self.R
+        assert np.linalg.eigvalsh(S).min() > 0.0
+        z = make_measurement(z_pred, self.R)
+        posterior, _ = ekf_update(self.track, z, self.radar)
+        info = np.linalg.inv(self.track.P) + H.T @ np.linalg.inv(self.R) @ H
+        assert posterior.P @ info == pytest.approx(np.eye(6), abs=1e-9)
 
 
 class TestGate:
     def make_gate(self, nu_range, sigma_range):
-        innovation = Innovation(
-            nu=np.array([nu_range, 0.0, 0.0, 0.0]), S=np.eye(4)
-        )
         z = make_measurement(
             [10_000.0, 0.0, 0.0, 0.0],
             np.diag([sigma_range**2, 1.0, 1.0, 1.0]),
         )
-        return gate(innovation, z)
+        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), z)
 
     def test_zero_innovation_correlates(self):
         assert self.make_gate(0.0, 10.0).correlated
@@ -295,11 +306,10 @@ class TestGate:
     def test_halved_bandwidth_doubles_window(self):
         cfg = RadarConfig()
         snr = 50.0
-        R1 = measurement_noise_cov(WaveformParams(bandwidth=4e6), snr, cfg)
-        R2 = measurement_noise_cov(WaveformParams(bandwidth=2e6), snr, cfg)
-        innovation = Innovation(nu=np.zeros(4), S=np.eye(4))
-        w1 = gate(innovation, make_measurement([1e4, 0, 0, 0], R1)).range_window
-        w2 = gate(innovation, make_measurement([1e4, 0, 0, 0], R2)).range_window
+        R1 = measurement_noise_cov(4e6, snr, cfg)
+        R2 = measurement_noise_cov(2e6, snr, cfg)
+        w1 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R1)).range_window
+        w2 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R2)).range_window
         assert w2 == pytest.approx(2.0 * w1)
 
 
@@ -368,9 +378,7 @@ class TestStepStatus:
 
 
 class TestCoast:
-    def test_identity(self):
-        track = TrackState(x_hat=np.arange(6.0), P=np.eye(6), t=2.0)
-        assert coast(track) is track
+    """A gate miss keeps the prediction: no update between predicts."""
 
     def test_covariance_grows_across_coasted_predicts(self):
         model = make_model(sigma=2.0, dt=0.5)
@@ -379,7 +387,7 @@ class TestCoast:
         )
         traces = []
         for _ in range(6):
-            track = coast(predict(track, model, Phase.MID_COURSE))
+            track = predict(track, model, Phase.MID_COURSE)
             traces.append(np.trace(track.P))
         assert np.all(np.diff(traces) > 0.0)
 
@@ -406,8 +414,9 @@ class TestInitializeTrack:
 
 class TestCovarianceInvariants:
     def test_symmetric_psd_through_random_cycles(self):
-        """predict/update/coast driven by simulated measurements keeps P
-        symmetric and PSD."""
+        """predict/update driven by simulated measurements, skipping the
+        update every seventh step as a gate miss does, keeps P symmetric and
+        PSD."""
         rng = np.random.default_rng(2024)
         radar = RadarConfig()
         model = ProcessModel(
@@ -433,12 +442,10 @@ class TestCovarianceInvariants:
             truth = TruthPoint(
                 t=track.t, position=truth_pos, velocity=truth_vel, phase=phase
             )
-            wf = WaveformParams(bandwidth=float(rng.choice([0.5e6, 2.5e6, 10e6])))
-            z = measure(truth, wf, radar, rng)
-            if k % 7 == 3:
-                track = coast(track)
-            else:
-                track, _ = update(track, z, radar)
+            bandwidth = float(rng.choice([0.5e6, 2.5e6, 10e6]))
+            z = measure(truth, bandwidth, radar, rng)
+            if k % 7 != 3:
+                track, _ = ekf_update(track, z, radar)
             asym = np.abs(track.P - track.P.T).max()
             assert asym < 1e-9
             assert np.linalg.eigvalsh(track.P).min() >= -1e-9

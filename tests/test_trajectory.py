@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,21 @@ class TestCsvRoundTrip:
             assert a.t == b.t and a.phase is b.phase
             assert np.array_equal(a.position, b.position)
             assert np.array_equal(a.velocity, b.velocity)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        # write-then-rename: if the rename fails, the old file stays whole
+        # and no temporary file is left behind
+        path = tmp_path / "traj.csv"
+        path.write_text("previous\n")
+
+        def fail(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_trajectory_csv(generate_trajectory(TrajectoryConfig(), seed=9), path)
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["traj.csv"]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
