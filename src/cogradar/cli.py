@@ -235,6 +235,11 @@ def _cmd_train(manifest: RunManifest) -> int:
     base_seed = _base_seed(manifest, scenario)
     if manifest.qtable_path is not None:
         table = _load_table(manifest.qtable_path, scenario)
+        if (table.L > 1) != (spec.name == "qlearn-lookahead"):
+            raise UsageError(
+                f"Q-table {manifest.qtable_path} has L={table.L}, which does not fit "
+                f"--policy {spec.name} (qlearn needs L = 1, qlearn-lookahead L > 1)"
+            )
     else:
         if manifest.edges_path is not None:
             discretizer = Discretizer.load(manifest.edges_path)
@@ -282,12 +287,13 @@ def _cmd_evaluate(manifest: RunManifest) -> int:
     )
     metrics_path = _out_path(manifest, "metrics.csv")
     histogram_path = _out_path(manifest, "histogram.csv")
+    histogram = report.histogram
     save_metrics_csv(report, metrics_path)
-    save_histogram_csv(report.histogram, histogram_path)
-    successful = sum(1 for r in results if r.successful)
+    save_histogram_csv(histogram, histogram_path)
     print(f"wrote {metrics_path} and {histogram_path}")
     print(
-        f"{manifest.policies[0]}: {successful}/{report.n_runs} full tracks, "
+        f"{manifest.policies[0]}: "
+        f"{histogram.full_track_count}/{histogram.n_runs} full tracks, "
         f"windowed-min MSE {overall_windowed_mse(results):.6g} m^2"
     )
     return 0
@@ -321,8 +327,8 @@ def _cmd_compare(manifest: RunManifest) -> int:
         else:
             slugs[slug] = 0
         save_metrics_csv(report, _out_path(manifest, f"metrics_{slug}.csv"))
-        successful = sum(1 for r in results if r.successful)
-        rows.append((str(spec), n_runs, successful, overall_windowed_mse(results)))
+        full_tracks = report.histogram.full_track_count
+        rows.append((str(spec), n_runs, full_tracks, overall_windowed_mse(results)))
     lines = [",".join(SUMMARY_CSV_HEADER)]
     lines += [f"{p},{n},{s},{mse:.17g}" for p, n, s, mse in rows]
     summary_path = _out_path(manifest, "summary.csv")
@@ -344,6 +350,7 @@ def _cmd_trace(manifest: RunManifest) -> int:
         scenario.episode,
         rng=np.random.default_rng(_base_seed(manifest, scenario)),
         learning=False,
+        reward_clip=scenario.C,
     )
     path = _out_path(manifest, "trace.csv")
     save_run_csv(result, path)

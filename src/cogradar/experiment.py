@@ -22,6 +22,7 @@ import numpy as np
 
 from .fileio import atomic_write_text
 from .policy import (
+    DEFAULT_REWARD_CLIP,
     ActionSet,
     FixedPolicy,
     Discretizer,
@@ -34,12 +35,10 @@ from .policy import (
 from .radar import RadarConfig, measure, observe_jacobian
 from .tracker import (
     ProcessModel,
-    TrackStatus,
     gate,
     initialize_track,
     innovation,
     predict,
-    step_status,
     update,
 )
 from .trajectory import TruthPoint
@@ -65,6 +64,22 @@ METRICS_CSV_HEADER = ["step", "mean_windowed_min_mse"]
 HISTOGRAM_CSV_HEADER = ["bin_lo", "bin_hi", "count"]
 FULL_TRACK_LABEL = "full_track"
 
+# Everything observable about one transmission; row k of a run is step k.
+RECORD_DTYPE = np.dtype(
+    [
+        ("bandwidth", "f8"),  # Hz
+        ("range_error_true", "f8"),  # m, |estimated - true| range
+        ("range_innovation", "f8"),  # m
+        ("range_window", "f8"),  # m
+        ("correlated", "?"),
+        ("reward", "f8"),
+        ("state_index", "i8"),  # -1 for non-tabular policies
+        ("action_index", "i8"),
+        ("pred_var", "f8"),  # m^2, range-projected prior variance
+        ("meas_var", "f8"),  # m^2, R_rr of this transmission
+    ]
+)
+
 
 @dataclass(frozen=True)
 class EpisodeConfig:
@@ -88,26 +103,12 @@ class EpisodeConfig:
             raise ValueError("initial_bandwidth must be > 0")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything observable about one transmission."""
-
-    step: int
-    bandwidth: float  # Hz
-    range_error_true: float  # m, |estimated - true| range
-    range_innovation: float  # m
-    range_window: float  # m
-    correlated: bool
-    reward: float
-    state_index: Optional[int]  # None for non-tabular policies
-    action_index: Optional[int]
-    pred_var: float  # m^2, range-projected prior variance
-    meas_var: float  # m^2, R_rr of this transmission
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    records: tuple[StepRecord, ...]
+    """One ``RECORD_DTYPE`` row per transmission; ``lost_at`` is the number
+    of transmissions when the track was declared lost, None for a full track."""
+
+    records: np.recarray
     lost_at: Optional[int]
 
     def __post_init__(self) -> None:
@@ -119,7 +120,7 @@ class RunResult:
         return self.lost_at is None
 
     def squared_errors(self) -> np.ndarray:
-        return np.array([rec.range_error_true for rec in self.records]) ** 2
+        return self.records.range_error_true**2
 
 
 @dataclass(frozen=True)
@@ -141,11 +142,6 @@ class SuccessHistogram:
 class MetricsReport:
     mean_windowed_min_mse: np.ndarray  # m^2 per step
     histogram: SuccessHistogram
-    n_runs: int
-
-    @property
-    def full_track_count(self) -> int:
-        return self.histogram.full_track_count
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +157,15 @@ def run_episode(
     episode: EpisodeConfig,
     rng: Optional[np.random.Generator] = None,
     learning: bool = False,
+    reward_clip: float = DEFAULT_REWARD_CLIP,
 ) -> RunResult:
     """Run one tracking episode; returns a record per transmission.
 
     Sample 0 initializes the track; samples 1..n_transmissions are the
     decision loop.  The policy sees only quantities computable before its
     transmission: the range-projected prior variance, the previous waveform's
-    range noise variance, and the previous gate outcome.
+    range noise variance, and the previous gate outcome.  Rewards are
+    clipped at ``reward_clip`` (C).
     """
     if len(trajectory) < episode.n_transmissions + 1:
         raise ValueError(
@@ -185,12 +183,12 @@ def run_episode(
     )
     z0 = measure(trajectory[0], init_bw, radar, rng)
     track = initialize_track(z0, radar)
-    status = TrackStatus()
     last_meas_var = float(z0.noise_cov[0, 0])
     last_correlated = True
-    streak = 1  # the initiation transmission counts as correlated
+    misses = 0  # consecutive gate misses
+    lost_at = None
 
-    records: list[StepRecord] = []
+    records = np.zeros(episode.n_transmissions, dtype=RECORD_DTYPE)
     radar_position = radar.position_array
     for k in range(episode.n_transmissions):
         truth = trajectory[k + 1]
@@ -201,8 +199,6 @@ def run_episode(
             predicted_range_variance=pred_var,
             last_measurement_range_variance=last_meas_var,
             last_correlated=last_correlated,
-            correlated_streak=streak,
-            step=k,
         )
         bandwidth = policy.choose(ctx, rng)
         z = measure(truth, bandwidth, radar, rng)
@@ -210,40 +206,38 @@ def run_episode(
         decision = gate(nu, z)
         if decision.correlated:
             track = update(prior, z, H, nu)
-            streak += 1
+            misses = 0
         else:
             track = prior
-            streak = 0
-        status = step_status(status, decision.correlated, episode.miss_limit)
+            misses += 1
+        lost = misses >= episode.miss_limit
 
         est_range = float(np.linalg.norm(track.position - radar_position))
         true_range = float(np.linalg.norm(truth.position - radar_position))
         range_error = abs(est_range - true_range)
-        r = reward(range_error, status.lost, policy.reward_clip)
+        r = reward(range_error, lost, reward_clip)
         if learning:
             policy.learn(r)
 
-        records.append(
-            StepRecord(
-                step=k,
-                bandwidth=bandwidth,
-                range_error_true=range_error,
-                range_innovation=decision.range_innovation,
-                range_window=decision.range_window,
-                correlated=decision.correlated,
-                reward=r,
-                state_index=policy.last_state,
-                action_index=policy.last_action,
-                pred_var=pred_var,
-                meas_var=float(z.noise_cov[0, 0]),
-            )
-        )
         last_meas_var = float(z.noise_cov[0, 0])
         last_correlated = decision.correlated
-        if status.lost:
+        records[k] = (
+            bandwidth,
+            range_error,
+            decision.range_innovation,
+            decision.range_window,
+            decision.correlated,
+            r,
+            -1 if policy.last_state is None else policy.last_state,
+            -1 if policy.last_action is None else policy.last_action,
+            pred_var,
+            last_meas_var,
+        )
+        if lost:
+            lost_at = k + 1
             break
 
-    return RunResult(records=tuple(records), lost_at=status.lost_at_step)
+    return RunResult(records=records[: k + 1].view(np.recarray), lost_at=lost_at)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,10 @@ def train_qlearning(
     policy = QLearningPolicy(table)
     for i in range(n_runs):
         rng = np.random.default_rng(base_seed + i)
-        run_episode(trajectory, policy, radar, process, episode, rng, learning=True)
+        run_episode(
+            trajectory, policy, radar, process, episode, rng,
+            learning=True, reward_clip=table.C,
+        )
     return table
 
 
@@ -300,7 +297,6 @@ def evaluate(
     report = MetricsReport(
         mean_windowed_min_mse=mean_windowed_mse(results, window),
         histogram=success_histogram(results, bin_width, episode.n_transmissions),
-        n_runs=n_runs,
     )
     return results, report
 
@@ -317,17 +313,16 @@ def calibrate_discretizer(
     """Pilot campaign for bin edges: fixed-bandwidth episodes cycling through
     the action menu, pooling the variances the policies will later see."""
     actions = actions if actions is not None else ActionSet()
-    pred_vars: list[float] = []
-    meas_vars: list[float] = []
+    pooled = [np.zeros(0, dtype=RECORD_DTYPE)]  # zero runs pool zero samples
     for i in range(n_runs):
         policy = FixedPolicy(actions[i % len(actions)], radar.min_bw, radar.max_bw)
         rng = np.random.default_rng(base_seed + i)
         result = run_episode(
             trajectory, policy, radar, process, episode, rng, learning=False
         )
-        pred_vars.extend(rec.pred_var for rec in result.records)
-        meas_vars.extend(rec.meas_var for rec in result.records)
-    return Discretizer.from_samples(pred_vars, meas_vars)
+        pooled.append(result.records)
+    samples = np.concatenate(pooled)
+    return Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +411,19 @@ def save_run_csv(result: RunResult, path: str) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RUN_CSV_HEADER)
-    for rec in result.records:
+    for step, row in enumerate(result.records.tolist()):
+        bw, err, innov, window, correlated, r, state, action = row[:8]
         writer.writerow(
             [
-                rec.step,
-                _fmt(rec.bandwidth),
-                _fmt(rec.range_error_true),
-                _fmt(rec.range_innovation),
-                _fmt(rec.range_window),
-                int(rec.correlated),
-                _fmt(rec.reward),
-                "" if rec.state_index is None else rec.state_index,
-                "" if rec.action_index is None else rec.action_index,
+                step,
+                _fmt(bw),
+                _fmt(err),
+                _fmt(innov),
+                _fmt(window),
+                int(correlated),
+                _fmt(r),
+                "" if state < 0 else state,
+                "" if action < 0 else action,
             ]
         )
     atomic_write_text(path, buffer.getvalue())

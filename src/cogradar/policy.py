@@ -19,7 +19,7 @@ import json
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,16 +59,12 @@ class PolicyContext:
     predicted_range_variance: float  # m^2
     last_measurement_range_variance: float  # m^2
     last_correlated: bool
-    correlated_streak: int
-    step: int
 
     def __post_init__(self) -> None:
         if self.predicted_range_variance <= 0.0:
             raise ValueError("predicted_range_variance must be > 0")
         if self.last_measurement_range_variance <= 0.0:
             raise ValueError("last_measurement_range_variance must be > 0")
-        if self.correlated_streak < 0:
-            raise ValueError("correlated_streak must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -142,11 +138,11 @@ class Discretizer:
 
     @classmethod
     def from_samples(
-        cls, pred_vars: Iterable[float], meas_vars: Iterable[float]
+        cls, pred_vars: Sequence[float], meas_vars: Sequence[float]
     ) -> "Discretizer":
         """Log-spaced edges between the 1st and 99th sample percentiles."""
         def edges(samples, n_edges):
-            samples = np.asarray(list(samples), dtype=float)
+            samples = np.asarray(samples, dtype=float)
             if samples.size < 2:
                 raise ValueError("need at least two calibration samples")
             lo, hi = np.percentile(samples, [1.0, 99.0])
@@ -179,12 +175,6 @@ class Discretizer:
             pred_var_edges=tuple(doc["pred_var_edges"]),
             meas_var_edges=tuple(doc["meas_var_edges"]),
         )
-
-
-def discretize(ctx: PolicyContext, discretizer: Discretizer) -> int:
-    return discretizer.state_index(
-        ctx.predicted_range_variance, ctx.last_measurement_range_variance
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +359,11 @@ class Policy(ABC):
     """Per-dwell bandwidth selection.
 
     ``last_state`` / ``last_action`` expose the tabular indices behind the
-    most recent choice (None for policies that do not discretize).
+    most recent choice (None for non-tabular policies).
     """
 
     last_state: Optional[int] = None
     last_action: Optional[int] = None
-
-    @property
-    def reward_clip(self) -> float:
-        """C of the reward rule; episodes score every policy with it."""
-        return DEFAULT_REWARD_CLIP
 
     def reset(self) -> None:
         """Clear per-episode state; the default has none."""
@@ -463,10 +448,6 @@ class QLearningPolicy(Policy):
         self._pending: Optional[tuple[int, int]] = None
         self.reset()
 
-    @property
-    def reward_clip(self) -> float:
-        return self.table.C
-
     def reset(self) -> None:
         super().reset()
         self._pairs.clear()
@@ -476,7 +457,9 @@ class QLearningPolicy(Policy):
         return self.table.actions[len(self.table.actions) - 1]
 
     def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
-        s = discretize(ctx, self.table.discretizer)
+        s = self.table.discretizer.state_index(
+            ctx.predicted_range_variance, ctx.last_measurement_range_variance
+        )
         a = select_action(self.table, s, self.epsilon, rng)
         self.last_state, self.last_action = s, a
         self._pending = (s, a)

@@ -1,23 +1,21 @@
 """Extended Kalman Filter track maintenance.
 
 Constant-velocity motion model with phase-dependent white-noise-acceleration
-process noise, a range-only gate on the predicted residual, Joseph-form
-measurement updates for the transmissions that pass it, and consecutive-miss
-bookkeeping that declares track loss.  All operations are pure: each returns a
-new value, so parallel episodes never share state.
+process noise, a range-only gate on the predicted residual, and Joseph-form
+measurement updates for the transmissions that pass it.  All operations are
+pure: each returns a new value, so parallel episodes never share state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from .radar import Measurement, RadarConfig, observe
 from .trajectory import Phase
 
-DEFAULT_MISS_LIMIT = 5
 _MAX_CONDITION = 1e12
 
 
@@ -99,16 +97,6 @@ class GateResult:
             raise ValueError("range_window must be > 0")
 
 
-@dataclass(frozen=True)
-class TrackStatus:
-    """Consecutive-miss counter; ``transmissions`` counts step_status calls."""
-
-    consecutive_misses: int = 0
-    lost: bool = False
-    lost_at_step: Optional[int] = None
-    transmissions: int = 0
-
-
 def predict(track: TrackState, model: ProcessModel, phase: Phase) -> TrackState:
     """Time update: x = F x, P = F P F' + Q(phase), symmetrized."""
     if not (np.all(np.isfinite(track.x_hat)) and np.all(np.isfinite(track.P))):
@@ -164,28 +152,6 @@ def update(
     P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
     P = 0.5 * (P + P.T)
     return TrackState(x_hat=x, P=P, t=track.t)
-
-
-def step_status(
-    status: TrackStatus, correlated: bool, miss_limit: int = DEFAULT_MISS_LIMIT
-) -> TrackStatus:
-    """Advance the miss counter; declare loss at miss_limit consecutive misses."""
-    if status.lost:
-        raise ValueError("track already lost")
-    transmissions = status.transmissions + 1
-    if correlated:
-        return TrackStatus(
-            consecutive_misses=0, lost=False, lost_at_step=None,
-            transmissions=transmissions,
-        )
-    misses = status.consecutive_misses + 1
-    lost = misses >= miss_limit
-    return TrackStatus(
-        consecutive_misses=misses,
-        lost=lost,
-        lost_at_step=transmissions if lost else None,
-        transmissions=transmissions,
-    )
 
 
 def initialize_track(

@@ -10,16 +10,19 @@ import itertools
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cogradar.cli import cli_main
 from cogradar.config import default_scenario, easy_scenario
+from cogradar import experiment
 from cogradar.experiment import (
     evaluate,
     overall_windowed_mse,
     calibrate_discretizer,
+    run_episode,
     train_qlearning,
 )
 from cogradar.policy import (
@@ -42,11 +45,9 @@ from cogradar.radar import (
 from cogradar.tracker import (
     ProcessModel,
     TrackState,
-    TrackStatus,
     gate,
     innovation,
     predict,
-    step_status,
     update,
 )
 from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
@@ -177,13 +178,11 @@ def test_01_scaling_rule_conformance(capsys, scenario):
         policy.reset()
         init_ok &= policy.initial_bandwidth() == radar.max_bw
         want_bw, want_streak = radar.max_bw, 0
-        for step, correlated in enumerate(history):
+        for correlated in history:
             ctx = PolicyContext(
                 predicted_range_variance=1.0,
                 last_measurement_range_variance=1.0,
                 last_correlated=correlated,
-                correlated_streak=0,
-                step=step,
             )
             got = policy.choose(ctx, rng)
             want_bw, want_streak = _scaling_reference(
@@ -435,7 +434,7 @@ def test_07_transfer_to_easier_trajectory(capsys, trained):
     ])
 
 
-def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario):
+def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajectory):
     noise = np.diag([100.0, 4.0, 1e-6, 1e-6])  # sigma_range = 10 m
     z = Measurement(
         range=20_000.0, range_rate=0.0, azimuth=0.1, elevation=0.1,
@@ -446,19 +445,25 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario):
     window = gated(0.0).range_window
     outside = gated(58.9)
     inside = gated(58.7)
-    status = TrackStatus()
-    loss_step = None
-    for _ in range(5):
-        status = step_status(status, correlated=False, miss_limit=5)
-        if status.lost:
-            loss_step = status.transmissions
-            break
+    def always_miss(nu, z):
+        return replace(gate(nu, z), correlated=False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "gate", always_miss)
+        result = run_episode(
+            hard_trajectory,
+            FixedPolicy(1.0e6, scenario.radar.min_bw, scenario.radar.max_bw),
+            scenario.radar,
+            scenario.process,
+            replace(scenario.episode, miss_limit=5),
+            np.random.default_rng(0),
+        )
     _report(capsys, 8, "gate arithmetic and loss declaration", [
         ("sigma 10 m gives 19.6 m window", abs(window - 19.6) < 1e-12),
         ("|nu| = 58.9 m uncorrelated", not outside.correlated),
         ("|nu| = 58.7 m correlated", inside.correlated),
         ("loss declared at exactly the 5th miss",
-         status.lost and loss_step == 5 and status.lost_at_step == 5),
+         result.lost_at == 5 and len(result.records) == 5),
     ])
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cogradar.policy import ActionSet, Discretizer, QTable
 from cogradar.trajectory import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run(*argv):
@@ -152,6 +154,24 @@ class TestCalibrateAndTrain:
         assert read(table_path) == before
         assert read(os.path.join(second, "qtable.json")) != before
 
+    @pytest.mark.parametrize(
+        "policy, table",
+        [("qlearn-lookahead", "q/qtable.json"), ("qlearn", "ql/qtable.json")],
+    )
+    def test_warm_start_rejects_other_depth(self, capsys, tmp_path, policy, table):
+        """A warm-start table keeps its depth L, so it must match --policy:
+        L == 1 for qlearn, L > 1 for qlearn-lookahead."""
+        path = os.path.join(GOLDEN_DIR, table)
+        out = str(tmp_path / "out")
+        code = run(
+            "train", "--policy", policy, "--qtable", path, "--runs", "1",
+            *FAST, "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "L" in err and path in err and policy in err
+        assert not os.path.exists(out)
+
 
 class TestEvaluate:
     def test_byte_identical_outputs(self, capsys, tmp_path):
@@ -226,6 +246,24 @@ class TestTrace:
             rows = handle.read().strip().splitlines()
         assert rows[0].startswith("step,bandwidth_hz,")
         assert len(rows) <= 1 + 40
+
+    def test_reward_clip_follows_scenario(self, capsys, tmp_path):
+        """The loss reward is -C of the scenario, whatever the policy."""
+        config = str(tmp_path / "scenario.json")
+        replace(default_scenario(), C=0.5).save(config)
+        out = str(tmp_path / "out")
+        code = run(
+            "trace", "--policy", "fixed:1e7", "--seed", "3",
+            "--config", config, "--out", out,
+        )
+        assert code == 0
+        with open(os.path.join(out, "trace.csv")) as handle:
+            rows = handle.read().strip().splitlines()
+        header = rows[0].split(",")
+        last = dict(zip(header, rows[-1].split(",")))
+        assert len(rows) == 1 + 145  # the track is lost at step 145
+        assert last["correlated"] == "0"
+        assert float(last["reward"]) == -0.5
 
 
 class TestOutputFiles:

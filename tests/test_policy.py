@@ -15,7 +15,6 @@ from cogradar.policy import (
     QLearningPolicy,
     QTable,
     bandwidth_scaling_step,
-    discretize,
     lookahead_update,
     q_update,
     reward,
@@ -32,13 +31,11 @@ def make_table(**kwargs):
     return QTable.zeros(Discretizer(**INTEGER_EDGES), **kwargs)
 
 
-def ctx(pred=0.5, meas=0.5, correlated=True, streak=0, step=0):
+def ctx(pred=0.5, meas=0.5, correlated=True):
     return PolicyContext(
         predicted_range_variance=pred,
         last_measurement_range_variance=meas,
         last_correlated=correlated,
-        correlated_streak=streak,
-        step=step,
     )
 
 
@@ -97,7 +94,10 @@ class TestDiscretizer:
 
     def test_discretize_uses_context_variances(self):
         d = Discretizer(**INTEGER_EDGES)
-        assert discretize(ctx(pred=3.5, meas=2.5), d) == 26
+        c = ctx(pred=3.5, meas=2.5)
+        assert d.state_index(
+            c.predicted_range_variance, c.last_measurement_range_variance
+        ) == 26
 
     @given(st.floats(1e-6, 1e12), st.floats(1.0, 1e6))
     def test_order_preserving(self, v, factor):
@@ -389,8 +389,8 @@ class TestFixedPolicy:
         policy = FixedPolicy(1e6)
         assert policy.initial_bandwidth() == 1e6
         rng = np.random.default_rng(0)
-        for step in range(10):
-            assert policy.choose(ctx(step=step), rng) == 1e6
+        for _ in range(10):
+            assert policy.choose(ctx(), rng) == 1e6
         assert policy.last_state is None
         assert policy.last_action is None
 
@@ -414,18 +414,16 @@ class TestBandwidthScalingPolicy:
         policy = BandwidthScalingPolicy()
         rng = np.random.default_rng(0)
         widths = [
-            policy.choose(ctx(correlated=False, step=i), rng) for i in range(6)
+            policy.choose(ctx(correlated=False), rng) for _ in range(6)
         ]
         assert widths == [5e6, 2.5e6, 1.25e6, 0.625e6, 0.5e6, 0.5e6]
 
     def test_doubles_after_five_hits(self):
         policy = BandwidthScalingPolicy()
         rng = np.random.default_rng(0)
-        for i in range(2):
-            policy.choose(ctx(correlated=False, step=i), rng)  # down to 2.5 MHz
-        widths = [
-            policy.choose(ctx(correlated=True, step=2 + i), rng) for i in range(10)
-        ]
+        for _ in range(2):
+            policy.choose(ctx(correlated=False), rng)  # down to 2.5 MHz
+        widths = [policy.choose(ctx(correlated=True), rng) for _ in range(10)]
         # four holds, double on the fifth hit, then four holds, double again
         assert widths[:5] == [2.5e6] * 4 + [5e6]
         assert widths[5:] == [5e6] * 4 + [10e6]
@@ -596,8 +594,6 @@ class TestValidation:
             ctx(pred=0.0)
         with pytest.raises(ValueError):
             ctx(meas=-1.0)
-        with pytest.raises(ValueError):
-            ctx(streak=-1)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):

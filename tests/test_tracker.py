@@ -17,12 +17,10 @@ from cogradar.tracker import (
     GateResult,
     ProcessModel,
     TrackState,
-    TrackStatus,
     gate,
     initialize_track,
     innovation,
     predict,
-    step_status,
     update,
     wrap_angle,
 )
@@ -311,70 +309,6 @@ class TestGate:
         w1 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R1)).range_window
         w2 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R2)).range_window
         assert w2 == pytest.approx(2.0 * w1)
-
-
-class TestStepStatus:
-    def test_miss_increments(self):
-        status = step_status(TrackStatus(), correlated=False)
-        assert status.consecutive_misses == 1
-        assert not status.lost
-
-    def test_hit_resets(self):
-        status = TrackStatus(consecutive_misses=4, transmissions=9)
-        out = step_status(status, correlated=True)
-        assert out.consecutive_misses == 0
-        assert not out.lost
-        assert out.transmissions == 10
-
-    def test_fifth_consecutive_miss_loses(self):
-        status = TrackStatus(consecutive_misses=4, transmissions=4)
-        out = step_status(status, correlated=False)
-        assert out.lost
-        assert out.consecutive_misses == 5
-        assert out.lost_at_step == 5
-
-    def test_five_misses_from_fresh(self):
-        status = TrackStatus()
-        for _ in range(4):
-            status = step_status(status, correlated=False)
-            assert not status.lost
-        status = step_status(status, correlated=False)
-        assert status.lost
-        assert status.lost_at_step == 5
-
-    def test_alternating_never_loses(self):
-        status = TrackStatus()
-        for i in range(200):
-            status = step_status(status, correlated=(i % 2 == 0))
-        assert not status.lost
-        assert status.transmissions == 200
-
-    def test_custom_miss_limit(self):
-        status = TrackStatus()
-        for _ in range(3):
-            status = step_status(status, correlated=False, miss_limit=3)
-        assert status.lost
-
-    def test_lost_track_rejected(self):
-        lost = TrackStatus(consecutive_misses=5, lost=True, lost_at_step=5)
-        with pytest.raises(ValueError, match="already lost"):
-            step_status(lost, correlated=True)
-
-    @given(st.lists(st.booleans(), max_size=60))
-    def test_loss_matches_reference_scan(self, hits):
-        """Oracle: replay the hit/miss sequence with a plain counter."""
-        status = TrackStatus()
-        run = 0
-        for i, hit in enumerate(hits):
-            if status.lost:
-                break
-            status = step_status(status, correlated=hit)
-            run = 0 if hit else run + 1
-            if run >= 5:
-                assert status.lost
-                assert status.lost_at_step == i + 1
-                break
-            assert not status.lost
 
 
 class TestCoast:
