@@ -108,6 +108,10 @@ def _manifest(args: argparse.Namespace) -> RunManifest:
         )
         if not specs:
             raise UsageError("--policy must name at least one policy")
+        if len(specs) > 1 and args.command != "compare":
+            raise UsageError(
+                f"{args.command} takes one policy; only compare takes a list"
+            )
     return RunManifest(
         command=args.command,
         config_path=args.config,
@@ -225,8 +229,8 @@ def _cmd_calibrate(manifest: RunManifest) -> int:
 
 
 def _cmd_train(manifest: RunManifest) -> int:
-    spec = manifest.policies[0] if manifest.policies else PolicySpec("qlearn")
-    if len(manifest.policies) > 1 or spec.name not in TRAINABLE_POLICY_NAMES:
+    spec = manifest.policies[0]
+    if spec.name not in TRAINABLE_POLICY_NAMES:
         raise UsageError("train expects one policy: qlearn or qlearn-lookahead")
     if spec.param is not None:
         raise UsageError("pass the warm-start table via --qtable, not in --policy")

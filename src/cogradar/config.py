@@ -22,6 +22,7 @@ from .policy import (
     ActionSet,
     Discretizer,
     QTable,
+    require_int,
 )
 from .radar import RadarConfig
 from .tracker import ProcessModel
@@ -67,6 +68,7 @@ class ScenarioConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if self.C <= 0.0:
             raise ValueError("C must be > 0")
+        require_int("L", self.L)
         if self.L < 1:
             raise ValueError("L must be >= 1")
 

@@ -30,6 +30,7 @@ from .policy import (
     PolicyContext,
     QLearningPolicy,
     QTable,
+    require_int,
     reward,
 )
 from .radar import RadarConfig, measure, observe_jacobian
@@ -95,6 +96,8 @@ class EpisodeConfig:
     initial_bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("n_transmissions", "miss_limit", "seed"):
+            require_int(name, getattr(self, name))
         if self.n_transmissions <= 0:
             raise ValueError("n_transmissions must be > 0")
         if self.miss_limit < 1:
@@ -181,9 +184,9 @@ def run_episode(
         if episode.initial_bandwidth is not None
         else policy.initial_bandwidth()
     )
-    z0 = measure(trajectory[0], init_bw, radar, rng)
-    track = initialize_track(z0, radar)
-    last_meas_var = float(z0.noise_cov[0, 0])
+    z, r = measure(trajectory[0], init_bw, radar, rng)
+    track = initialize_track(z, radar)
+    last_meas_var = float(r[0])
     last_correlated = True
     misses = 0  # consecutive gate misses
     lost_at = None
@@ -201,11 +204,11 @@ def run_episode(
             last_correlated=last_correlated,
         )
         bandwidth = policy.choose(ctx, rng)
-        z = measure(truth, bandwidth, radar, rng)
+        z, r = measure(truth, bandwidth, radar, rng)
         nu = innovation(prior, z, radar_position)
-        decision = gate(nu, z)
+        decision = gate(nu, r)
         if decision.correlated:
-            track = update(prior, z, H, nu)
+            track = update(prior, r, H, nu)
             misses = 0
         else:
             track = prior
@@ -215,11 +218,11 @@ def run_episode(
         est_range = float(np.linalg.norm(track.position - radar_position))
         true_range = float(np.linalg.norm(truth.position - radar_position))
         range_error = abs(est_range - true_range)
-        r = reward(range_error, lost, reward_clip)
+        score = reward(range_error, lost, reward_clip)
         if learning:
-            policy.learn(r)
+            policy.learn(score)
 
-        last_meas_var = float(z.noise_cov[0, 0])
+        last_meas_var = float(r[0])
         last_correlated = decision.correlated
         records[k] = (
             bandwidth,
@@ -227,7 +230,7 @@ def run_episode(
             decision.range_innovation,
             decision.range_window,
             decision.correlated,
-            r,
+            score,
             -1 if policy.last_state is None else policy.last_state,
             -1 if policy.last_action is None else policy.last_action,
             pred_var,
@@ -245,6 +248,17 @@ def run_episode(
 # ---------------------------------------------------------------------------
 
 
+def seeded_run(i: int, base_seed: int, *args, **kwargs) -> RunResult:
+    """Run i of a campaign: ``run_episode(*args, **kwargs)`` drawing from
+    ``default_rng(base_seed + i)``.  A ValueError is re-raised with the run
+    index and its seed in front of the message, so the run can be replayed."""
+    seed = base_seed + i
+    try:
+        return run_episode(*args, rng=np.random.default_rng(seed), **kwargs)
+    except ValueError as exc:
+        raise type(exc)(f"run {i} (seed {seed}): {exc}") from exc
+
+
 def train_qlearning(
     trajectory: Sequence[TruthPoint],
     table: QTable,
@@ -254,15 +268,13 @@ def train_qlearning(
     n_runs: int = DEFAULT_TRAIN_RUNS,
     base_seed: int = 0,
 ) -> QTable:
-    """Update the table over n_runs epsilon-greedy episodes, seeded
-    base_seed + run index."""
+    """Update the table over n_runs epsilon-greedy episodes."""
     if n_runs < 0:
         raise ValueError("n_runs must be >= 0")
     policy = QLearningPolicy(table)
     for i in range(n_runs):
-        rng = np.random.default_rng(base_seed + i)
-        run_episode(
-            trajectory, policy, radar, process, episode, rng,
+        seeded_run(
+            i, base_seed, trajectory, policy, radar, process, episode,
             learning=True, reward_clip=table.C,
         )
     return table
@@ -276,27 +288,19 @@ def evaluate(
     episode: EpisodeConfig,
     n_runs: int = DEFAULT_EVAL_RUNS,
     base_seed: int = 0,
-    window: int = DEFAULT_MSE_WINDOW,
-    bin_width: int = DEFAULT_HISTOGRAM_BIN_WIDTH,
 ) -> tuple[tuple[RunResult, ...], MetricsReport]:
     """Run n_runs frozen episodes and aggregate the tracking metrics."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     results = tuple(
-        run_episode(
-            trajectory,
-            policy,
-            radar,
-            process,
-            episode,
-            np.random.default_rng(base_seed + i),
-            learning=False,
-        )
+        seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
         for i in range(n_runs)
     )
     report = MetricsReport(
-        mean_windowed_min_mse=mean_windowed_mse(results, window),
-        histogram=success_histogram(results, bin_width, episode.n_transmissions),
+        mean_windowed_min_mse=mean_windowed_mse(results),
+        histogram=success_histogram(
+            results, DEFAULT_HISTOGRAM_BIN_WIDTH, episode.n_transmissions
+        ),
     )
     return results, report
 
@@ -316,10 +320,7 @@ def calibrate_discretizer(
     pooled = [np.zeros(0, dtype=RECORD_DTYPE)]  # zero runs pool zero samples
     for i in range(n_runs):
         policy = FixedPolicy(actions[i % len(actions)], radar.min_bw, radar.max_bw)
-        rng = np.random.default_rng(base_seed + i)
-        result = run_episode(
-            trajectory, policy, radar, process, episode, rng, learning=False
-        )
+        result = seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
         pooled.append(result.records)
     samples = np.concatenate(pooled)
     return Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
@@ -372,18 +373,12 @@ def overall_windowed_mse(
 
 
 def success_histogram(
-    results: Sequence[RunResult],
-    bin_width: int = DEFAULT_HISTOGRAM_BIN_WIDTH,
-    n_transmissions: Optional[int] = None,
+    results: Sequence[RunResult], bin_width: int, n_transmissions: int
 ) -> SuccessHistogram:
     """Histogram of beams-before-loss with a dedicated full-track bin."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")
     lost_steps = [r.lost_at for r in results if r.lost_at is not None]
-    if n_transmissions is None:
-        n_transmissions = max(
-            [len(r.records) for r in results] + lost_steps + [bin_width]
-        )
     n_bins = n_transmissions // bin_width + 1
     counts = [0] * n_bins
     for lost_at in lost_steps:

@@ -47,6 +47,12 @@ _QTABLE_JSON_KEYS = (
 )
 
 
+def require_int(name: str, value) -> None:
+    """Reject all but Python and numpy integers (bools too), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PolicyContext:
     """What the transmitter knows when it must pick the next waveform.
@@ -210,6 +216,7 @@ class QTable:
             raise ValueError("epsilon must be in [0, 1]")
         if self.C <= 0.0:
             raise ValueError("C must be > 0")
+        require_int("L", self.L)
         if self.L < 1:
             raise ValueError("L must be >= 1")
 
@@ -269,7 +276,7 @@ class QTable:
             gamma=float(doc["gamma"]),
             epsilon=float(doc["epsilon"]),
             C=float(doc["C"]),
-            L=int(doc["L"]),
+            L=doc["L"],
         )
 
     @property

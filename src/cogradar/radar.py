@@ -49,28 +49,6 @@ class RadarConfig:
         return np.asarray(self.position, dtype=float)
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One noisy radar observation and the covariance it was drawn from."""
-
-    range: float  # m
-    range_rate: float  # m/s
-    azimuth: float  # rad
-    elevation: float  # rad
-    noise_cov: np.ndarray  # (4, 4)
-    t: float  # s
-
-    def __post_init__(self) -> None:
-        if self.range <= 0.0:
-            raise ValueError("measured range must be > 0")
-        if not -np.pi / 2.0 < self.elevation < np.pi / 2.0:
-            raise ValueError("elevation out of (-pi/2, pi/2)")
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.array([self.range, self.range_rate, self.azimuth, self.elevation])
-
-
 def observe(state: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
     """Noise-free measurement (range, range rate, azimuth, elevation).
 
@@ -122,10 +100,10 @@ def snr_at_range(range_m: float, config: RadarConfig) -> float:
     return config.snr_ref * (config.range_ref / range_m) ** 4
 
 
-def measurement_noise_cov(
+def measurement_noise_var(
     bandwidth: float, snr: float, config: RadarConfig
 ) -> np.ndarray:
-    """Diagonal measurement covariance R(theta) for one transmission.
+    """Diagonal of the measurement covariance R(theta) for one transmission.
 
     sigma_range      = c / (2 b   sqrt(2 SNR))
     sigma_range_rate = c / (2 f_c tau sqrt(2 SNR))
@@ -140,7 +118,7 @@ def measurement_noise_cov(
     sigma_rate = SPEED_OF_LIGHT / (
         2.0 * config.carrier_freq * config.pulse_duration * root
     )
-    return np.diag(
+    return np.array(
         [
             sigma_range**2,
             sigma_rate**2,
@@ -155,19 +133,19 @@ def measure(
     bandwidth: float,
     config: RadarConfig,
     rng: np.random.Generator,
-) -> Measurement:
-    """Simulate one transmission: h(truth) plus Gaussian noise from R(theta)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one transmission: h(truth) plus Gaussian noise from R(theta).
+
+    Returns the measured (range, range rate, azimuth, elevation) vector and
+    the four noise variances it was drawn with.
+    """
     state = np.concatenate([truth.position, truth.velocity])
     z_true = observe(state, config.position_array)
     snr = snr_at_range(float(z_true[0]), config)
-    R = measurement_noise_cov(bandwidth, snr, config)
-    noise = np.sqrt(np.diag(R)) * rng.standard_normal(4)
-    z = z_true + noise
-    return Measurement(
-        range=float(z[0]),
-        range_rate=float(z[1]),
-        azimuth=float(z[2]),
-        elevation=float(z[3]),
-        noise_cov=R,
-        t=truth.t,
-    )
+    r = measurement_noise_var(bandwidth, snr, config)
+    z = z_true + np.sqrt(r) * rng.standard_normal(4)
+    if z[0] <= 0.0:
+        raise ValueError("measured range must be > 0")
+    if not -np.pi / 2.0 < z[3] < np.pi / 2.0:
+        raise ValueError("elevation out of (-pi/2, pi/2)")
+    return z, r

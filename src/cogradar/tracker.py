@@ -13,10 +13,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .radar import Measurement, RadarConfig, observe
+from .radar import RadarConfig, observe
 from .trajectory import Phase
 
 _MAX_CONDITION = 1e12
+INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
+INIT_VELOCITY_STD = 500.0  # m/s, per axis
 
 
 class DegenerateInnovationError(ValueError):
@@ -30,11 +32,10 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class TrackState:
-    """Filter estimate: mean, covariance, and the time they refer to."""
+    """Filter estimate: mean and covariance."""
 
     x_hat: np.ndarray  # (6,) [position; velocity]
     P: np.ndarray  # (6, 6)
-    t: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float))
@@ -105,27 +106,27 @@ def predict(track: TrackState, model: ProcessModel, phase: Phase) -> TrackState:
     x = F @ track.x_hat
     P = F @ track.P @ F.T + model.process_noise(phase)
     P = 0.5 * (P + P.T)
-    return TrackState(x_hat=x, P=P, t=track.t + model.dt)
+    return TrackState(x_hat=x, P=P)
 
 
 def innovation(
-    track: TrackState, z: Measurement, radar_position: np.ndarray
+    track: TrackState, z: np.ndarray, radar_position: np.ndarray
 ) -> np.ndarray:
     """Measurement residual at the predicted state, angles wrapped to (-pi, pi]."""
-    nu = z.z - observe(track.x_hat, radar_position)
+    nu = z - observe(track.x_hat, radar_position)
     nu[2] = wrap_angle(nu[2])
     nu[3] = wrap_angle(nu[3])
     return nu
 
 
-def gate(nu: np.ndarray, z: Measurement) -> GateResult:
+def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
     """Range-only correlation test on the predicted residual.
 
-    The window is the 95% CI half-width of the range measurement noise; the
-    transmission correlates when the range innovation stays within three
+    The window is the 95% CI half-width of the range measurement noise r[0];
+    the transmission correlates when the range innovation stays within three
     windows on either side.
     """
-    window = 1.96 * np.sqrt(z.noise_cov[0, 0])
+    window = 1.96 * np.sqrt(r[0])
     nu_range = float(nu[0])
     return GateResult(
         correlated=bool(abs(nu_range) <= 3.0 * window),
@@ -135,11 +136,11 @@ def gate(nu: np.ndarray, z: Measurement) -> GateResult:
 
 
 def update(
-    track: TrackState, z: Measurement, H: np.ndarray, nu: np.ndarray
+    track: TrackState, r: np.ndarray, H: np.ndarray, nu: np.ndarray
 ) -> TrackState:
-    """Joseph-form EKF measurement update with Jacobian ``H`` and residual
-    ``nu``, both taken at the predicted state."""
-    R = z.noise_cov
+    """Joseph-form EKF measurement update with noise variances ``r``; the
+    Jacobian ``H`` and residual ``nu`` are taken at the predicted state."""
+    R = np.diag(r)
     S = H @ track.P @ H.T + R
     S = 0.5 * (S + S.T)
     if np.linalg.cond(S) > _MAX_CONDITION:
@@ -151,24 +152,20 @@ def update(
     I_KH = np.eye(6) - K @ H
     P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
     P = 0.5 * (P + P.T)
-    return TrackState(x_hat=x, P=P, t=track.t)
+    return TrackState(x_hat=x, P=P)
 
 
-def initialize_track(
-    z: Measurement,
-    radar: RadarConfig,
-    position_std: float = 1_000.0,
-    velocity_std: float = 500.0,
-) -> TrackState:
+def initialize_track(z: np.ndarray, radar: RadarConfig) -> TrackState:
     """Start a track from one measurement: invert geometry, zero velocity."""
+    range_m, _, azimuth, elevation = z
     direction = np.array(
         [
-            np.cos(z.elevation) * np.cos(z.azimuth),
-            np.cos(z.elevation) * np.sin(z.azimuth),
-            np.sin(z.elevation),
+            np.cos(elevation) * np.cos(azimuth),
+            np.cos(elevation) * np.sin(azimuth),
+            np.sin(elevation),
         ]
     )
-    position = radar.position_array + z.range * direction
+    position = radar.position_array + range_m * direction
     x_hat = np.concatenate([position, np.zeros(3)])
-    P = np.diag([position_std**2] * 3 + [velocity_std**2] * 3)
-    return TrackState(x_hat=x_hat, P=P, t=z.t)
+    P = np.diag([INIT_POSITION_STD**2] * 3 + [INIT_VELOCITY_STD**2] * 3)
+    return TrackState(x_hat=x_hat, P=P)

@@ -35,10 +35,8 @@ from cogradar.policy import (
     q_update,
 )
 from cogradar.radar import (
-    Measurement,
     RadarConfig,
     measure,
-    measurement_noise_cov,
     observe_jacobian,
     snr_at_range,
 )
@@ -254,11 +252,12 @@ def _fd_jacobian(state, radar_position, step=1e-3):
     return jac
 
 
-def _ekf_update(track, z, radar):
+def _ekf_update(track, measurement, radar):
     """The episode loop's hit path: residual and Jacobian at the prior."""
+    z, r = measurement
     radar_position = radar.position_array
     nu = innovation(track, z, radar_position)
-    return update(track, z, observe_jacobian(track.x_hat, radar_position), nu)
+    return update(track, r, observe_jacobian(track.x_hat, radar_position), nu)
 
 
 def test_04_ekf_numerics(capsys, scenario):
@@ -289,7 +288,6 @@ def test_04_ekf_numerics(capsys, scenario):
     track = TrackState(
         x_hat=np.concatenate([truth_pos + 50.0, np.zeros(3)]),
         P=np.diag([1e4] * 3 + [1e2] * 3),
-        t=0.0,
     )
     actions = scenario.actions.bandwidths
     phases = list(Phase)
@@ -314,20 +312,17 @@ def test_04_ekf_numerics(capsys, scenario):
         snr_ref=radar.snr_ref,
         range_ref=radar.range_ref,
     )
-    z = Measurement(
-        range=r0 + 30.0, range_rate=2.0, azimuth=1e-4, elevation=-2e-4,
-        noise_cov=noise, t=0.0,
-    )
+    z = np.array([r0 + 30.0, 2.0, 1e-4, -2e-4])  # range, rate, azimuth, elevation
     track0 = TrackState(
-        x_hat=np.array([r0, 0.0, 0.0, 0.0, 0.0, 0.0]), P=prior, t=0.0
+        x_hat=np.array([r0, 0.0, 0.0, 0.0, 0.0, 0.0]), P=prior
     )
-    posterior = _ekf_update(track0, z, origin_radar)
+    posterior = _ekf_update(track0, (z, np.diag(noise)), origin_radar)
     scalar_rel = []
     for x_idx, z_val, prior_var, noise_var in (
-        (0, z.range - r0, 400.0, 100.0),
-        (3, z.range_rate, 2500.0, 4.0),
-        (1, z.azimuth * r0, 900.0, 1e-6 * r0**2),
-        (2, z.elevation * r0, 1600.0, 1e-6 * r0**2),
+        (0, z[0] - r0, 400.0, 100.0),
+        (3, z[1], 2500.0, 4.0),
+        (1, z[2] * r0, 900.0, 1e-6 * r0**2),
+        (2, z[3] * r0, 1600.0, 1e-6 * r0**2),
     ):
         gain = prior_var / (prior_var + noise_var)
         want_mean = track0.x_hat[x_idx] + gain * z_val
@@ -435,18 +430,14 @@ def test_07_transfer_to_easier_trajectory(capsys, trained):
 
 
 def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajectory):
-    noise = np.diag([100.0, 4.0, 1e-6, 1e-6])  # sigma_range = 10 m
-    z = Measurement(
-        range=20_000.0, range_rate=0.0, azimuth=0.1, elevation=0.1,
-        noise_cov=noise, t=0.0,
-    )
+    noise = np.array([100.0, 4.0, 1e-6, 1e-6])  # sigma_range = 10 m
     def gated(nu_range):
-        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), z)
+        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), noise)
     window = gated(0.0).range_window
     outside = gated(58.9)
     inside = gated(58.7)
-    def always_miss(nu, z):
-        return replace(gate(nu, z), correlated=False)
+    def always_miss(nu, r):
+        return replace(gate(nu, r), correlated=False)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "gate", always_miss)

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cogradar import experiment
 from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
 from cogradar.policy import ActionSet, Discretizer, QTable
+from cogradar.tracker import DegenerateInnovationError
 from cogradar.trajectory import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
@@ -73,6 +75,50 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("evaluate", "--policy", "fixed:1e6", "--config", str(bad)) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "trace"])
+    def test_one_policy_commands_reject_a_list(self, capsys, tmp_path, command):
+        """evaluate and trace run one policy; a list belongs to compare."""
+        out = str(tmp_path / "out")
+        assert run(command, "--policy", "fixed:1e6,scaling", *FAST, "--out", out) == 1
+        assert "compare" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestIntegerFields:
+    """Integer fields of a scenario or a Q-table reject floats and bools at
+    load time, and the message names the field."""
+
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("episode", "miss_limit", 2.5),
+            ("episode", "miss_limit", True),
+            ("episode", "n_transmissions", 40.0),
+            ("episode", "seed", 1.5),
+            ("hyperparams", "L", 2.5),
+            ("qtable", "L", 2.7),
+        ],
+    )
+    def test_non_integer_rejected(self, capsys, tmp_path, where, field, value):
+        path = str(tmp_path / "input.json")
+        argv = ["train", "--policy", "qlearn-lookahead", "--runs", "1"]
+        if where == "qtable":
+            with open(os.path.join(GOLDEN_DIR, "ql", "qtable.json")) as handle:
+                doc = json.load(handle)
+            doc[field] = value
+            argv += ["--qtable", path]
+        else:
+            doc = default_scenario().to_json_dict()
+            doc[where][field] = value
+            argv += ["--config", path,
+                     "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")]
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        out = str(tmp_path / "out")
+        assert run(*argv, "--out", out) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestPolicySpec:
@@ -198,6 +244,38 @@ class TestEvaluate:
         with open(os.path.join(out, "metrics.csv")) as handle:
             rows = handle.read().strip().splitlines()
         assert len(rows) == 1 + (20 - 3 + 1)
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--policy", "fixed:1e6"],
+            ["calibrate"],
+            ["train", "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")],
+        ],
+    )
+    def test_failed_run_names_index_and_seed(self, capsys, tmp_path, monkeypatch, argv):
+        """A numerical failure in the third run names run 2 and its seed."""
+        runs = []
+        run_episode, update = experiment.run_episode, experiment.update
+
+        def counting_run_episode(*args, **kwargs):
+            runs.append(None)
+            return run_episode(*args, **kwargs)
+
+        def failing_update(*args):
+            if len(runs) == 3:
+                raise DegenerateInnovationError("degenerate innovation covariance")
+            return update(*args)
+
+        monkeypatch.setattr(experiment, "run_episode", counting_run_episode)
+        monkeypatch.setattr(experiment, "update", failing_update)
+        code = run(*argv, "--runs", "4", "--seed", "1000", *FAST, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "run 2 (seed 1002): degenerate innovation covariance" in err
+        assert len(runs) == 3
 
 
 class TestCompare:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cogradar.config import ScenarioConfig, default_scenario, easy_scenario
@@ -63,6 +64,14 @@ def test_initial_bandwidth_outside_radar_bounds_rejected():
 def test_bad_hyperparams_rejected(kwargs):
     with pytest.raises(ValueError):
         ScenarioConfig(**kwargs)
+
+
+def test_integer_fields_accept_numpy_integers():
+    episode = EpisodeConfig(
+        n_transmissions=np.int64(40), miss_limit=np.int32(3), seed=np.int64(7)
+    )
+    scenario = dataclasses.replace(default_scenario(), episode=episode, L=np.int64(2))
+    assert scenario.new_table(EDGES, lookahead=True).L == 2
 
 
 def test_new_table_wiring():

@@ -392,7 +392,7 @@ def run_scripted(hits, miss_limit=5, reward_clip=2.0):
     hit, False a miss.  Everything else in the loop runs for real."""
     answers = iter(hits)
 
-    def scripted_gate(nu, z):
+    def scripted_gate(nu, r):
         return GateResult(
             correlated=next(answers), range_window=1.0, range_innovation=float(nu[0])
         )
@@ -705,7 +705,7 @@ class TestConfigValidation:
         runs = [fake_run([1.0] * 10)]
         report = MetricsReport(
             mean_windowed_min_mse=mean_windowed_mse(runs),
-            histogram=success_histogram(runs, 20),
+            histogram=success_histogram(runs, 20, 10),
         )
         assert report.histogram.full_track_count == 1
         assert report.histogram.n_runs == 1

@@ -3,10 +3,9 @@ import pytest
 
 from cogradar.radar import (
     SPEED_OF_LIGHT,
-    Measurement,
     RadarConfig,
     measure,
-    measurement_noise_cov,
+    measurement_noise_var,
     observe,
     observe_jacobian,
     snr_at_range,
@@ -144,44 +143,44 @@ class TestMeasurementNoiseCov:
     def test_direct_formula(self):
         # sigma_range = c / (2e6 * sqrt(200)) ~ 10.6 m
         cfg = RadarConfig()
-        R = measurement_noise_cov(1.0e6, 100.0, cfg)
+        R = measurement_noise_var(1.0e6, 100.0, cfg)
         sigma_range = SPEED_OF_LIGHT / (2.0e6 * np.sqrt(200.0))
-        assert np.sqrt(R[0, 0]) == pytest.approx(sigma_range)
+        assert np.sqrt(R[0]) == pytest.approx(sigma_range)
         assert sigma_range == pytest.approx(10.6, abs=0.02)
         sigma_rate = SPEED_OF_LIGHT / (
             2.0 * cfg.carrier_freq * cfg.pulse_duration * np.sqrt(200.0)
         )
-        assert np.sqrt(R[1, 1]) == pytest.approx(sigma_rate)
-        assert np.sqrt(R[2, 2]) == pytest.approx(cfg.angle_noise_std)
-        assert np.sqrt(R[3, 3]) == pytest.approx(cfg.angle_noise_std)
+        assert np.sqrt(R[1]) == pytest.approx(sigma_rate)
+        assert np.sqrt(R[2]) == pytest.approx(cfg.angle_noise_std)
+        assert np.sqrt(R[3]) == pytest.approx(cfg.angle_noise_std)
 
     def test_double_bandwidth_halves_sigma_range(self):
         cfg = RadarConfig()
-        R1 = measurement_noise_cov(2.0e6, 50.0, cfg)
-        R2 = measurement_noise_cov(4.0e6, 50.0, cfg)
-        assert np.sqrt(R2[0, 0]) == pytest.approx(0.5 * np.sqrt(R1[0, 0]))
-        assert R2[2, 2] == pytest.approx(R1[2, 2])
+        R1 = measurement_noise_var(2.0e6, 50.0, cfg)
+        R2 = measurement_noise_var(4.0e6, 50.0, cfg)
+        assert np.sqrt(R2[0]) == pytest.approx(0.5 * np.sqrt(R1[0]))
+        assert R2[2] == pytest.approx(R1[2])
 
     def test_quadruple_snr_halves_sigmas(self):
         cfg = RadarConfig()
-        R1 = measurement_noise_cov(1.0e6, 25.0, cfg)
-        R2 = measurement_noise_cov(1.0e6, 100.0, cfg)
-        assert np.sqrt(R2[0, 0]) == pytest.approx(0.5 * np.sqrt(R1[0, 0]))
-        assert np.sqrt(R2[1, 1]) == pytest.approx(0.5 * np.sqrt(R1[1, 1]))
+        R1 = measurement_noise_var(1.0e6, 25.0, cfg)
+        R2 = measurement_noise_var(1.0e6, 100.0, cfg)
+        assert np.sqrt(R2[0]) == pytest.approx(0.5 * np.sqrt(R1[0]))
+        assert np.sqrt(R2[1]) == pytest.approx(0.5 * np.sqrt(R1[1]))
 
     def test_diagonal_spd(self):
         cfg = RadarConfig()
         for b in np.linspace(cfg.min_bw, cfg.max_bw, 7):
             for snr in (1.0, 30.0, 1e4):
-                R = measurement_noise_cov(b, snr, cfg)
-                assert R == pytest.approx(np.diag(np.diag(R)))
-                assert np.all(np.diag(R) > 0.0)
+                R = measurement_noise_var(b, snr, cfg)
+                assert R.shape == (4,)  # the diagonal of R(theta)
+                assert np.all(R > 0.0)
 
     def test_sigma_range_strictly_decreasing_in_bandwidth(self):
         cfg = RadarConfig()
         grid = np.linspace(cfg.min_bw, cfg.max_bw, 50)
         sigmas = [
-            np.sqrt(measurement_noise_cov(b, 40.0, cfg)[0, 0])
+            np.sqrt(measurement_noise_var(b, 40.0, cfg)[0])
             for b in grid
         ]
         assert np.all(np.diff(sigmas) < 0.0)
@@ -200,16 +199,16 @@ class TestMeasure:
     def test_determinism(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig()
-        m1 = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
-        m2 = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
-        assert m1.z == pytest.approx(m2.z, abs=0.0)
+        z1, _ = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
+        z2, _ = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
+        assert z1 == pytest.approx(z2, abs=0.0)
 
     def test_high_snr_limit(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig(snr_ref=1e18, angle_noise_std=1e-12)
-        m = measure(truth, 10.0e6, cfg, np.random.default_rng(0))
+        z, _ = measure(truth, 10.0e6, cfg, np.random.default_rng(0))
         state = np.concatenate([truth.position, truth.velocity])
-        assert m.z == pytest.approx(observe(state, cfg.position_array), abs=1e-3)
+        assert z == pytest.approx(observe(state, cfg.position_array), abs=1e-3)
 
     def test_sample_std_matches_sigma_range(self):
         # 10 000 draws, sample std within 5% of sigma_range
@@ -219,23 +218,22 @@ class TestMeasure:
         state = np.concatenate([truth.position, truth.velocity])
         true_range = observe(state, cfg.position_array)[0]
         sigma = np.sqrt(
-            measurement_noise_cov(bw, snr_at_range(true_range, cfg), cfg)[0, 0]
+            measurement_noise_var(bw, snr_at_range(true_range, cfg), cfg)[0]
         )
         rng = np.random.default_rng(123)
         errors = np.array(
-            [measure(truth, bw, cfg, rng).range - true_range for _ in range(10_000)]
+            [measure(truth, bw, cfg, rng)[0][0] - true_range for _ in range(10_000)]
         )
         assert abs(errors.std(ddof=1) - sigma) / sigma < 0.05
         assert abs(errors.mean()) < 5.0 * sigma / np.sqrt(10_000.0)
 
-    def test_carries_bandwidth_cov_and_time(self):
+    def test_returns_variances_of_bandwidth(self):
         truth = truth_point([8000.0, 0.0, 4000.0], [0.0, 0.0, 0.0])
         cfg = RadarConfig()
-        m = measure(truth, 2.5e6, cfg, np.random.default_rng(5))
+        _, r = measure(truth, 2.5e6, cfg, np.random.default_rng(5))
         true_range = np.linalg.norm(truth.position - cfg.position_array)
         snr = snr_at_range(float(true_range), cfg)
-        assert np.array_equal(m.noise_cov, measurement_noise_cov(2.5e6, snr, cfg))
-        assert m.t == truth.t
+        assert np.array_equal(r, measurement_noise_var(2.5e6, snr, cfg))
 
 
 class TestValidation:
@@ -243,7 +241,7 @@ class TestValidation:
         truth = truth_point([8000.0, 0.0, 4000.0], [0.0, 0.0, 0.0])
         for bandwidth in (0.0, -1e6):
             with pytest.raises(ValueError, match="bandwidth"):
-                measurement_noise_cov(bandwidth, 100.0, RadarConfig())
+                measurement_noise_var(bandwidth, 100.0, RadarConfig())
             with pytest.raises(ValueError, match="bandwidth"):
                 measure(truth, bandwidth, RadarConfig(), np.random.default_rng(0))
 
@@ -262,12 +260,18 @@ class TestValidation:
             RadarConfig(**kwargs)
 
     def test_measurement_rejects_bad_elevation(self):
-        with pytest.raises(ValueError, match="elevation"):
-            Measurement(
-                range=1000.0,
-                range_rate=0.0,
-                azimuth=0.0,
-                elevation=1.8,
-                noise_cov=np.eye(4),
-                t=0.0,
-            )
+        # straight above the radar the true elevation is pi/2; the first
+        # elevation draw of default_rng(0) is positive and pushes it past
+        cfg = RadarConfig()
+        truth = truth_point(cfg.position_array + [0.0, 0.0, 5000.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"elevation out of \(-pi/2, pi/2\)"):
+            measure(truth, 1.0e6, cfg, np.random.default_rng(0))
+
+    def test_measurement_rejects_nonpositive_range(self):
+        # at SNR ~ 4e-7 sigma_range is ~3e5 m, and the first range draw of
+        # default_rng(5) is -0.80: the measured range of a target 1 km out
+        # comes out negative
+        cfg = RadarConfig(snr_ref=1e-12)
+        truth = truth_point(cfg.position_array + [1000.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="measured range must be > 0"):
+            measure(truth, 1.0e6, cfg, np.random.default_rng(5))

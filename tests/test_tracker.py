@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogradar.radar import (
-    Measurement,
     RadarConfig,
     measure,
-    measurement_noise_cov,
+    measurement_noise_var,
     observe,
     observe_jacobian,
     snr_at_range,
@@ -33,24 +32,20 @@ def make_model(sigma=1.0, dt=0.5):
     return ProcessModel(dt=dt, accel_noise_std={p: sigma for p in Phase})
 
 
-def make_measurement(z, noise_cov, t=0.0):
-    return Measurement(
-        range=float(z[0]),
-        range_rate=float(z[1]),
-        azimuth=float(z[2]),
-        elevation=float(z[3]),
-        noise_cov=np.asarray(noise_cov, float),
-        t=t,
-    )
+def make_measurement(z, noise_cov):
+    """A measured vector and the variances on the diagonal of ``noise_cov``,
+    as ``measure`` returns them."""
+    return np.asarray(z, float), np.diag(np.asarray(noise_cov, float))
 
 
-def ekf_update(track, z, radar):
+def ekf_update(track, measurement, radar):
     """The episode loop's hit path: residual and Jacobian at the prior, then
     the update.  Returns the posterior and the residual."""
+    z, r = measurement
     radar_position = radar.position_array
     nu = innovation(track, z, radar_position)
     H = observe_jacobian(track.x_hat, radar_position)
-    return update(track, z, H, nu), nu
+    return update(track, r, H, nu), nu
 
 
 def scalar_posterior_var(prior_var, noise_var):
@@ -84,20 +79,19 @@ class TestWrapAngle:
 class TestPredict:
     def test_constant_velocity(self):
         track = TrackState(
-            x_hat=[0.0, 0.0, 0.0, 10.0, 0.0, 0.0], P=np.zeros((6, 6)), t=0.0
+            x_hat=[0.0, 0.0, 0.0, 10.0, 0.0, 0.0], P=np.zeros((6, 6))
         )
         out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.MID_COURSE)
         assert out.x_hat == pytest.approx([10.0, 0.0, 0.0, 10.0, 0.0, 0.0])
-        assert out.t == pytest.approx(1.0)
 
     def test_zero_noise_keeps_zero_covariance(self):
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)), t=0.0)
+        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
         out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.BOOST)
         assert out.P == pytest.approx(np.zeros((6, 6)))
 
     def test_identity_covariance_hand_product(self):
         # F I F' with dt = 1: top-left block I + dt^2 I = 2I, cross blocks dt I
-        track = TrackState(x_hat=np.zeros(6), P=np.eye(6), t=0.0)
+        track = TrackState(x_hat=np.zeros(6), P=np.eye(6))
         out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.MID_COURSE)
         expected = np.block(
             [[2.0 * np.eye(3), np.eye(3)], [np.eye(3), np.eye(3)]]
@@ -106,7 +100,7 @@ class TestPredict:
 
     def test_process_noise_blocks(self):
         dt, sigma = 0.5, 3.0
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)), t=0.0)
+        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
         out = predict(track, make_model(sigma=sigma, dt=dt), Phase.TERMINAL)
         var = sigma**2
         assert out.P[0, 0] == pytest.approx(var * dt**4 / 4.0)
@@ -122,7 +116,7 @@ class TestPredict:
                 Phase.TERMINAL: 5.0,
             },
         )
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)), t=0.0)
+        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
         traces = {
             phase: np.trace(predict(track, model, phase).P) for phase in Phase
         }
@@ -130,7 +124,7 @@ class TestPredict:
 
     def test_nonfinite_rejected(self):
         track = TrackState(
-            x_hat=[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0], P=np.eye(6), t=0.0
+            x_hat=[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0], P=np.eye(6)
         )
         with pytest.raises(ValueError, match="non-finite"):
             predict(track, make_model(), Phase.BOOST)
@@ -163,7 +157,6 @@ class TestUpdateScalarOracle:
         self.track = TrackState(
             x_hat=[self.R0, 0.0, 0.0, 0.0, 0.0, 0.0],
             P=np.diag(self.prior),
-            t=0.0,
         )
         z = np.array([self.R0 + 25.0, 5.0, 1e-5, -2e-5])
         self.z = make_measurement(z, self.R)
@@ -204,7 +197,6 @@ class TestUpdate:
         self.track = TrackState(
             x_hat=[12_000.0, 5_000.0, 4_000.0, -150.0, 40.0, -80.0],
             P=np.diag([500.0**2] * 3 + [100.0**2] * 3),
-            t=3.0,
         )
         self.R = np.diag([25.0, 1.0, 4e-6, 4e-6])
 
@@ -228,18 +220,16 @@ class TestUpdate:
         track = TrackState(
             x_hat=[-10_000.0, 10.0, 100.0, 0.0, 0.0, 0.0],
             P=np.diag([100.0] * 6),
-            t=0.0,
         )
         z_pred = observe(track.x_hat, self.radar.position_array)
         assert z_pred[2] > 3.0  # azimuth near +pi
         z_vec = z_pred.copy()
         z_vec[2] = z_pred[2] - 2.0 * np.pi + 0.02  # same bearing, other branch
-        z = make_measurement(z_vec, self.R)
-        nu = innovation(track, z, self.radar.position_array)
+        nu = innovation(track, z_vec, self.radar.position_array)
         assert nu[2] == pytest.approx(0.02, abs=1e-9)
 
     def test_degenerate_innovation_covariance(self):
-        flat = TrackState(x_hat=self.track.x_hat, P=np.zeros((6, 6)), t=0.0)
+        flat = TrackState(x_hat=self.track.x_hat, P=np.zeros((6, 6)))
         badly_scaled = np.diag([1e6, 1.0, 1e-18, 1e-18])
         z_pred = observe(flat.x_hat, self.radar.position_array)
         with pytest.raises(
@@ -262,11 +252,8 @@ class TestUpdate:
 
 class TestGate:
     def make_gate(self, nu_range, sigma_range):
-        z = make_measurement(
-            [10_000.0, 0.0, 0.0, 0.0],
-            np.diag([sigma_range**2, 1.0, 1.0, 1.0]),
-        )
-        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), z)
+        r = np.array([sigma_range**2, 1.0, 1.0, 1.0])
+        return gate(np.array([nu_range, 0.0, 0.0, 0.0]), r)
 
     def test_zero_innovation_correlates(self):
         assert self.make_gate(0.0, 10.0).correlated
@@ -304,10 +291,10 @@ class TestGate:
     def test_halved_bandwidth_doubles_window(self):
         cfg = RadarConfig()
         snr = 50.0
-        R1 = measurement_noise_cov(4e6, snr, cfg)
-        R2 = measurement_noise_cov(2e6, snr, cfg)
-        w1 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R1)).range_window
-        w2 = gate(np.zeros(4), make_measurement([1e4, 0, 0, 0], R2)).range_window
+        r1 = measurement_noise_var(4e6, snr, cfg)
+        r2 = measurement_noise_var(2e6, snr, cfg)
+        w1 = gate(np.zeros(4), r1).range_window
+        w2 = gate(np.zeros(4), r2).range_window
         assert w2 == pytest.approx(2.0 * w1)
 
 
@@ -317,7 +304,7 @@ class TestCoast:
     def test_covariance_grows_across_coasted_predicts(self):
         model = make_model(sigma=2.0, dt=0.5)
         track = TrackState(
-            x_hat=[1e4, 0.0, 5e3, -100.0, 0.0, -50.0], P=np.eye(6), t=0.0
+            x_hat=[1e4, 0.0, 5e3, -100.0, 0.0, -50.0], P=np.eye(6)
         )
         traces = []
         for _ in range(6):
@@ -333,14 +320,14 @@ class TestInitializeTrack:
         z_vec = observe(
             np.concatenate([position, np.zeros(3)]), radar.position_array
         )
-        track = initialize_track(make_measurement(z_vec, np.eye(4)), radar)
+        track = initialize_track(z_vec, radar)
         assert track.position == pytest.approx(position, abs=1e-6)
         assert track.velocity == pytest.approx(np.zeros(3))
 
     def test_default_uncertainty(self):
         radar = RadarConfig()
-        z_vec = [20_000.0, -100.0, 0.3, 0.2]
-        track = initialize_track(make_measurement(z_vec, np.eye(4)), radar)
+        z_vec = np.array([20_000.0, -100.0, 0.3, 0.2])
+        track = initialize_track(z_vec, radar)
         assert np.diag(track.P)[:3] == pytest.approx([1e6] * 3)
         assert np.diag(track.P)[3:] == pytest.approx([250_000.0] * 3)
         assert track.P == pytest.approx(np.diag(np.diag(track.P)))
@@ -366,16 +353,14 @@ class TestCovarianceInvariants:
         track = TrackState(
             x_hat=np.concatenate([truth_pos + 50.0, truth_vel]),
             P=np.diag([1e6] * 3 + [2.5e5] * 3),
-            t=0.0,
         )
         phases = list(Phase)
         for k in range(400):
             phase = phases[k % 3]
             track = predict(track, model, phase)
             truth_pos = truth_pos + truth_vel * model.dt
-            truth = TruthPoint(
-                t=track.t, position=truth_pos, velocity=truth_vel, phase=phase
-            )
+            t = (k + 1) * model.dt
+            truth = TruthPoint(t=t, position=truth_pos, velocity=truth_vel, phase=phase)
             bandwidth = float(rng.choice([0.5e6, 2.5e6, 10e6]))
             z = measure(truth, bandwidth, radar, rng)
             if k % 7 != 3:
@@ -386,9 +371,9 @@ class TestCovarianceInvariants:
 
     def test_trackstate_shape_validation(self):
         with pytest.raises(ValueError):
-            TrackState(x_hat=np.zeros(5), P=np.eye(6), t=0.0)
+            TrackState(x_hat=np.zeros(5), P=np.eye(6))
         with pytest.raises(ValueError):
-            TrackState(x_hat=np.zeros(6), P=np.eye(5), t=0.0)
+            TrackState(x_hat=np.zeros(6), P=np.eye(5))
 
     def test_gate_result_validation(self):
         with pytest.raises(ValueError):
