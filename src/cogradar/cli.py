@@ -239,9 +239,10 @@ def _cmd_train(manifest: RunManifest) -> int:
     base_seed = _base_seed(manifest, scenario)
     if manifest.qtable_path is not None:
         table = _load_table(manifest.qtable_path, scenario)
-        if (table.L > 1) != (spec.name == "qlearn-lookahead"):
+        L = table.hyperparams.L
+        if (L > 1) != (spec.name == "qlearn-lookahead"):
             raise UsageError(
-                f"Q-table {manifest.qtable_path} has L={table.L}, which does not fit "
+                f"Q-table {manifest.qtable_path} has L={L}, which does not fit "
                 f"--policy {spec.name} (qlearn needs L = 1, qlearn-lookahead L > 1)"
             )
     else:
@@ -354,7 +355,7 @@ def _cmd_trace(manifest: RunManifest) -> int:
         scenario.episode,
         rng=np.random.default_rng(_base_seed(manifest, scenario)),
         learning=False,
-        reward_clip=scenario.C,
+        reward_clip=scenario.hyperparams.C,
     )
     path = _out_path(manifest, "trace.csv")
     save_run_csv(result, path)

@@ -14,21 +14,10 @@ from typing import Any
 
 from .experiment import EpisodeConfig
 from .fileio import atomic_write_text
-from .policy import (
-    DEFAULT_ALPHA,
-    DEFAULT_EPSILON,
-    DEFAULT_GAMMA,
-    DEFAULT_REWARD_CLIP,
-    ActionSet,
-    Discretizer,
-    QTable,
-    require_int,
-)
+from .policy import ActionSet, Discretizer, Hyperparams, QTable
 from .radar import RadarConfig
 from .tracker import ProcessModel
 from .trajectory import Phase, TrajectoryConfig
-
-DEFAULT_LOOKAHEAD = 5
 
 
 @dataclass(frozen=True)
@@ -45,11 +34,8 @@ class ScenarioConfig:
     )
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
     actions: ActionSet = field(default_factory=ActionSet)
-    alpha: float = DEFAULT_ALPHA
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    C: float = DEFAULT_REWARD_CLIP
-    L: int = DEFAULT_LOOKAHEAD
+    # L is the depth of lookahead tables; plain Q-learning tables use 1
+    hyperparams: Hyperparams = field(default_factory=lambda: Hyperparams(L=5))
 
     def __post_init__(self) -> None:
         if self.process.dt != self.trajectory.dt:
@@ -60,29 +46,11 @@ class ScenarioConfig:
         init_bw = self.episode.initial_bandwidth
         if init_bw is not None and not self.radar.min_bw <= init_bw <= self.radar.max_bw:
             raise ValueError("episode.initial_bandwidth must lie within radar [min_bw, max_bw]")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if self.C <= 0.0:
-            raise ValueError("C must be > 0")
-        require_int("L", self.L)
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
 
     def new_table(self, discretizer: Discretizer, lookahead: bool = False) -> QTable:
         """Fresh all-zero Q-table wired to this scenario's hyperparameters."""
-        return QTable.zeros(
-            discretizer,
-            actions=self.actions,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            C=self.C,
-            L=self.L if lookahead else 1,
-        )
+        L = self.hyperparams.L if lookahead else 1
+        return QTable.zeros(discretizer, self.actions, replace(self.hyperparams, L=L))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -96,13 +64,7 @@ class ScenarioConfig:
             },
             "episode": dataclasses.asdict(self.episode),
             "actions_hz": list(self.actions.bandwidths),
-            "hyperparams": {
-                "alpha": self.alpha,
-                "gamma": self.gamma,
-                "epsilon": self.epsilon,
-                "C": self.C,
-                "L": self.L,
-            },
+            "hyperparams": dataclasses.asdict(self.hyperparams),
         }
 
     def save(self, path: str) -> None:
@@ -127,11 +89,9 @@ class ScenarioConfig:
             process=ProcessModel(dt=data["process"]["dt"], accel_noise_std=noise),
             episode=EpisodeConfig(**data["episode"]),
             actions=ActionSet(tuple(data["actions_hz"])),
-            alpha=hyper["alpha"],
-            gamma=hyper["gamma"],
-            epsilon=hyper["epsilon"],
-            C=hyper["C"],
-            L=hyper["L"],
+            hyperparams=Hyperparams(
+                **{f.name: hyper[f.name] for f in dataclasses.fields(Hyperparams)}
+            ),
         )
 
     @classmethod
@@ -158,15 +118,6 @@ def default_scenario() -> ScenarioConfig:
             snr_ref=120.0,
             range_ref=23_000.0,
         ),
-        process=ProcessModel(
-            dt=0.5,
-            accel_noise_std={
-                Phase.BOOST: 12.0,
-                Phase.MID_COURSE: 5.0,
-                Phase.TERMINAL: 22.0,
-            },
-        ),
-        episode=EpisodeConfig(),
     )
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, require_float, require_int
 from .policy import (
     DEFAULT_REWARD_CLIP,
     ActionSet,
@@ -30,7 +30,6 @@ from .policy import (
     PolicyContext,
     QLearningPolicy,
     QTable,
-    require_int,
     reward,
 )
 from .radar import RadarConfig, measure, observe_jacobian
@@ -102,8 +101,10 @@ class EpisodeConfig:
             raise ValueError("n_transmissions must be > 0")
         if self.miss_limit < 1:
             raise ValueError("miss_limit must be >= 1")
-        if self.initial_bandwidth is not None and self.initial_bandwidth <= 0.0:
-            raise ValueError("initial_bandwidth must be > 0")
+        if self.initial_bandwidth is not None:
+            require_float("initial_bandwidth", self.initial_bandwidth)
+            if self.initial_bandwidth <= 0.0:
+                raise ValueError("initial_bandwidth must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +186,7 @@ def run_episode(
         else policy.initial_bandwidth()
     )
     z, r = measure(trajectory[0], init_bw, radar, rng)
-    track = initialize_track(z, radar)
+    x, P = initialize_track(z, radar)
     last_meas_var = float(r[0])
     last_correlated = True
     misses = 0  # consecutive gate misses
@@ -195,9 +196,9 @@ def run_episode(
     radar_position = radar.position_array
     for k in range(episode.n_transmissions):
         truth = trajectory[k + 1]
-        prior = predict(track, process, truth.phase)
-        H = observe_jacobian(prior.x_hat, radar_position)
-        pred_var = float((H @ prior.P @ H.T)[0, 0])
+        x, P = predict(x, P, process, truth.phase)
+        H = observe_jacobian(x, radar_position)
+        pred_var = float((H @ P @ H.T)[0, 0])
         ctx = PolicyContext(
             predicted_range_variance=pred_var,
             last_measurement_range_variance=last_meas_var,
@@ -205,17 +206,16 @@ def run_episode(
         )
         bandwidth = policy.choose(ctx, rng)
         z, r = measure(truth, bandwidth, radar, rng)
-        nu = innovation(prior, z, radar_position)
+        nu = innovation(x, z, radar_position)
         decision = gate(nu, r)
         if decision.correlated:
-            track = update(prior, r, H, nu)
+            x, P = update(x, P, r, H, nu)
             misses = 0
-        else:
-            track = prior
+        else:  # a miss keeps the prediction
             misses += 1
         lost = misses >= episode.miss_limit
 
-        est_range = float(np.linalg.norm(track.position - radar_position))
+        est_range = float(np.linalg.norm(x[:3] - radar_position))
         true_range = float(np.linalg.norm(truth.position - radar_position))
         range_error = abs(est_range - true_range)
         score = reward(range_error, lost, reward_clip)
@@ -275,7 +275,7 @@ def train_qlearning(
     for i in range(n_runs):
         seeded_run(
             i, base_seed, trajectory, policy, radar, process, episode,
-            learning=True, reward_clip=table.C,
+            learning=True, reward_clip=table.hyperparams.C,
         )
     return table
 

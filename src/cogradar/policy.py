@@ -18,20 +18,17 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, require_float, require_int
 from .radar import DEFAULT_MAX_BW, DEFAULT_MIN_BW
 
 DEFAULT_ACTIONS_HZ = (0.5e6, 1.0e6, 2.5e6, 5.0e6, 7.5e6, 10.0e6)
 N_PRED_VAR_EDGES = 9  # 10 prediction-variance bins
 N_MEAS_VAR_EDGES = 7  # 8 measurement-variance bins
-DEFAULT_ALPHA = 0.1
-DEFAULT_GAMMA = 0.9
-DEFAULT_EPSILON = 0.2
 DEFAULT_REWARD_CLIP = 2.0
 
 _QTABLE_JSON_KEYS = (
@@ -47,10 +44,31 @@ _QTABLE_JSON_KEYS = (
 )
 
 
-def require_int(name: str, value) -> None:
-    """Reject all but Python and numpy integers (bools too), naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+@dataclass(frozen=True)
+class Hyperparams:
+    """Learning rate, discount, exploration rate, reward clip C and lookahead
+    depth L (1 backs each reward up to the previous pair only)."""
+
+    alpha: float = 0.1
+    gamma: float = 0.9
+    epsilon: float = 0.2
+    C: float = DEFAULT_REWARD_CLIP
+    L: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "gamma", "epsilon", "C"):
+            require_float(name, getattr(self, name))
+        require_int("L", self.L)
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must be in [0, 1)")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError("epsilon must be in [0, 1]")
+        if self.C <= 0.0:
+            raise ValueError("C must be > 0")
+        if self.L < 1:
+            raise ValueError("L must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -195,11 +213,7 @@ class QTable:
     values: np.ndarray  # (n_states, n_actions)
     discretizer: Discretizer
     actions: ActionSet = field(default_factory=ActionSet)
-    alpha: float = DEFAULT_ALPHA
-    gamma: float = DEFAULT_GAMMA
-    epsilon: float = DEFAULT_EPSILON
-    C: float = DEFAULT_REWARD_CLIP
-    L: int = 1
+    hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -208,43 +222,20 @@ class QTable:
             raise ValueError(f"values must have shape {expected}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if self.C <= 0.0:
-            raise ValueError("C must be > 0")
-        require_int("L", self.L)
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
 
     @classmethod
-    def zeros(cls, discretizer: Discretizer, **kwargs) -> "QTable":
-        actions = kwargs.pop("actions", ActionSet())
+    def zeros(
+        cls,
+        discretizer: Discretizer,
+        actions: ActionSet = ActionSet(),
+        hyperparams: Hyperparams = Hyperparams(),
+    ) -> "QTable":
         values = np.zeros((discretizer.n_states, len(actions)))
-        return cls(values=values, discretizer=discretizer, actions=actions, **kwargs)
-
-    def copy(self) -> "QTable":
-        return QTable(
-            values=self.values.copy(),
-            discretizer=self.discretizer,
-            actions=self.actions,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            C=self.C,
-            L=self.L,
-        )
+        return cls(values, discretizer, actions, hyperparams)
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "C": self.C,
-            "L": self.L,
+            **asdict(self.hyperparams),
             "actions_hz": list(self.actions.bandwidths),
             "pred_var_edges": list(self.discretizer.pred_var_edges),
             "meas_var_edges": list(self.discretizer.meas_var_edges),
@@ -265,6 +256,9 @@ class QTable:
         values = np.asarray(doc["values"], dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
+        floats = {name: doc[name] for name in ("alpha", "gamma", "epsilon", "C")}
+        for name, value in floats.items():
+            require_float(name, value)
         return cls(
             values=values,
             discretizer=Discretizer(
@@ -272,17 +266,15 @@ class QTable:
                 meas_var_edges=tuple(doc["meas_var_edges"]),
             ),
             actions=ActionSet(bandwidths=tuple(doc["actions_hz"])),
-            alpha=float(doc["alpha"]),
-            gamma=float(doc["gamma"]),
-            epsilon=float(doc["epsilon"]),
-            C=float(doc["C"]),
-            L=doc["L"],
+            hyperparams=Hyperparams(
+                **{name: float(value) for name, value in floats.items()}, L=doc["L"]
+            ),
         )
 
     @property
     def value_bound(self) -> float:
         """|Q| never exceeds C/(1-gamma) once rewards are clipped to [-C, 0]."""
-        return self.C / (1.0 - self.gamma)
+        return self.hyperparams.C / (1.0 - self.hyperparams.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +293,8 @@ def reward(range_error: float, lost: bool, C: float = DEFAULT_REWARD_CLIP) -> fl
 
 def q_update(table: QTable, s_prev: int, a_prev: int, r: float, s_now: int) -> QTable:
     """One temporal-difference backup; mutates and returns the table."""
-    td_target = r + table.gamma * table.values[s_now].max()
-    table.values[s_prev, a_prev] += table.alpha * (
+    td_target = r + table.hyperparams.gamma * table.values[s_now].max()
+    table.values[s_prev, a_prev] += table.hyperparams.alpha * (
         td_target - table.values[s_prev, a_prev]
     )
     return table
@@ -442,16 +434,17 @@ class BandwidthScalingPolicy(Policy):
 
 
 class QLearningPolicy(Policy):
-    """Tabular Q-learning; ``lookahead`` (table.L) > 1 backs each reward up
-    to that many previous state-action pairs."""
+    """Tabular Q-learning; a table with lookahead depth L > 1 backs each
+    reward up to that many previous state-action pairs."""
 
     def __init__(self, table: QTable, epsilon: Optional[float] = None) -> None:
         self.table = table
-        self.epsilon = table.epsilon if epsilon is None else float(epsilon)
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+        if epsilon is None:
+            self.epsilon = table.hyperparams.epsilon
+        else:  # an override, checked as a hyperparameter
+            self.epsilon = replace(table.hyperparams, epsilon=float(epsilon)).epsilon
         # last L (state, action) pairs, newest first
-        self._pairs: deque[tuple[int, int]] = deque(maxlen=table.L)
+        self._pairs: deque[tuple[int, int]] = deque(maxlen=table.hyperparams.L)
         self._pending: Optional[tuple[int, int]] = None
         self.reset()
 

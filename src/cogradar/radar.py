@@ -10,10 +10,11 @@ depend on the waveform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .fileio import require_float
 from .trajectory import TruthPoint
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -33,16 +34,17 @@ class RadarConfig:
     max_bw: float = DEFAULT_MAX_BW  # Hz
 
     def __post_init__(self) -> None:
-        if self.snr_ref <= 0.0:
-            raise ValueError("snr_ref must be > 0")
-        if self.range_ref <= 0.0:
-            raise ValueError("range_ref must be > 0")
+        for i, coordinate in enumerate(self.position):
+            require_float(f"position[{i}]", coordinate)
+        for f in fields(self):
+            if f.name != "position":  # every other field is a float
+                require_float(f.name, getattr(self, f.name))
+        for name in ("carrier_freq", "pulse_duration", "snr_ref", "range_ref",
+                     "angle_noise_std"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
         if not 0.0 < self.min_bw <= self.max_bw:
             raise ValueError("need 0 < min_bw <= max_bw")
-        if self.carrier_freq <= 0.0 or self.pulse_duration <= 0.0:
-            raise ValueError("carrier_freq and pulse_duration must be > 0")
-        if self.angle_noise_std <= 0.0:
-            raise ValueError("angle_noise_std must be > 0")
 
     @property
     def position_array(self) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Constant-velocity motion model with phase-dependent white-noise-acceleration
 process noise, a range-only gate on the predicted residual, and Joseph-form
-measurement updates for the transmissions that pass it.  All operations are
-pure: each returns a new value, so parallel episodes never share state.
+measurement updates for the transmissions that pass it.  A track is a plain
+pair of arrays, the mean x (6,) [position; velocity] and the covariance
+P (6, 6).  All operations are pure: each returns new arrays, so parallel
+episodes never share state.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .fileio import require_float
 from .radar import RadarConfig, observe
 from .trajectory import Phase
 
@@ -31,60 +34,42 @@ def wrap_angle(angle: float) -> float:
 
 
 @dataclass(frozen=True)
-class TrackState:
-    """Filter estimate: mean and covariance."""
-
-    x_hat: np.ndarray  # (6,) [position; velocity]
-    P: np.ndarray  # (6, 6)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_hat", np.asarray(self.x_hat, dtype=float))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        if self.x_hat.shape != (6,):
-            raise ValueError("x_hat must be a 6-vector")
-        if self.P.shape != (6, 6):
-            raise ValueError("P must be 6x6")
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x_hat[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x_hat[3:]
-
-
-@dataclass(frozen=True)
 class ProcessModel:
-    """Constant-velocity transition plus per-phase acceleration noise."""
+    """Constant-velocity transition plus per-phase acceleration noise.
+
+    ``F`` and ``Q[phase]``, the discrete white-noise-acceleration covariance
+    for one step, are built once and read-only.  They are plain attributes,
+    not fields, so equality and repr see only ``dt`` and ``accel_noise_std``.
+    """
 
     dt: float
     accel_noise_std: Mapping[Phase, float]
 
     def __post_init__(self) -> None:
+        require_float("dt", self.dt)
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
+        dt = self.dt
+        F = np.eye(6)
+        F[:3, 3:] = dt * np.eye(3)
+        Q = {}
         for phase in Phase:
             if phase not in self.accel_noise_std:
                 raise ValueError(f"missing accel_noise_std for {phase.value}")
-            if self.accel_noise_std[phase] < 0.0:
+            std = self.accel_noise_std[phase]
+            require_float(f"accel_noise_std.{phase.value}", std)
+            if std < 0.0:
                 raise ValueError("accel_noise_std must be >= 0")
-
-    def transition_matrix(self) -> np.ndarray:
-        F = np.eye(6)
-        F[:3, 3:] = self.dt * np.eye(3)
-        return F
-
-    def process_noise(self, phase: Phase) -> np.ndarray:
-        """Discrete white-noise-acceleration covariance for one step."""
-        var = self.accel_noise_std[phase] ** 2
-        dt = self.dt
-        Q = np.zeros((6, 6))
-        Q[:3, :3] = var * dt**4 / 4.0 * np.eye(3)
-        Q[:3, 3:] = var * dt**3 / 2.0 * np.eye(3)
-        Q[3:, :3] = var * dt**3 / 2.0 * np.eye(3)
-        Q[3:, 3:] = var * dt**2 * np.eye(3)
-        return Q
+            var = std**2
+            q = Q[phase] = np.zeros((6, 6))
+            q[:3, :3] = var * dt**4 / 4.0 * np.eye(3)
+            q[:3, 3:] = var * dt**3 / 2.0 * np.eye(3)
+            q[3:, :3] = var * dt**3 / 2.0 * np.eye(3)
+            q[3:, 3:] = var * dt**2 * np.eye(3)
+        for matrix in (F, *Q.values()):
+            matrix.flags.writeable = False
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "Q", Q)
 
 
 @dataclass(frozen=True)
@@ -98,22 +83,21 @@ class GateResult:
             raise ValueError("range_window must be > 0")
 
 
-def predict(track: TrackState, model: ProcessModel, phase: Phase) -> TrackState:
-    """Time update: x = F x, P = F P F' + Q(phase), symmetrized."""
-    if not (np.all(np.isfinite(track.x_hat)) and np.all(np.isfinite(track.P))):
+def predict(
+    x: np.ndarray, P: np.ndarray, model: ProcessModel, phase: Phase
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time update of the mean ``x`` (6,) and covariance ``P`` (6, 6):
+    x = F x, P = F P F' + Q(phase), symmetrized."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise ValueError("non-finite track state")
-    F = model.transition_matrix()
-    x = F @ track.x_hat
-    P = F @ track.P @ F.T + model.process_noise(phase)
-    P = 0.5 * (P + P.T)
-    return TrackState(x_hat=x, P=P)
+    F = model.F
+    P = F @ P @ F.T + model.Q[phase]
+    return F @ x, 0.5 * (P + P.T)
 
 
-def innovation(
-    track: TrackState, z: np.ndarray, radar_position: np.ndarray
-) -> np.ndarray:
+def innovation(x: np.ndarray, z: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
     """Measurement residual at the predicted state, angles wrapped to (-pi, pi]."""
-    nu = z - observe(track.x_hat, radar_position)
+    nu = z - observe(x, radar_position)
     nu[2] = wrap_angle(nu[2])
     nu[3] = wrap_angle(nu[3])
     return nu
@@ -136,26 +120,25 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
 
 
 def update(
-    track: TrackState, r: np.ndarray, H: np.ndarray, nu: np.ndarray
-) -> TrackState:
-    """Joseph-form EKF measurement update with noise variances ``r``; the
-    Jacobian ``H`` and residual ``nu`` are taken at the predicted state."""
+    x: np.ndarray, P: np.ndarray, r: np.ndarray, H: np.ndarray, nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form EKF measurement update of the prior ``(x, P)`` with noise
+    variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
+    predicted state."""
     R = np.diag(r)
-    S = H @ track.P @ H.T + R
+    S = H @ P @ H.T + R
     S = 0.5 * (S + S.T)
     if np.linalg.cond(S) > _MAX_CONDITION:
         raise DegenerateInnovationError("degenerate innovation covariance")
     # K = P H' S^-1, via solve on the symmetric S
-    K = np.linalg.solve(S, H @ track.P).T
+    K = np.linalg.solve(S, H @ P).T
 
-    x = track.x_hat + K @ nu
     I_KH = np.eye(6) - K @ H
-    P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
-    P = 0.5 * (P + P.T)
-    return TrackState(x_hat=x, P=P)
+    P = I_KH @ P @ I_KH.T + K @ R @ K.T
+    return x + K @ nu, 0.5 * (P + P.T)
 
 
-def initialize_track(z: np.ndarray, radar: RadarConfig) -> TrackState:
+def initialize_track(z: np.ndarray, radar: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start a track from one measurement: invert geometry, zero velocity."""
     range_m, _, azimuth, elevation = z
     direction = np.array(
@@ -166,6 +149,5 @@ def initialize_track(z: np.ndarray, radar: RadarConfig) -> TrackState:
         ]
     )
     position = radar.position_array + range_m * direction
-    x_hat = np.concatenate([position, np.zeros(3)])
     P = np.diag([INIT_POSITION_STD**2] * 3 + [INIT_VELOCITY_STD**2] * 3)
-    return TrackState(x_hat=x_hat, P=P)
+    return np.concatenate([position, np.zeros(3)]), P

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, require_float
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -55,16 +55,15 @@ class TrajectoryConfig:
     reentry_altitude: float = 7_000.0  # m, Terminal begins below this on descent
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.boost_duration <= 0.0:
-            raise ValueError("boost_duration must be > 0")
-        if self.atmosphere_scale_height <= 0.0:
-            raise ValueError("atmosphere_scale_height must be > 0")
-        if self.gravity <= 0.0:
-            raise ValueError("gravity must be > 0")
-        if self.reentry_altitude <= 0.0:
-            raise ValueError("reentry_altitude must be > 0")
+        for i, coordinate in enumerate(self.launch_position):
+            require_float(f"launch_position[{i}]", coordinate)
+        for f in fields(self):
+            if f.name != "launch_position":  # every other field is a float
+                require_float(f.name, getattr(self, f.name))
+        for name in ("dt", "boost_duration", "atmosphere_scale_height", "gravity",
+                     "reentry_altitude"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0")
         for name in (
             "launch_speed",
             "thrust_accel",
@@ -239,24 +238,6 @@ def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]
     return points
 
 
-def phase_boundaries(trajectory: Sequence[TruthPoint]) -> tuple[float, float]:
-    """Times of the Boost -> MidCourse and MidCourse -> Terminal transitions."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    t_boost_end = None
-    t_terminal_start = None
-    for point in trajectory:
-        if t_boost_end is None and point.phase is Phase.MID_COURSE:
-            t_boost_end = point.t
-        if t_terminal_start is None and point.phase is Phase.TERMINAL:
-            t_terminal_start = point.t
-    if t_boost_end is None:
-        raise ValueError("trajectory has no mid-course phase")
-    if t_terminal_start is None:
-        raise ValueError("trajectory has no terminal phase")
-    return t_boost_end, t_terminal_start
-
-
 CSV_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "phase"]
 
 
@@ -269,23 +250,3 @@ def save_trajectory_csv(trajectory: Sequence[TruthPoint], path) -> None:
         row = [p.t, *p.position, *p.velocity]
         writer.writerow([f"{x:.17g}" for x in row] + [p.phase.value])
     atomic_write_text(path, buffer.getvalue())
-
-
-def load_trajectory_csv(path) -> list[TruthPoint]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-        points = []
-        for row in reader:
-            t, px, py, pz, vx, vy, vz = (float(x) for x in row[:7])
-            points.append(
-                TruthPoint(
-                    t,
-                    np.array([px, py, pz]),
-                    np.array([vx, vy, vz]),
-                    Phase(row[7]),
-                )
-            )
-    return points

@@ -42,7 +42,6 @@ from cogradar.radar import (
 )
 from cogradar.tracker import (
     ProcessModel,
-    TrackState,
     gate,
     innovation,
     predict,
@@ -210,7 +209,7 @@ def test_02_q_update_exactness(capsys, scenario, discretizer):
     rng = np.random.default_rng(2)
     vanilla = scenario.new_table(discretizer)
     look = scenario.new_table(discretizer, lookahead=True)
-    look.L = 1
+    look.hyperparams = replace(look.hyperparams, L=1)
     vanilla.values[:] = look.values[:] = -2.0 * rng.random(vanilla.values.shape)
     identical = True
     for _ in range(1000):
@@ -252,12 +251,12 @@ def _fd_jacobian(state, radar_position, step=1e-3):
     return jac
 
 
-def _ekf_update(track, measurement, radar):
+def _ekf_update(x, P, measurement, radar):
     """The episode loop's hit path: residual and Jacobian at the prior."""
     z, r = measurement
     radar_position = radar.position_array
-    nu = innovation(track, z, radar_position)
-    return update(track, r, observe_jacobian(track.x_hat, radar_position), nu)
+    nu = innovation(x, z, radar_position)
+    return update(x, P, r, observe_jacobian(x, radar_position), nu)
 
 
 def test_04_ekf_numerics(capsys, scenario):
@@ -285,10 +284,8 @@ def test_04_ekf_numerics(capsys, scenario):
     truth = TruthPoint(
         t=0.0, position=truth_pos, velocity=np.zeros(3), phase=Phase.MID_COURSE
     )
-    track = TrackState(
-        x_hat=np.concatenate([truth_pos + 50.0, np.zeros(3)]),
-        P=np.diag([1e4] * 3 + [1e2] * 3),
-    )
+    x = np.concatenate([truth_pos + 50.0, np.zeros(3)])
+    P = np.diag([1e4] * 3 + [1e2] * 3)
     actions = scenario.actions.bandwidths
     phases = list(Phase)
     rng = np.random.default_rng(45)
@@ -296,12 +293,12 @@ def test_04_ekf_numerics(capsys, scenario):
     min_eig = np.inf
     for i in range(10_000):
         phase = phases[(i // 100) % 3]
-        track = predict(track, model, phase)
+        x, P = predict(x, P, model, phase)
         if i % 7 != 3:  # every seventh step keeps the prediction, as a miss does
             z = measure(truth, actions[i % 6], radar, rng)
-            track = _ekf_update(track, z, radar)
-        symmetric &= bool(np.array_equal(track.P, track.P.T))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(track.P).min()))
+            x, P = _ekf_update(x, P, z, radar)
+        symmetric &= bool(np.array_equal(P, P.T))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(P).min()))
 
     # on-axis geometry decouples the 4-D update into scalar problems
     r0 = 10_000.0
@@ -313,10 +310,8 @@ def test_04_ekf_numerics(capsys, scenario):
         range_ref=radar.range_ref,
     )
     z = np.array([r0 + 30.0, 2.0, 1e-4, -2e-4])  # range, rate, azimuth, elevation
-    track0 = TrackState(
-        x_hat=np.array([r0, 0.0, 0.0, 0.0, 0.0, 0.0]), P=prior
-    )
-    posterior = _ekf_update(track0, (z, np.diag(noise)), origin_radar)
+    x0 = np.array([r0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    x_post, P_post = _ekf_update(x0, prior, (z, np.diag(noise)), origin_radar)
     scalar_rel = []
     for x_idx, z_val, prior_var, noise_var in (
         (0, z[0] - r0, 400.0, 100.0),
@@ -325,13 +320,13 @@ def test_04_ekf_numerics(capsys, scenario):
         (2, z[3] * r0, 1600.0, 1e-6 * r0**2),
     ):
         gain = prior_var / (prior_var + noise_var)
-        want_mean = track0.x_hat[x_idx] + gain * z_val
+        want_mean = x0[x_idx] + gain * z_val
         want_var = 1.0 / (1.0 / prior_var + 1.0 / noise_var)
         scalar_rel.append(
-            abs(posterior.x_hat[x_idx] - want_mean) / max(abs(want_mean), 1.0)
+            abs(x_post[x_idx] - want_mean) / max(abs(want_mean), 1.0)
         )
         scalar_rel.append(
-            abs(posterior.P[x_idx, x_idx] - want_var) / want_var
+            abs(P_post[x_idx, x_idx] - want_var) / want_var
         )
     _report(capsys, 4, "ekf numerics", [
         ("jacobian matches finite differences (rel < 1e-5)", worst_rel < 1e-5),

@@ -12,7 +12,7 @@ from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
 from cogradar.policy import ActionSet, Discretizer, QTable
 from cogradar.tracker import DegenerateInnovationError
-from cogradar.trajectory import load_trajectory_csv
+from trajectory_readers import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -85,6 +85,31 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
 
+def train_on_edited_input(tmp_path, keys, value):
+    """Run ``train`` on the default scenario, or on the golden lookahead
+    Q-table when ``keys[0]`` is "qtable", with the entry at ``keys`` set to
+    ``value``.  Returns the exit code and the output directory."""
+    path = str(tmp_path / "input.json")
+    argv = ["train", "--policy", "qlearn-lookahead", "--runs", "1"]
+    where, *inner, field = keys
+    if where == "qtable":
+        with open(os.path.join(GOLDEN_DIR, "ql", "qtable.json")) as handle:
+            doc = section = json.load(handle)
+        argv += ["--qtable", path]
+    else:
+        doc = default_scenario().to_json_dict()
+        section = doc[where]
+        argv += ["--config", path,
+                 "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")]
+    for key in inner:
+        section = section[key]
+    section[field] = value
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+    out = str(tmp_path / "out")
+    return run(*argv, "--out", out), out
+
+
 class TestIntegerFields:
     """Integer fields of a scenario or a Q-table reject floats and bools at
     load time, and the message names the field."""
@@ -101,23 +126,39 @@ class TestIntegerFields:
         ],
     )
     def test_non_integer_rejected(self, capsys, tmp_path, where, field, value):
-        path = str(tmp_path / "input.json")
-        argv = ["train", "--policy", "qlearn-lookahead", "--runs", "1"]
-        if where == "qtable":
-            with open(os.path.join(GOLDEN_DIR, "ql", "qtable.json")) as handle:
-                doc = json.load(handle)
-            doc[field] = value
-            argv += ["--qtable", path]
-        else:
-            doc = default_scenario().to_json_dict()
-            doc[where][field] = value
-            argv += ["--config", path,
-                     "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")]
-        with open(path, "w") as handle:
-            json.dump(doc, handle)
-        out = str(tmp_path / "out")
-        assert run(*argv, "--out", out) == 2
+        code, out = train_on_edited_input(tmp_path, (where, field), value)
+        assert code == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestFloatFields:
+    """Float fields of a scenario or a Q-table reject bools, strings and
+    non-finite values at load time, and the message names the field."""
+
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("hyperparams", "alpha"), True, "alpha"),
+            (("hyperparams", "C"), "2", "C"),
+            (("radar", "snr_ref"), float("nan"), "snr_ref"),
+            (("process", "accel_noise_std", "boost"), float("inf"), "accel_noise_std.boost"),
+            (("qtable", "alpha"), True, "alpha"),
+            (("qtable", "C"), "nan", "C"),
+        ],
+        ids=[
+            "hyperparams.alpha-true",
+            "hyperparams.C-string",
+            "radar.snr_ref-NaN",
+            "accel_noise_std.boost-Infinity",
+            "qtable.alpha-true",
+            "qtable.C-string-nan",
+        ],
+    )
+    def test_non_float_rejected(self, capsys, tmp_path, keys, value, name):
+        code, out = train_on_edited_input(tmp_path, keys, value)
+        assert code == 2
+        assert f"{name} must be" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
@@ -161,7 +202,7 @@ class TestCalibrateAndTrain:
         assert code == 0
         table = QTable.load(os.path.join(out, "qtable.json"))
         assert not table.values.any()
-        assert table.L == 1
+        assert table.hyperparams.L == 1
 
     def test_train_lookahead_sets_depth(self, capsys, tmp_path, edges_file):
         out = str(tmp_path)
@@ -170,7 +211,7 @@ class TestCalibrateAndTrain:
             "--edges", edges_file, *FAST, "--out", out,
         )
         assert code == 0
-        assert QTable.load(os.path.join(out, "qtable.json")).L == 5
+        assert QTable.load(os.path.join(out, "qtable.json")).hyperparams.L == 5
 
     def test_train_touches_table(self, capsys, tmp_path, edges_file):
         out = str(tmp_path)
@@ -328,7 +369,8 @@ class TestTrace:
     def test_reward_clip_follows_scenario(self, capsys, tmp_path):
         """The loss reward is -C of the scenario, whatever the policy."""
         config = str(tmp_path / "scenario.json")
-        replace(default_scenario(), C=0.5).save(config)
+        scenario = default_scenario()
+        replace(scenario, hyperparams=replace(scenario.hyperparams, C=0.5)).save(config)
         out = str(tmp_path / "out")
         code = run(
             "trace", "--policy", "fixed:1e7", "--seed", "3",

@@ -7,7 +7,7 @@ import pytest
 
 from cogradar.config import ScenarioConfig, default_scenario, easy_scenario
 from cogradar.experiment import EpisodeConfig
-from cogradar.policy import ActionSet, Discretizer
+from cogradar.policy import ActionSet, Discretizer, Hyperparams
 from cogradar.radar import RadarConfig
 from cogradar.tracker import ProcessModel
 from cogradar.trajectory import Phase, TrajectoryConfig, generate_trajectory
@@ -21,8 +21,9 @@ EDGES = Discretizer(
 def test_default_construction_is_valid():
     sc = ScenarioConfig()
     assert sc.process.dt == sc.trajectory.dt
-    assert sc.alpha == 0.1 and sc.gamma == 0.9 and sc.epsilon == 0.2
-    assert sc.C == 2.0 and sc.L == 5
+    hyper = sc.hyperparams
+    assert hyper.alpha == 0.1 and hyper.gamma == 0.9 and hyper.epsilon == 0.2
+    assert hyper.C == 2.0 and hyper.L == 5
 
 
 def test_dt_mismatch_rejected():
@@ -63,15 +64,17 @@ def test_initial_bandwidth_outside_radar_bounds_rejected():
 )
 def test_bad_hyperparams_rejected(kwargs):
     with pytest.raises(ValueError):
-        ScenarioConfig(**kwargs)
+        ScenarioConfig(hyperparams=Hyperparams(**kwargs))
 
 
 def test_integer_fields_accept_numpy_integers():
     episode = EpisodeConfig(
         n_transmissions=np.int64(40), miss_limit=np.int32(3), seed=np.int64(7)
     )
-    scenario = dataclasses.replace(default_scenario(), episode=episode, L=np.int64(2))
-    assert scenario.new_table(EDGES, lookahead=True).L == 2
+    scenario = dataclasses.replace(
+        default_scenario(), episode=episode, hyperparams=Hyperparams(L=np.int64(2))
+    )
+    assert scenario.new_table(EDGES, lookahead=True).hyperparams.L == 2
 
 
 def test_new_table_wiring():
@@ -79,13 +82,13 @@ def test_new_table_wiring():
     table = sc.new_table(EDGES)
     assert table.values.shape == (80, 6)
     assert not table.values.any()
-    assert table.alpha == sc.alpha
-    assert table.gamma == sc.gamma
-    assert table.epsilon == sc.epsilon
-    assert table.C == sc.C
-    assert table.L == 1
+    assert table.hyperparams.alpha == sc.hyperparams.alpha
+    assert table.hyperparams.gamma == sc.hyperparams.gamma
+    assert table.hyperparams.epsilon == sc.hyperparams.epsilon
+    assert table.hyperparams.C == sc.hyperparams.C
+    assert table.hyperparams.L == 1
     assert table.actions == sc.actions
-    assert sc.new_table(EDGES, lookahead=True).L == sc.L
+    assert sc.new_table(EDGES, lookahead=True).hyperparams.L == sc.hyperparams.L
 
 
 def test_json_round_trip_default(tmp_path):
@@ -105,11 +108,7 @@ def test_json_round_trip_customized(tmp_path):
             accel_noise_std={Phase.BOOST: 7.0, Phase.MID_COURSE: 2.0, Phase.TERMINAL: 9.0},
         ),
         episode=EpisodeConfig(n_transmissions=40, seed=7),
-        alpha=0.2,
-        gamma=0.8,
-        epsilon=0.1,
-        C=3.0,
-        L=2,
+        hyperparams=Hyperparams(alpha=0.2, gamma=0.8, epsilon=0.1, C=3.0, L=2),
     )
     path = os.path.join(tmp_path, "scenario.json")
     sc.save(path)
@@ -117,6 +116,19 @@ def test_json_round_trip_customized(tmp_path):
     assert loaded == sc
     assert loaded.radar.position == (1.0, 2.0, 3.0)
     assert loaded.process.accel_noise_std[Phase.TERMINAL] == 9.0
+
+
+def test_integer_valued_floats_resave_byte_identical(tmp_path):
+    # values are stored as given: a hand-written 120 is not re-saved as 120.0
+    data = default_scenario().to_json_dict()
+    data["radar"]["snr_ref"] = 120
+    data["process"]["accel_noise_std"]["boost"] = 12
+    data["hyperparams"]["C"] = 2
+    text = json.dumps(data, indent=2) + "\n"
+    path = os.path.join(tmp_path, "scenario.json")
+    ScenarioConfig.from_json_dict(json.loads(text)).save(path)
+    with open(path) as handle:
+        assert handle.read() == text
 
 
 def test_json_layout_uses_phase_names(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cogradar.policy import (
     BandwidthScalingPolicy,
     Discretizer,
     FixedPolicy,
+    Hyperparams,
     QLearningPolicy,
     QTable,
 )
@@ -299,11 +301,13 @@ class TestRunEpisode:
 
     def test_causality_prefix_replay(self):
         trajectory = stationary_trajectory(161)
-        table = QTable.zeros(wide_edges(), epsilon=0.3)
+        table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.3))
         for policy_factory in (
             lambda: FixedPolicy(1e6),
             lambda: BandwidthScalingPolicy(),
-            lambda: QLearningPolicy(table.copy()),
+            lambda: QLearningPolicy(
+                dataclasses.replace(table, values=table.values.copy())
+            ),
         ):
             full = run_episode(
                 trajectory,
@@ -486,7 +490,7 @@ class TestTrainQlearning:
         assert np.array_equal(table.values, before)
 
     def test_training_touches_table_within_bounds(self):
-        table = QTable.zeros(wide_edges(), epsilon=0.2, L=1)
+        table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.2, L=1))
         train_qlearning(
             stationary_trajectory(161),
             table,
@@ -502,7 +506,7 @@ class TestTrainQlearning:
 
     def test_training_deterministic(self):
         def train_once():
-            table = QTable.zeros(wide_edges(), epsilon=0.2, L=5)
+            table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.2, L=5))
             train_qlearning(
                 stationary_trajectory(161),
                 table,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,16 +12,19 @@ from cogradar.policy import (
     BandwidthScalingPolicy,
     Discretizer,
     FixedPolicy,
+    Hyperparams,
     PolicyContext,
     QLearningPolicy,
     QTable,
     bandwidth_scaling_step,
     lookahead_update,
     q_update,
+    require_float,
     reward,
     select_action,
 )
 
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INTEGER_EDGES = dict(
     pred_var_edges=tuple(float(i) for i in range(1, 10)),
     meas_var_edges=tuple(float(i) for i in range(1, 8)),
@@ -28,7 +32,7 @@ INTEGER_EDGES = dict(
 
 
 def make_table(**kwargs):
-    return QTable.zeros(Discretizer(**INTEGER_EDGES), **kwargs)
+    return QTable.zeros(Discretizer(**INTEGER_EDGES), hyperparams=Hyperparams(**kwargs))
 
 
 def ctx(pred=0.5, meas=0.5, correlated=True):
@@ -503,6 +507,43 @@ class TestQLearningPolicy:
         assert QLearningPolicy(table, epsilon=0.0).epsilon == 0.0
 
 
+class TestRequireFloat:
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (True, TypeError),
+            ("1.0", TypeError),
+            (None, TypeError),
+            (float("nan"), ValueError),
+            (float("inf"), ValueError),
+            (np.float64(-np.inf), ValueError),
+        ],
+    )
+    def test_rejects_and_names_the_field(self, value, error):
+        with pytest.raises(error, match="snr_ref must be"):
+            require_float("snr_ref", value)
+
+    @pytest.mark.parametrize("value", [0, 2, -1.5, np.float32(0.5), np.int64(3)])
+    def test_accepts_finite_reals(self, value):
+        require_float("snr_ref", value)
+
+
+class TestHyperparams:
+    def test_defaults(self):
+        assert Hyperparams() == Hyperparams(alpha=0.1, gamma=0.9, epsilon=0.2, C=2.0, L=1)
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "epsilon", "C"])
+    def test_float_fields_checked(self, name):
+        with pytest.raises(TypeError, match=f"{name} must be a number"):
+            Hyperparams(**{name: True})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Hyperparams(**{name: float("nan")})
+
+    def test_epsilon_override_checked(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            QLearningPolicy(make_table(), epsilon=1.5)
+
+
 class TestQTablePersistence:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -514,8 +555,26 @@ class TestQTablePersistence:
         assert np.array_equal(loaded.values, table.values)
         assert loaded.discretizer == table.discretizer
         assert loaded.actions == table.actions
-        assert (loaded.alpha, loaded.gamma, loaded.epsilon) == (0.1, 0.9, 0.2)
-        assert (loaded.C, loaded.L) == (2.0, 5)
+        hyper = loaded.hyperparams
+        assert (hyper.alpha, hyper.gamma, hyper.epsilon) == (0.1, 0.9, 0.2)
+        assert (hyper.C, hyper.L) == (2.0, 5)
+
+    def test_parent_layout_resaves_byte_identical(self, tmp_path):
+        golden = os.path.join(GOLDEN_DIR, "ql", "qtable.json")
+        path = str(tmp_path / "qtable.json")
+        QTable.load(golden).save(path)
+        with open(golden, "rb") as want, open(path, "rb") as got:
+            assert got.read() == want.read()
+
+    @pytest.mark.parametrize("value", [True, "0.9", None])
+    def test_load_rejects_non_numeric_floats(self, tmp_path, value):
+        table = make_table()
+        doc = table.to_json_dict()
+        doc["gamma"] = value
+        path = tmp_path / "qtable.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TypeError, match="gamma must be a number"):
+            QTable.load(str(path))
 
     def test_json_schema_keys(self, tmp_path):
         path = tmp_path / "qtable.json"

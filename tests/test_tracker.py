@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from cogradar.tracker import (
     DegenerateInnovationError,
     GateResult,
     ProcessModel,
-    TrackState,
     gate,
     initialize_track,
     innovation,
@@ -38,14 +39,14 @@ def make_measurement(z, noise_cov):
     return np.asarray(z, float), np.diag(np.asarray(noise_cov, float))
 
 
-def ekf_update(track, measurement, radar):
+def ekf_update(x, P, measurement, radar):
     """The episode loop's hit path: residual and Jacobian at the prior, then
-    the update.  Returns the posterior and the residual."""
+    the update.  Returns the posterior ``(x, P)`` and the residual."""
     z, r = measurement
     radar_position = radar.position_array
-    nu = innovation(track, z, radar_position)
-    H = observe_jacobian(track.x_hat, radar_position)
-    return update(track, r, H, nu), nu
+    nu = innovation(x, z, radar_position)
+    H = observe_jacobian(x, radar_position)
+    return update(x, P, r, H, nu), nu
 
 
 def scalar_posterior_var(prior_var, noise_var):
@@ -78,34 +79,33 @@ class TestWrapAngle:
 
 class TestPredict:
     def test_constant_velocity(self):
-        track = TrackState(
-            x_hat=[0.0, 0.0, 0.0, 10.0, 0.0, 0.0], P=np.zeros((6, 6))
-        )
-        out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.MID_COURSE)
-        assert out.x_hat == pytest.approx([10.0, 0.0, 0.0, 10.0, 0.0, 0.0])
+        x = np.array([0.0, 0.0, 0.0, 10.0, 0.0, 0.0])
+        model = make_model(sigma=0.0, dt=1.0)
+        out, _ = predict(x, np.zeros((6, 6)), model, Phase.MID_COURSE)
+        assert out == pytest.approx([10.0, 0.0, 0.0, 10.0, 0.0, 0.0])
 
     def test_zero_noise_keeps_zero_covariance(self):
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
-        out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.BOOST)
-        assert out.P == pytest.approx(np.zeros((6, 6)))
+        model = make_model(sigma=0.0, dt=1.0)
+        _, P = predict(np.zeros(6), np.zeros((6, 6)), model, Phase.BOOST)
+        assert P == pytest.approx(np.zeros((6, 6)))
 
     def test_identity_covariance_hand_product(self):
         # F I F' with dt = 1: top-left block I + dt^2 I = 2I, cross blocks dt I
-        track = TrackState(x_hat=np.zeros(6), P=np.eye(6))
-        out = predict(track, make_model(sigma=0.0, dt=1.0), Phase.MID_COURSE)
+        model = make_model(sigma=0.0, dt=1.0)
+        _, P = predict(np.zeros(6), np.eye(6), model, Phase.MID_COURSE)
         expected = np.block(
             [[2.0 * np.eye(3), np.eye(3)], [np.eye(3), np.eye(3)]]
         )
-        assert out.P == pytest.approx(expected)
+        assert P == pytest.approx(expected)
 
     def test_process_noise_blocks(self):
         dt, sigma = 0.5, 3.0
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
-        out = predict(track, make_model(sigma=sigma, dt=dt), Phase.TERMINAL)
+        model = make_model(sigma=sigma, dt=dt)
+        _, P = predict(np.zeros(6), np.zeros((6, 6)), model, Phase.TERMINAL)
         var = sigma**2
-        assert out.P[0, 0] == pytest.approx(var * dt**4 / 4.0)
-        assert out.P[0, 3] == pytest.approx(var * dt**3 / 2.0)
-        assert out.P[3, 3] == pytest.approx(var * dt**2)
+        assert P[0, 0] == pytest.approx(var * dt**4 / 4.0)
+        assert P[0, 3] == pytest.approx(var * dt**3 / 2.0)
+        assert P[3, 3] == pytest.approx(var * dt**2)
 
     def test_phase_selects_sigma(self):
         model = ProcessModel(
@@ -116,18 +116,16 @@ class TestPredict:
                 Phase.TERMINAL: 5.0,
             },
         )
-        track = TrackState(x_hat=np.zeros(6), P=np.zeros((6, 6)))
         traces = {
-            phase: np.trace(predict(track, model, phase).P) for phase in Phase
+            phase: np.trace(predict(np.zeros(6), np.zeros((6, 6)), model, phase)[1])
+            for phase in Phase
         }
         assert traces[Phase.BOOST] > traces[Phase.TERMINAL] > traces[Phase.MID_COURSE]
 
     def test_nonfinite_rejected(self):
-        track = TrackState(
-            x_hat=[np.nan, 0.0, 0.0, 0.0, 0.0, 0.0], P=np.eye(6)
-        )
+        x = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="non-finite"):
-            predict(track, make_model(), Phase.BOOST)
+            predict(x, np.eye(6), make_model(), Phase.BOOST)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +142,73 @@ class TestPredict:
             )
 
 
+def transition_matrix(model):
+    """Oracle: the constant-velocity transition, built from scratch."""
+    F = np.eye(6)
+    F[:3, 3:] = model.dt * np.eye(3)
+    return F
+
+
+def process_noise(model, phase):
+    """Oracle: discrete white-noise-acceleration covariance for one step."""
+    var = model.accel_noise_std[phase] ** 2
+    dt = model.dt
+    Q = np.zeros((6, 6))
+    Q[:3, :3] = var * dt**4 / 4.0 * np.eye(3)
+    Q[:3, 3:] = var * dt**3 / 2.0 * np.eye(3)
+    Q[3:, :3] = var * dt**3 / 2.0 * np.eye(3)
+    Q[3:, 3:] = var * dt**2 * np.eye(3)
+    return Q
+
+
+class TestProcessModelMatrices:
+    """F and Q(phase) are built once per model and stay fixed."""
+
+    MODEL = ProcessModel(
+        dt=0.5,
+        accel_noise_std={Phase.BOOST: 12.0, Phase.MID_COURSE: 5.0, Phase.TERMINAL: 22.0},
+    )
+
+    def test_match_formulas(self):
+        assert np.array_equal(self.MODEL.F, transition_matrix(self.MODEL))
+        for phase in Phase:
+            assert np.array_equal(self.MODEL.Q[phase], process_noise(self.MODEL, phase))
+
+    def test_predict_leaves_them_unchanged(self):
+        rng = np.random.default_rng(6)
+        x, P = rng.normal(size=6), np.eye(6)
+        for phase in Phase:
+            x, P = predict(x, P, self.MODEL, phase)
+        self.test_match_formulas()
+
+    def test_in_place_writes_refused(self):
+        for matrix in (self.MODEL.F, *self.MODEL.Q.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+        self.test_match_formulas()
+
+    def test_equality_and_repr_see_fields_only(self):
+        twin = ProcessModel(dt=0.5, accel_noise_std=dict(self.MODEL.accel_noise_std))
+        assert twin == self.MODEL
+        assert "F" not in [f.name for f in dataclasses.fields(ProcessModel)]
+        assert repr(twin) == (
+            f"ProcessModel(dt=0.5, accel_noise_std={self.MODEL.accel_noise_std!r})"
+        )
+
+    @pytest.mark.parametrize(
+        "dt, std, field",
+        [
+            (True, 1.0, "dt"),
+            ("0.5", 1.0, "dt"),
+            (0.5, float("inf"), "accel_noise_std.boost"),
+            (0.5, float("nan"), "accel_noise_std.boost"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_rejected(self, dt, std, field):
+        with pytest.raises((TypeError, ValueError), match=field):
+            ProcessModel(dt=dt, accel_noise_std={p: std for p in Phase})
+
+
 class TestUpdateScalarOracle:
     """On-axis geometry with diagonal P and R decouples the 4-D update into
     independent scalar Kalman problems, which have a closed form."""
@@ -154,15 +219,13 @@ class TestUpdateScalarOracle:
         self.radar = RadarConfig(position=(0.0, 0.0, 0.0))
         self.prior = np.array([400.0, 900.0, 1600.0, 2500.0, 3600.0, 4900.0])
         self.R = np.diag([100.0, 4.0, 1e-6, 1e-6])
-        self.track = TrackState(
-            x_hat=[self.R0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            P=np.diag(self.prior),
-        )
+        self.x = np.array([self.R0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        self.P = np.diag(self.prior)
         z = np.array([self.R0 + 25.0, 5.0, 1e-5, -2e-5])
         self.z = make_measurement(z, self.R)
 
     def test_posterior_variances_match_scalar_formula(self):
-        posterior, _ = ekf_update(self.track, self.z, self.radar)
+        (_, P), _ = ekf_update(self.x, self.P, self.z, self.radar)
         # range measures x position, range rate measures x velocity
         cases = [
             (0, scalar_posterior_var(self.prior[0], self.R[0, 0])),
@@ -172,82 +235,77 @@ class TestUpdateScalarOracle:
             (2, scalar_posterior_var(self.prior[2], self.R0**2 * self.R[3, 3])),
         ]
         for idx, expected in cases:
-            got = posterior.P[idx, idx]
+            got = P[idx, idx]
             assert abs(got - expected) / expected < 1e-10
 
     def test_posterior_mean_matches_scalar_gain(self):
-        posterior, nu = ekf_update(self.track, self.z, self.radar)
+        (x, _), nu = ekf_update(self.x, self.P, self.z, self.radar)
         gain_x = self.prior[0] / (self.prior[0] + self.R[0, 0])
         assert abs(
-            posterior.x_hat[0] - (self.R0 + gain_x * 25.0)
+            x[0] - (self.R0 + gain_x * 25.0)
         ) / self.R0 < 1e-10
         gain_vx = self.prior[3] / (self.prior[3] + self.R[1, 1])
-        assert posterior.x_hat[3] == pytest.approx(gain_vx * 5.0, rel=1e-10)
+        assert x[3] == pytest.approx(gain_vx * 5.0, rel=1e-10)
         assert nu[0] == pytest.approx(25.0)
 
     def test_decoupled_posterior_stays_nearly_diagonal(self):
-        posterior, _ = ekf_update(self.track, self.z, self.radar)
-        off = posterior.P - np.diag(np.diag(posterior.P))
-        assert np.abs(off).max() < 1e-6 * np.diag(posterior.P).max()
+        (_, P), _ = ekf_update(self.x, self.P, self.z, self.radar)
+        off = P - np.diag(np.diag(P))
+        assert np.abs(off).max() < 1e-6 * np.diag(P).max()
 
 
 class TestUpdate:
     def setup_method(self):
         self.radar = RadarConfig(position=(0.0, 0.0, 0.0))
-        self.track = TrackState(
-            x_hat=[12_000.0, 5_000.0, 4_000.0, -150.0, 40.0, -80.0],
-            P=np.diag([500.0**2] * 3 + [100.0**2] * 3),
-        )
+        self.x = np.array([12_000.0, 5_000.0, 4_000.0, -150.0, 40.0, -80.0])
+        self.P = np.diag([500.0**2] * 3 + [100.0**2] * 3)
         self.R = np.diag([25.0, 1.0, 4e-6, 4e-6])
 
     def test_zero_innovation_keeps_mean_contracts_covariance(self):
-        z_pred = observe(self.track.x_hat, self.radar.position_array)
+        z_pred = observe(self.x, self.radar.position_array)
         z = make_measurement(z_pred, self.R)
-        posterior, nu = ekf_update(self.track, z, self.radar)
+        (x, P), nu = ekf_update(self.x, self.P, z, self.radar)
         assert nu == pytest.approx(np.zeros(4), abs=1e-12)
-        assert posterior.x_hat == pytest.approx(self.track.x_hat)
-        assert np.trace(posterior.P) < np.trace(self.track.P)
+        assert x == pytest.approx(self.x)
+        assert np.trace(P) < np.trace(self.P)
 
     def test_perfect_measurement_limit(self):
-        z_true = observe(self.track.x_hat, self.radar.position_array)
+        z_true = observe(self.x, self.radar.position_array)
         z_vec = z_true + np.array([40.0, 3.0, 1e-4, -1e-4])
         tiny = np.diag([1e-8, 1e-8, 1e-14, 1e-14])
-        posterior, _ = ekf_update(self.track, make_measurement(z_vec, tiny), self.radar)
-        z_post = observe(posterior.x_hat, self.radar.position_array)
+        (x, _), _ = ekf_update(self.x, self.P, make_measurement(z_vec, tiny), self.radar)
+        z_post = observe(x, self.radar.position_array)
         assert abs(z_post[0] - z_vec[0]) / z_vec[0] < 1e-6
 
     def test_azimuth_innovation_wraps(self):
-        track = TrackState(
-            x_hat=[-10_000.0, 10.0, 100.0, 0.0, 0.0, 0.0],
-            P=np.diag([100.0] * 6),
-        )
-        z_pred = observe(track.x_hat, self.radar.position_array)
+        x = np.array([-10_000.0, 10.0, 100.0, 0.0, 0.0, 0.0])
+        z_pred = observe(x, self.radar.position_array)
         assert z_pred[2] > 3.0  # azimuth near +pi
         z_vec = z_pred.copy()
         z_vec[2] = z_pred[2] - 2.0 * np.pi + 0.02  # same bearing, other branch
-        nu = innovation(track, z_vec, self.radar.position_array)
+        nu = innovation(x, z_vec, self.radar.position_array)
         assert nu[2] == pytest.approx(0.02, abs=1e-9)
 
     def test_degenerate_innovation_covariance(self):
-        flat = TrackState(x_hat=self.track.x_hat, P=np.zeros((6, 6)))
         badly_scaled = np.diag([1e6, 1.0, 1e-18, 1e-18])
-        z_pred = observe(flat.x_hat, self.radar.position_array)
+        z_pred = observe(self.x, self.radar.position_array)
         with pytest.raises(
             DegenerateInnovationError, match="degenerate innovation covariance"
         ):
-            ekf_update(flat, make_measurement(z_pred, badly_scaled), self.radar)
+            measurement = make_measurement(z_pred, badly_scaled)
+            ekf_update(self.x, np.zeros((6, 6)), measurement, self.radar)
 
     def test_innovation_covariance_spd(self):
         # S = H P H' + R is SPD here, so the Joseph update must agree with
         # the information form P+^-1 = P^-1 + H' R^-1 H
-        z_pred = observe(self.track.x_hat, self.radar.position_array)
-        H = observe_jacobian(self.track.x_hat, self.radar.position_array)
-        S = H @ self.track.P @ H.T + self.R
+        z_pred = observe(self.x, self.radar.position_array)
+        H = observe_jacobian(self.x, self.radar.position_array)
+        S = H @ self.P @ H.T + self.R
         assert np.linalg.eigvalsh(S).min() > 0.0
         z = make_measurement(z_pred, self.R)
-        posterior, _ = ekf_update(self.track, z, self.radar)
-        info = np.linalg.inv(self.track.P) + H.T @ np.linalg.inv(self.R) @ H
-        assert posterior.P @ info == pytest.approx(np.eye(6), abs=1e-9)
+        (_, P), _ = ekf_update(self.x, self.P, z, self.radar)
+        info = np.linalg.inv(self.P) + H.T @ np.linalg.inv(self.R) @ H
+        assert P @ info == pytest.approx(np.eye(6), abs=1e-9)
 
 
 class TestGate:
@@ -303,13 +361,11 @@ class TestCoast:
 
     def test_covariance_grows_across_coasted_predicts(self):
         model = make_model(sigma=2.0, dt=0.5)
-        track = TrackState(
-            x_hat=[1e4, 0.0, 5e3, -100.0, 0.0, -50.0], P=np.eye(6)
-        )
+        x, P = np.array([1e4, 0.0, 5e3, -100.0, 0.0, -50.0]), np.eye(6)
         traces = []
         for _ in range(6):
-            track = predict(track, model, Phase.MID_COURSE)
-            traces.append(np.trace(track.P))
+            x, P = predict(x, P, model, Phase.MID_COURSE)
+            traces.append(np.trace(P))
         assert np.all(np.diff(traces) > 0.0)
 
 
@@ -320,17 +376,17 @@ class TestInitializeTrack:
         z_vec = observe(
             np.concatenate([position, np.zeros(3)]), radar.position_array
         )
-        track = initialize_track(z_vec, radar)
-        assert track.position == pytest.approx(position, abs=1e-6)
-        assert track.velocity == pytest.approx(np.zeros(3))
+        x, _ = initialize_track(z_vec, radar)
+        assert x[:3] == pytest.approx(position, abs=1e-6)
+        assert x[3:] == pytest.approx(np.zeros(3))
 
     def test_default_uncertainty(self):
         radar = RadarConfig()
         z_vec = np.array([20_000.0, -100.0, 0.3, 0.2])
-        track = initialize_track(z_vec, radar)
-        assert np.diag(track.P)[:3] == pytest.approx([1e6] * 3)
-        assert np.diag(track.P)[3:] == pytest.approx([250_000.0] * 3)
-        assert track.P == pytest.approx(np.diag(np.diag(track.P)))
+        _, P = initialize_track(z_vec, radar)
+        assert np.diag(P)[:3] == pytest.approx([1e6] * 3)
+        assert np.diag(P)[3:] == pytest.approx([250_000.0] * 3)
+        assert P == pytest.approx(np.diag(np.diag(P)))
 
 
 class TestCovarianceInvariants:
@@ -350,30 +406,33 @@ class TestCovarianceInvariants:
         )
         truth_pos = np.array([5_000.0, 3_000.0, 8_000.0])
         truth_vel = np.array([120.0, -40.0, -60.0])
-        track = TrackState(
-            x_hat=np.concatenate([truth_pos + 50.0, truth_vel]),
-            P=np.diag([1e6] * 3 + [2.5e5] * 3),
-        )
+        x = np.concatenate([truth_pos + 50.0, truth_vel])
+        P = np.diag([1e6] * 3 + [2.5e5] * 3)
         phases = list(Phase)
         for k in range(400):
             phase = phases[k % 3]
-            track = predict(track, model, phase)
+            x, P = predict(x, P, model, phase)
             truth_pos = truth_pos + truth_vel * model.dt
             t = (k + 1) * model.dt
             truth = TruthPoint(t=t, position=truth_pos, velocity=truth_vel, phase=phase)
             bandwidth = float(rng.choice([0.5e6, 2.5e6, 10e6]))
             z = measure(truth, bandwidth, radar, rng)
             if k % 7 != 3:
-                track, _ = ekf_update(track, z, radar)
-            asym = np.abs(track.P - track.P.T).max()
+                (x, P), _ = ekf_update(x, P, z, radar)
+            asym = np.abs(P - P.T).max()
             assert asym < 1e-9
-            assert np.linalg.eigvalsh(track.P).min() >= -1e-9
+            assert np.linalg.eigvalsh(P).min() >= -1e-9
 
-    def test_trackstate_shape_validation(self):
-        with pytest.raises(ValueError):
-            TrackState(x_hat=np.zeros(5), P=np.eye(6))
-        with pytest.raises(ValueError):
-            TrackState(x_hat=np.zeros(6), P=np.eye(5))
+    def test_returns_float_arrays_of_track_shape(self):
+        radar = RadarConfig()
+        initial = initialize_track(np.array([20_000.0, -100.0, 0.3, 0.2]), radar)
+        prior = predict(*initial, make_model(), Phase.BOOST)
+        z = observe(prior[0], radar.position_array)
+        posterior, _ = ekf_update(*prior, make_measurement(z, np.eye(4)), radar)
+        for x, P in (initial, prior, posterior):
+            assert isinstance(x, np.ndarray) and isinstance(P, np.ndarray)
+            assert x.dtype == P.dtype == np.float64
+            assert x.shape == (6,) and P.shape == (6, 6)
 
     def test_gate_result_validation(self):
         with pytest.raises(ValueError):

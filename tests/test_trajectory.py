@@ -8,10 +8,9 @@ from cogradar.trajectory import (
     Phase,
     TrajectoryConfig,
     generate_trajectory,
-    load_trajectory_csv,
-    phase_boundaries,
     save_trajectory_csv,
 )
+from trajectory_readers import load_trajectory_csv, phase_boundaries
 
 
 def ballistic_oracle(p0, v0, g, t):
