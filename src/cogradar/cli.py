@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig, default_scenario
 from .experiment import (
+    DEFAULT_CALIBRATE_RUNS,
     DEFAULT_EVAL_RUNS,
     DEFAULT_TRAIN_RUNS,
     calibrate_discretizer,
@@ -34,7 +35,7 @@ from .experiment import (
     save_run_csv,
     train_qlearning,
 )
-from .fileio import atomic_write_text
+from .fileio import write_csv
 from .policy import (
     BandwidthScalingPolicy,
     Discretizer,
@@ -48,7 +49,6 @@ from .trajectory import generate_trajectory, save_trajectory_csv
 POLICY_NAMES = ("fixed", "scaling", "qlearn", "qlearn-lookahead")
 TRAINABLE_POLICY_NAMES = ("qlearn", "qlearn-lookahead")
 SUMMARY_CSV_HEADER = ["policy", "n_runs", "successful_runs", "mean_windowed_min_mse"]
-DEFAULT_CALIBRATE_RUNS = 100
 
 
 class UsageError(Exception):
@@ -75,72 +75,20 @@ class PolicySpec:
         return self.name if self.param is None else f"{self.name}:{self.param}"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated invocation: what to run, from which files, with which seed."""
-
-    command: str
-    config_path: Optional[str]
-    seed: Optional[int]
-    out_dir: str
-    policies: tuple[PolicySpec, ...] = ()
-    qtable_path: Optional[str] = None
-    edges_path: Optional[str] = None
-    runs: Optional[int] = None
-    transmissions: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for label, path in (
-            ("config", self.config_path),
-            ("Q-table", self.qtable_path),
-            ("edges", self.edges_path),
-        ):
-            if path is not None and not os.path.isfile(path):
-                raise FileNotFoundError(f"{label} file not found: {path}")
-
-
-def _manifest(args: argparse.Namespace) -> RunManifest:
-    specs: tuple[PolicySpec, ...] = ()
-    policy_arg = getattr(args, "policy", None)
-    if policy_arg is not None:
-        specs = tuple(
-            PolicySpec.parse(item) for item in policy_arg.split(",") if item
-        )
-        if not specs:
-            raise UsageError("--policy must name at least one policy")
-        if len(specs) > 1 and args.command != "compare":
-            raise UsageError(
-                f"{args.command} takes one policy; only compare takes a list"
-            )
-    return RunManifest(
-        command=args.command,
-        config_path=args.config,
-        seed=args.seed,
-        out_dir=args.out,
-        policies=specs,
-        qtable_path=getattr(args, "qtable", None),
-        edges_path=getattr(args, "edges", None),
-        runs=getattr(args, "runs", None),
-        transmissions=args.transmissions,
-    )
-
-
-def _load_scenario(manifest: RunManifest) -> ScenarioConfig:
+def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     scenario = (
-        default_scenario()
-        if manifest.config_path is None
-        else ScenarioConfig.load(manifest.config_path)
+        default_scenario() if args.config is None else ScenarioConfig.load(args.config)
     )
-    if manifest.transmissions is not None:
+    if args.transmissions is not None:
         scenario = replace(
             scenario,
-            episode=replace(scenario.episode, n_transmissions=manifest.transmissions),
+            episode=replace(scenario.episode, n_transmissions=args.transmissions),
         )
     return scenario
 
 
-def _base_seed(manifest: RunManifest, scenario: ScenarioConfig) -> int:
-    return manifest.seed if manifest.seed is not None else scenario.episode.seed
+def _base_seed(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
+    return args.seed if args.seed is not None else scenario.episode.seed
 
 
 def _truth(scenario: ScenarioConfig):
@@ -196,58 +144,58 @@ def _slug(spec: PolicySpec) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", base)
 
 
-def _out_path(manifest: RunManifest, filename: str) -> str:
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    return os.path.join(manifest.out_dir, filename)
+def _out_path(args: argparse.Namespace, filename: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, filename)
 
 
-def _cmd_generate_trajectory(manifest: RunManifest) -> int:
-    scenario = _load_scenario(manifest)
-    seed = _base_seed(manifest, scenario)
+def _cmd_generate_trajectory(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    seed = _base_seed(args, scenario)
     trajectory = generate_trajectory(scenario.trajectory, seed=seed)
-    path = _out_path(manifest, "trajectory.csv")
+    path = _out_path(args, "trajectory.csv")
     save_trajectory_csv(trajectory, path)
     print(f"wrote {path} ({len(trajectory)} samples)")
     return 0
 
 
-def _cmd_calibrate(manifest: RunManifest) -> int:
-    scenario = _load_scenario(manifest)
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     discretizer = calibrate_discretizer(
         _truth(scenario),
         scenario.radar,
         scenario.process,
         scenario.episode,
-        n_runs=manifest.runs if manifest.runs is not None else DEFAULT_CALIBRATE_RUNS,
-        base_seed=_base_seed(manifest, scenario),
+        n_runs=args.runs,
+        base_seed=_base_seed(args, scenario),
         actions=scenario.actions,
     )
-    path = _out_path(manifest, "edges.json")
+    path = _out_path(args, "edges.json")
     discretizer.save(path)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_train(manifest: RunManifest) -> int:
-    spec = manifest.policies[0]
+def _cmd_train(args: argparse.Namespace) -> int:
+    spec = args.policy[0]
     if spec.name not in TRAINABLE_POLICY_NAMES:
         raise UsageError("train expects one policy: qlearn or qlearn-lookahead")
     if spec.param is not None:
         raise UsageError("pass the warm-start table via --qtable, not in --policy")
-    scenario = _load_scenario(manifest)
+    scenario = _load_scenario(args)
     trajectory = _truth(scenario)
-    base_seed = _base_seed(manifest, scenario)
-    if manifest.qtable_path is not None:
-        table = _load_table(manifest.qtable_path, scenario)
+    base_seed = _base_seed(args, scenario)
+    if args.qtable is not None:
+        table = _load_table(args.qtable, scenario)
         L = table.hyperparams.L
         if (L > 1) != (spec.name == "qlearn-lookahead"):
             raise UsageError(
-                f"Q-table {manifest.qtable_path} has L={L}, which does not fit "
+                f"Q-table {args.qtable} has L={L}, which does not fit "
                 f"--policy {spec.name} (qlearn needs L = 1, qlearn-lookahead L > 1)"
             )
     else:
-        if manifest.edges_path is not None:
-            discretizer = Discretizer.load(manifest.edges_path)
+        if args.edges is not None:
+            discretizer = Discretizer.load(args.edges)
         else:
             # self-contained default: pilot calibration on a disjoint seed stream
             discretizer = calibrate_discretizer(
@@ -255,66 +203,64 @@ def _cmd_train(manifest: RunManifest) -> int:
                 scenario.radar,
                 scenario.process,
                 scenario.episode,
-                n_runs=DEFAULT_CALIBRATE_RUNS,
                 base_seed=base_seed + 1_000_000,
                 actions=scenario.actions,
             )
         table = scenario.new_table(
             discretizer, lookahead=spec.name == "qlearn-lookahead"
         )
-    n_runs = manifest.runs if manifest.runs is not None else DEFAULT_TRAIN_RUNS
     train_qlearning(
         trajectory,
         table,
         scenario.radar,
         scenario.process,
         scenario.episode,
-        n_runs=n_runs,
+        n_runs=args.runs,
         base_seed=base_seed,
     )
-    path = _out_path(manifest, "qtable.json")
+    path = _out_path(args, "qtable.json")
     table.save(path)
-    print(f"wrote {path} after {n_runs} training runs")
+    print(f"wrote {path} after {args.runs} training runs")
     return 0
 
 
-def _cmd_evaluate(manifest: RunManifest) -> int:
-    scenario = _load_scenario(manifest)
-    policy = _build_policy(manifest.policies[0], scenario, manifest.qtable_path)
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    policy = _build_policy(args.policy[0], scenario, args.qtable)
     results, report = evaluate(
         _truth(scenario),
         policy,
         scenario.radar,
         scenario.process,
         scenario.episode,
-        n_runs=manifest.runs if manifest.runs is not None else DEFAULT_EVAL_RUNS,
-        base_seed=_base_seed(manifest, scenario),
+        n_runs=args.runs,
+        base_seed=_base_seed(args, scenario),
     )
-    metrics_path = _out_path(manifest, "metrics.csv")
-    histogram_path = _out_path(manifest, "histogram.csv")
+    mse = overall_windowed_mse(results)  # before any write: a failure leaves no file
+    metrics_path = _out_path(args, "metrics.csv")
+    histogram_path = _out_path(args, "histogram.csv")
     histogram = report.histogram
     save_metrics_csv(report, metrics_path)
     save_histogram_csv(histogram, histogram_path)
     print(f"wrote {metrics_path} and {histogram_path}")
     print(
-        f"{manifest.policies[0]}: "
+        f"{args.policy[0]}: "
         f"{histogram.full_track_count}/{histogram.n_runs} full tracks, "
-        f"windowed-min MSE {overall_windowed_mse(results):.6g} m^2"
+        f"windowed-min MSE {mse:.6g} m^2"
     )
     return 0
 
 
-def _cmd_compare(manifest: RunManifest) -> int:
-    scenario = _load_scenario(manifest)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
     trajectory = _truth(scenario)
-    base_seed = _base_seed(manifest, scenario)
-    n_runs = manifest.runs if manifest.runs is not None else DEFAULT_EVAL_RUNS
+    base_seed = _base_seed(args, scenario)
     policies = [
-        (spec, _build_policy(spec, scenario, manifest.qtable_path))
-        for spec in manifest.policies
+        (spec, _build_policy(spec, scenario, args.qtable))
+        for spec in args.policy
     ]
-    slugs: dict[str, int] = {}
-    rows = []
+    # score every policy before writing, so a failure leaves no file behind
+    reports, rows = [], []
     for spec, policy in policies:
         results, report = evaluate(
             trajectory,
@@ -322,42 +268,43 @@ def _cmd_compare(manifest: RunManifest) -> int:
             scenario.radar,
             scenario.process,
             scenario.episode,
-            n_runs=n_runs,
+            n_runs=args.runs,
             base_seed=base_seed,
         )
+        full_tracks = report.histogram.full_track_count
+        rows.append((str(spec), args.runs, full_tracks, overall_windowed_mse(results)))
+        reports.append(report)
+    slugs: dict[str, int] = {}
+    for spec, report in zip(args.policy, reports):
         slug = _slug(spec)
         if slug in slugs:
             slugs[slug] += 1
             slug = f"{slug}_{slugs[slug]}"
         else:
             slugs[slug] = 0
-        save_metrics_csv(report, _out_path(manifest, f"metrics_{slug}.csv"))
-        full_tracks = report.histogram.full_track_count
-        rows.append((str(spec), n_runs, full_tracks, overall_windowed_mse(results)))
-    lines = [",".join(SUMMARY_CSV_HEADER)]
-    lines += [f"{p},{n},{s},{mse:.17g}" for p, n, s, mse in rows]
-    summary_path = _out_path(manifest, "summary.csv")
-    atomic_write_text(summary_path, "\n".join(lines) + "\n")
+        save_metrics_csv(report, _out_path(args, f"metrics_{slug}.csv"))
+    summary_path = _out_path(args, "summary.csv")
+    write_csv(summary_path, SUMMARY_CSV_HEADER, rows)
     print(f"wrote {summary_path} and {len(rows)} per-policy metrics files")
     for p, n, s, mse in rows:
         print(f"  {p}: {s}/{n} full tracks, windowed-min MSE {mse:.6g} m^2")
     return 0
 
 
-def _cmd_trace(manifest: RunManifest) -> int:
-    scenario = _load_scenario(manifest)
-    policy = _build_policy(manifest.policies[0], scenario, manifest.qtable_path)
+def _cmd_trace(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    policy = _build_policy(args.policy[0], scenario, args.qtable)
     result = run_episode(
         _truth(scenario),
         policy,
         scenario.radar,
         scenario.process,
         scenario.episode,
-        rng=np.random.default_rng(_base_seed(manifest, scenario)),
+        rng=np.random.default_rng(_base_seed(args, scenario)),
         learning=False,
         reward_clip=scenario.hyperparams.C,
     )
-    path = _out_path(manifest, "trace.csv")
+    path = _out_path(args, "trace.csv")
     save_run_csv(result, path)
     status = "full track" if result.successful else f"lost at step {result.lost_at}"
     print(f"wrote {path} ({len(result.records)} steps, {status})")
@@ -400,26 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="pilot runs -> discretizer edges JSON")
     common(p)
-    p.add_argument("--runs", type=int, metavar="N", help=f"pilot runs (default: {DEFAULT_CALIBRATE_RUNS})")
+    p.add_argument("--runs", type=int, metavar="N", default=DEFAULT_CALIBRATE_RUNS, help="pilot runs (default: %(default)s)")
 
     p = sub.add_parser("train", help="train a Q-table, write qtable.json")
     common(p)
     p.add_argument("--policy", metavar="NAME", default="qlearn", help="qlearn or qlearn-lookahead (default: qlearn)")
     p.add_argument("--qtable", metavar="PATH", help="warm-start from an existing table")
     p.add_argument("--edges", metavar="PATH", help="discretizer edges JSON from calibrate (default: internal pilot calibration)")
-    p.add_argument("--runs", type=int, metavar="N", help=f"training episodes (default: {DEFAULT_TRAIN_RUNS})")
+    p.add_argument("--runs", type=int, metavar="N", default=DEFAULT_TRAIN_RUNS, help="training episodes (default: %(default)s)")
 
     p = sub.add_parser("evaluate", help="frozen-policy evaluation -> metrics.csv + histogram.csv")
     common(p)
     p.add_argument("--policy", metavar="SPEC", required=True, help="fixed:BW_HZ | scaling | qlearn[:PATH] | qlearn-lookahead[:PATH]")
     p.add_argument("--qtable", metavar="PATH", help="Q-table for qlearn policies")
-    p.add_argument("--runs", type=int, metavar="N", help=f"evaluation runs (default: {DEFAULT_EVAL_RUNS})")
+    p.add_argument("--runs", type=int, metavar="N", default=DEFAULT_EVAL_RUNS, help="evaluation runs (default: %(default)s)")
 
     p = sub.add_parser("compare", help="evaluate a comma-separated policy list on shared seeds")
     common(p)
     p.add_argument("--policy", metavar="SPECS", required=True, help="comma-separated policy specs, e.g. fixed:1e6,scaling,qlearn:qtable.json")
     p.add_argument("--qtable", metavar="PATH", help="Q-table for qlearn policies without an inline path")
-    p.add_argument("--runs", type=int, metavar="N", help=f"evaluation runs per policy (default: {DEFAULT_EVAL_RUNS})")
+    p.add_argument("--runs", type=int, metavar="N", default=DEFAULT_EVAL_RUNS, help="evaluation runs per policy (default: %(default)s)")
 
     p = sub.add_parser("trace", help="single seeded run -> per-step trace.csv")
     common(p)
@@ -436,8 +383,24 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        manifest = _manifest(args)
-        return _COMMANDS[manifest.command](manifest)
+        if getattr(args, "policy", None) is not None:
+            args.policy = tuple(
+                PolicySpec.parse(item) for item in args.policy.split(",") if item
+            )
+            if not args.policy:
+                raise UsageError("--policy must name at least one policy")
+            if len(args.policy) > 1 and args.command != "compare":
+                raise UsageError(
+                    f"{args.command} takes one policy; only compare takes a list"
+                )
+        for label, path in (
+            ("config", args.config),
+            ("Q-table", getattr(args, "qtable", None)),
+            ("edges", getattr(args, "edges", None)),
+        ):
+            if path is not None and not os.path.isfile(path):
+                raise FileNotFoundError(f"{label} file not found: {path}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"cogradar: error: {exc}", file=sys.stderr)
         return 1

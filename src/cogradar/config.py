@@ -8,12 +8,11 @@ file plus a seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .experiment import EpisodeConfig
-from .fileio import atomic_write_text
+from .fileio import read_json, write_json
 from .policy import ActionSet, Discretizer, Hyperparams, QTable
 from .radar import RadarConfig
 from .tracker import ProcessModel
@@ -68,7 +67,7 @@ class ScenarioConfig:
         }
 
     def save(self, path: str) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
@@ -96,8 +95,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
-        with open(path) as handle:
-            return cls.from_json_dict(json.load(handle))
+        return cls.from_json_dict(read_json(path, (), "scenario"))
 
 
 def default_scenario() -> ScenarioConfig:

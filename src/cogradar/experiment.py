@@ -13,14 +13,12 @@ campaigns seed run i with base_seed + i, so any run can be replayed alone.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text, require_float, require_int
+from .fileio import require_float, require_int, write_csv
 from .policy import (
     DEFAULT_REWARD_CLIP,
     ActionSet,
@@ -48,6 +46,7 @@ DEFAULT_MSE_WINDOW = 3
 DEFAULT_HISTOGRAM_BIN_WIDTH = 20
 DEFAULT_TRAIN_RUNS = 200
 DEFAULT_EVAL_RUNS = 100
+DEFAULT_CALIBRATE_RUNS = 100
 
 RUN_CSV_HEADER = [
     "step",
@@ -310,7 +309,7 @@ def calibrate_discretizer(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    n_runs: int = 100,
+    n_runs: int = DEFAULT_CALIBRATE_RUNS,
     base_seed: int = 0,
     actions: Optional[ActionSet] = None,
 ) -> Discretizer:
@@ -397,47 +396,21 @@ def success_histogram(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    """Shortest representation that round-trips a float exactly."""
-    return f"{value:.17g}"
-
-
 def save_run_csv(result: RunResult, path: str) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RUN_CSV_HEADER)
+    rows = []
     for step, row in enumerate(result.records.tolist()):
         bw, err, innov, window, correlated, r, state, action = row[:8]
-        writer.writerow(
-            [
-                step,
-                _fmt(bw),
-                _fmt(err),
-                _fmt(innov),
-                _fmt(window),
-                int(correlated),
-                _fmt(r),
-                "" if state < 0 else state,
-                "" if action < 0 else action,
-            ]
-        )
-    atomic_write_text(path, buffer.getvalue())
+        rows.append([step, bw, err, innov, window, int(correlated), r,
+                     "" if state < 0 else state, "" if action < 0 else action])
+    write_csv(path, RUN_CSV_HEADER, rows)
 
 
 def save_metrics_csv(report: MetricsReport, path: str) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(METRICS_CSV_HEADER)
-    for step, value in enumerate(report.mean_windowed_min_mse):
-        writer.writerow([step, _fmt(value)])
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(path, METRICS_CSV_HEADER, enumerate(report.mean_windowed_min_mse))
 
 
 def save_histogram_csv(histogram: SuccessHistogram, path: str) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(HISTOGRAM_CSV_HEADER)
-    for lo, count in zip(histogram.bin_lows, histogram.counts):
-        writer.writerow([lo, lo + histogram.bin_width, count])
-    writer.writerow([FULL_TRACK_LABEL, "", histogram.full_track_count])
-    atomic_write_text(path, buffer.getvalue())
+    rows = [[lo, lo + histogram.bin_width, count]
+            for lo, count in zip(histogram.bin_lows, histogram.counts)]
+    rows.append([FULL_TRACK_LABEL, "", histogram.full_track_count])
+    write_csv(path, HISTOGRAM_CSV_HEADER, rows)

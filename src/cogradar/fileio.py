@@ -1,12 +1,17 @@
-"""Atomic text writes shared by every module that saves a file, and the
-field checks that every loaded value passes."""
+"""Every file format the program reads or writes: atomic text writes, CSV
+and JSON writers, the JSON reader, and the field checks that every loaded
+value passes."""
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import numbers
 import os
 import tempfile
+from typing import Iterable, Sequence
 
 
 def require_int(name: str, value) -> None:
@@ -43,3 +48,37 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(
+    path: str,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    lineterminator: str = "\n",
+) -> None:
+    """Atomic CSV write.  Float cells (numpy float64 too) get 17 significant
+    digits, which round-trip exactly; other cells are written as they are."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(
+        [f"{cell:.17g}" if isinstance(cell, float) else cell for cell in row]
+        for row in rows
+    )
+    atomic_write_text(path, buffer.getvalue())
+
+
+def write_json(path: str, doc) -> None:
+    """Atomic JSON write: two-space indent and a trailing newline."""
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def read_json(path: str, keys: Sequence[str], what: str):
+    """Parse a JSON file and check that it has every one of ``keys``; the
+    error names the missing keys and ``what`` kind of file it is."""
+    with open(path) as handle:
+        doc = json.load(handle)
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} file missing keys: {missing}")
+    return doc

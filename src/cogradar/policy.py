@@ -15,34 +15,20 @@ newest first, against the evolving table.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text, require_float, require_int
+from .fileio import read_json, require_float, require_int, write_json
 from .radar import DEFAULT_MAX_BW, DEFAULT_MIN_BW
 
 DEFAULT_ACTIONS_HZ = (0.5e6, 1.0e6, 2.5e6, 5.0e6, 7.5e6, 10.0e6)
 N_PRED_VAR_EDGES = 9  # 10 prediction-variance bins
 N_MEAS_VAR_EDGES = 7  # 8 measurement-variance bins
 DEFAULT_REWARD_CLIP = 2.0
-
-_QTABLE_JSON_KEYS = (
-    "alpha",
-    "gamma",
-    "epsilon",
-    "C",
-    "L",
-    "actions_hz",
-    "pred_var_edges",
-    "meas_var_edges",
-    "values",
-)
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -69,6 +55,15 @@ class Hyperparams:
             raise ValueError("C must be > 0")
         if self.L < 1:
             raise ValueError("L must be >= 1")
+
+
+_QTABLE_JSON_KEYS = (
+    *(f.name for f in fields(Hyperparams)),
+    "actions_hz",
+    "pred_var_edges",
+    "meas_var_edges",
+    "values",
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,8 @@ class ActionSet:
     bandwidths: tuple[float, ...] = DEFAULT_ACTIONS_HZ
 
     def __post_init__(self) -> None:
+        for i, bandwidth in enumerate(self.bandwidths):
+            require_float(f"actions_hz[{i}]", bandwidth)
         object.__setattr__(self, "bandwidths", tuple(float(b) for b in self.bandwidths))
         if len(self.bandwidths) < 2:
             raise ValueError("need at least two actions")
@@ -130,6 +127,8 @@ class Discretizer:
             ("pred_var_edges", self.pred_var_edges, N_PRED_VAR_EDGES),
             ("meas_var_edges", self.meas_var_edges, N_MEAS_VAR_EDGES),
         ):
+            for i, edge in enumerate(edges):
+                require_float(f"{name}[{i}]", edge)
             edges = tuple(float(e) for e in edges)
             object.__setattr__(self, name, edges)
             if len(edges) != expected:
@@ -186,19 +185,12 @@ class Discretizer:
         }
 
     def save(self, path: str) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "Discretizer":
-        with open(path) as handle:
-            doc = json.load(handle)
-        missing = [k for k in ("pred_var_edges", "meas_var_edges") if k not in doc]
-        if missing:
-            raise ValueError(f"edges file missing keys: {missing}")
-        return cls(
-            pred_var_edges=tuple(doc["pred_var_edges"]),
-            meas_var_edges=tuple(doc["meas_var_edges"]),
-        )
+        doc = read_json(path, ("pred_var_edges", "meas_var_edges"), "edges")
+        return cls(doc["pred_var_edges"], doc["meas_var_edges"])
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +236,21 @@ class QTable:
 
     def save(self, path: str) -> None:
         """Atomic write: the file appears complete or not at all."""
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "QTable":
-        with open(path) as handle:
-            doc = json.load(handle)
-        missing = [key for key in _QTABLE_JSON_KEYS if key not in doc]
-        if missing:
-            raise ValueError(f"Q-table file missing keys: {missing}")
-        values = np.asarray(doc["values"], dtype=float)
+        doc = read_json(path, _QTABLE_JSON_KEYS, "Q-table")
+        values = np.asarray(doc["values"], dtype=object)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
-        floats = {name: doc[name] for name in ("alpha", "gamma", "epsilon", "C")}
-        for name, value in floats.items():
-            require_float(name, value)
+        for (i, j), value in np.ndenumerate(values):
+            require_float(f"values[{i}][{j}]", value)
         return cls(
             values=values,
-            discretizer=Discretizer(
-                pred_var_edges=tuple(doc["pred_var_edges"]),
-                meas_var_edges=tuple(doc["meas_var_edges"]),
-            ),
+            discretizer=Discretizer(doc["pred_var_edges"], doc["meas_var_edges"]),
             actions=ActionSet(bandwidths=tuple(doc["actions_hz"])),
-            hyperparams=Hyperparams(
-                **{name: float(value) for name, value in floats.items()}, L=doc["L"]
-            ),
+            hyperparams=Hyperparams(**{f.name: doc[f.name] for f in fields(Hyperparams)}),
         )
 
     @property

@@ -9,15 +9,13 @@ acceleration.  Everything is deterministic for a fixed (config, seed).
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text, require_float
+from .fileio import require_float, write_csv
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -242,11 +240,6 @@ CSV_HEADER = ["t", "px", "py", "pz", "vx", "vy", "vz", "phase"]
 
 
 def save_trajectory_csv(trajectory: Sequence[TruthPoint], path) -> None:
-    """Write one row per step; floats at 17 significant digits (exact round-trip)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_HEADER)
-    for p in trajectory:
-        row = [p.t, *p.position, *p.velocity]
-        writer.writerow([f"{x:.17g}" for x in row] + [p.phase.value])
-    atomic_write_text(path, buffer.getvalue())
+    """Write one row per step, with CRLF line ends."""
+    rows = ([p.t, *p.position, *p.velocity, p.phase.value] for p in trajectory)
+    write_csv(path, CSV_HEADER, rows, lineterminator="\r\n")

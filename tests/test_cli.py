@@ -145,6 +145,12 @@ class TestFloatFields:
             (("process", "accel_noise_std", "boost"), float("inf"), "accel_noise_std.boost"),
             (("qtable", "alpha"), True, "alpha"),
             (("qtable", "C"), "nan", "C"),
+            (("actions_hz", 1), "nan", "actions_hz[1]"),
+            (("qtable", "actions_hz", 1), "nan", "actions_hz[1]"),
+            (("qtable", "pred_var_edges", 8), "nan", "pred_var_edges[8]"),
+            (("qtable", "meas_var_edges", 0), True, "meas_var_edges[0]"),
+            (("qtable", "values", 3, 2), "1.5", "values[3][2]"),
+            (("qtable", "values", 3, 2), True, "values[3][2]"),
         ],
         ids=[
             "hyperparams.alpha-true",
@@ -153,6 +159,12 @@ class TestFloatFields:
             "accel_noise_std.boost-Infinity",
             "qtable.alpha-true",
             "qtable.C-string-nan",
+            "actions_hz[1]-string-nan",
+            "qtable.actions_hz[1]-string-nan",
+            "qtable.pred_var_edges[8]-string-nan",
+            "qtable.meas_var_edges[0]-true",
+            "qtable.values[3][2]-string",
+            "qtable.values[3][2]-true",
         ],
     )
     def test_non_float_rejected(self, capsys, tmp_path, keys, value, name):
@@ -317,6 +329,24 @@ class TestFailedRun:
         err = capsys.readouterr().err
         assert "run 2 (seed 1002): degenerate innovation covariance" in err
         assert len(runs) == 3
+
+    @pytest.mark.parametrize("command, policy", [
+        ("evaluate", "fixed:1e6"),
+        ("compare", "fixed:1e6,scaling"),
+    ])
+    def test_failed_scoring_writes_nothing(self, capsys, tmp_path, command, policy):
+        """Two transmissions fill no 3-wide window, so scoring fails; every
+        number is computed before the first write, so no file is left."""
+        out = str(tmp_path / "out")
+        code = run(
+            command, "--policy", policy, "--transmissions", "2", "--runs", "2",
+            "--out", out,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no full windows to aggregate" in captured.err
+        assert "wrote" not in captured.out
+        assert not os.path.exists(out) or os.listdir(out) == []
 
 
 class TestCompare:
