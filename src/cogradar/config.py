@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .experiment import EpisodeConfig
-from .fileio import read_json, write_json
+from .fileio import read_json, require_list, require_object, write_json
 from .policy import ActionSet, Discretizer, Hyperparams, QTable
 from .radar import RadarConfig
 from .tracker import ProcessModel
@@ -75,22 +75,30 @@ class ScenarioConfig:
         missing = required - set(data)
         if missing:
             raise ValueError(f"scenario JSON missing keys: {sorted(missing)}")
+        for name in ("trajectory", "radar", "process", "episode", "hyperparams"):
+            require_object(name, data[name])
         traj = dict(data["trajectory"])
+        require_list("trajectory.launch_position", traj["launch_position"])
         traj["launch_position"] = tuple(traj["launch_position"])
         radar = dict(data["radar"])
         radar.pop("transmit_energy", None)  # dropped field, still in older files
+        require_list("radar.position", radar["position"])
         radar["position"] = tuple(radar["position"])
+        require_object("process.accel_noise_std", data["process"]["accel_noise_std"])
         noise = {Phase(name): std for name, std in data["process"]["accel_noise_std"].items()}
         hyper = data["hyperparams"]
+        names = [f.name for f in dataclasses.fields(Hyperparams)]
+        unknown = sorted(set(hyper) - set(names))
+        missing = [name for name in names if name not in hyper]
+        if unknown or missing:
+            raise ValueError(f"hyperparams: unknown keys {unknown}, missing keys {missing}")
         return cls(
             trajectory=TrajectoryConfig(**traj),
             radar=RadarConfig(**radar),
             process=ProcessModel(dt=data["process"]["dt"], accel_noise_std=noise),
             episode=EpisodeConfig(**data["episode"]),
-            actions=ActionSet(tuple(data["actions_hz"])),
-            hyperparams=Hyperparams(
-                **{f.name: hyper[f.name] for f in dataclasses.fields(Hyperparams)}
-            ),
+            actions=ActionSet(data["actions_hz"]),
+            hyperparams=Hyperparams(**hyper),
         )
 
     @classmethod

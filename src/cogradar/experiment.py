@@ -13,6 +13,7 @@ campaigns seed run i with base_seed + i, so any run can be replayed alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -152,6 +153,11 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+def _distance(a: Sequence[float], b: Sequence[float]) -> float:
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def run_episode(
     trajectory: Sequence[TruthPoint],
     policy: Policy,
@@ -192,12 +198,12 @@ def run_episode(
     lost_at = None
 
     records = np.zeros(episode.n_transmissions, dtype=RECORD_DTYPE)
-    radar_position = radar.position_array
+    radar_position = radar.position
     for k in range(episode.n_transmissions):
         truth = trajectory[k + 1]
         x, P = predict(x, P, process, truth.phase)
         H = observe_jacobian(x, radar_position)
-        pred_var = float((H @ P @ H.T)[0, 0])
+        pred_var = float(H[0] @ P @ H[0])
         ctx = PolicyContext(
             predicted_range_variance=pred_var,
             last_measurement_range_variance=last_meas_var,
@@ -214,9 +220,8 @@ def run_episode(
             misses += 1
         lost = misses >= episode.miss_limit
 
-        est_range = float(np.linalg.norm(x[:3] - radar_position))
-        true_range = float(np.linalg.norm(truth.position - radar_position))
-        range_error = abs(est_range - true_range)
+        range_error = abs(_distance(x[:3].tolist(), radar_position)
+                          - _distance(truth.position.tolist(), radar_position))
         score = reward(range_error, lost, reward_clip)
         if learning:
             policy.learn(score)

@@ -29,6 +29,18 @@ def require_float(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_list(name: str, value) -> None:
+    """Reject all but lists and tuples (a JSON array), naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+
+
+def require_object(name: str, value) -> None:
+    """Reject all but dicts (a JSON object), naming the field."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {value!r}")
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file.
 

@@ -15,6 +15,7 @@ newest first, against the evolving table.
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import read_json, require_float, require_int, write_json
+from .fileio import read_json, require_float, require_int, require_list, write_json
 from .radar import DEFAULT_MAX_BW, DEFAULT_MIN_BW
 
 DEFAULT_ACTIONS_HZ = (0.5e6, 1.0e6, 2.5e6, 5.0e6, 7.5e6, 10.0e6)
@@ -93,6 +94,7 @@ class ActionSet:
     bandwidths: tuple[float, ...] = DEFAULT_ACTIONS_HZ
 
     def __post_init__(self) -> None:
+        require_list("actions_hz", self.bandwidths)
         for i, bandwidth in enumerate(self.bandwidths):
             require_float(f"actions_hz[{i}]", bandwidth)
         object.__setattr__(self, "bandwidths", tuple(float(b) for b in self.bandwidths))
@@ -127,6 +129,7 @@ class Discretizer:
             ("pred_var_edges", self.pred_var_edges, N_PRED_VAR_EDGES),
             ("meas_var_edges", self.meas_var_edges, N_MEAS_VAR_EDGES),
         ):
+            require_list(name, edges)
             for i, edge in enumerate(edges):
                 require_float(f"{name}[{i}]", edge)
             edges = tuple(float(e) for e in edges)
@@ -151,10 +154,10 @@ class Discretizer:
         return self.n_pred_bins * self.n_meas_bins
 
     def pred_bin(self, variance: float) -> int:
-        return int(np.searchsorted(self.pred_var_edges, variance, side="right"))
+        return bisect.bisect_right(self.pred_var_edges, variance)
 
     def meas_bin(self, variance: float) -> int:
-        return int(np.searchsorted(self.meas_var_edges, variance, side="right"))
+        return bisect.bisect_right(self.meas_var_edges, variance)
 
     def state_index(self, pred_var: float, meas_var: float) -> int:
         return self.pred_bin(pred_var) * self.n_meas_bins + self.meas_bin(meas_var)
@@ -249,7 +252,7 @@ class QTable:
         return cls(
             values=values,
             discretizer=Discretizer(doc["pred_var_edges"], doc["meas_var_edges"]),
-            actions=ActionSet(bandwidths=tuple(doc["actions_hz"])),
+            actions=ActionSet(bandwidths=doc["actions_hz"]),
             hyperparams=Hyperparams(**{f.name: doc[f.name] for f in fields(Hyperparams)}),
         )
 

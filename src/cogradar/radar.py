@@ -10,6 +10,7 @@ depend on the waveform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,48 +52,42 @@ class RadarConfig:
         return np.asarray(self.position, dtype=float)
 
 
-def observe(state: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
+def _geometry(state: np.ndarray, radar_position: tuple | np.ndarray) -> tuple[float, ...]:
+    """Offset d = position - radar, velocity v and range |d| as floats."""
+    x, y, z, vx, vy, vz = np.asarray(state, dtype=float).tolist()
+    px, py, pz = radar_position
+    dx, dy, dz = x - px, y - py, z - pz
+    rng = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if rng == 0.0:
+        raise ValueError("target at radar")
+    return dx, dy, dz, vx, vy, vz, rng
+
+
+def observe(state: np.ndarray, radar_position: tuple | np.ndarray) -> np.ndarray:
     """Noise-free measurement (range, range rate, azimuth, elevation).
 
     ``state`` is the 6-vector [position; velocity].
     """
-    state = np.asarray(state, dtype=float)
-    d = state[:3] - np.asarray(radar_position, dtype=float)
-    v = state[3:6]
-    rng = np.linalg.norm(d)
-    if rng == 0.0:
-        raise ValueError("target at radar")
-    return np.array(
-        [
-            rng,
-            float(d @ v) / rng,
-            np.arctan2(d[1], d[0]),
-            np.arcsin(d[2] / rng),
-        ]
-    )
+    dx, dy, dz, vx, vy, vz, rng = _geometry(state, radar_position)
+    return np.array([rng, (dx * vx + dy * vy + dz * vz) / rng,
+                     math.atan2(dy, dx), math.asin(dz / rng)])
 
 
-def observe_jacobian(state: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
+def observe_jacobian(state: np.ndarray, radar_position: tuple | np.ndarray) -> np.ndarray:
     """Analytic 4x6 Jacobian of :func:`observe` at ``state``."""
-    state = np.asarray(state, dtype=float)
-    d = state[:3] - np.asarray(radar_position, dtype=float)
-    v = state[3:6]
-    r = np.linalg.norm(d)
-    if r == 0.0:
-        raise ValueError("target at radar")
-    rho_sq = d[0] ** 2 + d[1] ** 2
-    rho = np.sqrt(rho_sq)
-
-    H = np.zeros((4, 6))
-    H[0, :3] = d / r
-    H[1, :3] = v / r - (d @ v) * d / r**3
-    H[1, 3:] = d / r
-    H[2, 0] = -d[1] / rho_sq
-    H[2, 1] = d[0] / rho_sq
-    H[3, 0] = -d[2] * d[0] / (r**2 * rho)
-    H[3, 1] = -d[2] * d[1] / (r**2 * rho)
-    H[3, 2] = rho / r**2
-    return H
+    dx, dy, dz, vx, vy, vz, r = _geometry(state, radar_position)
+    r2 = r * r
+    r3 = r2 * r
+    rho_sq = dx * dx + dy * dy
+    rho = math.sqrt(rho_sq)
+    dv = dx * vx + dy * vy + dz * vz
+    return np.array([
+        [dx / r, dy / r, dz / r, 0.0, 0.0, 0.0],
+        [vx / r - dv * dx / r3, vy / r - dv * dy / r3, vz / r - dv * dz / r3,
+         dx / r, dy / r, dz / r],
+        [-dy / rho_sq, dx / rho_sq, 0.0, 0.0, 0.0, 0.0],
+        [-dz * dx / (r2 * rho), -dz * dy / (r2 * rho), rho / r2, 0.0, 0.0, 0.0],
+    ])
 
 
 def snr_at_range(range_m: float, config: RadarConfig) -> float:
@@ -115,19 +110,13 @@ def measurement_noise_var(
         raise ValueError("bandwidth must be > 0")
     if snr <= 0.0:
         raise ValueError("snr must be > 0")
-    root = np.sqrt(2.0 * snr)
+    root = math.sqrt(2.0 * snr)
     sigma_range = SPEED_OF_LIGHT / (2.0 * bandwidth * root)
     sigma_rate = SPEED_OF_LIGHT / (
         2.0 * config.carrier_freq * config.pulse_duration * root
     )
-    return np.array(
-        [
-            sigma_range**2,
-            sigma_rate**2,
-            config.angle_noise_std**2,
-            config.angle_noise_std**2,
-        ]
-    )
+    angle_var = config.angle_noise_std**2
+    return np.array([sigma_range**2, sigma_rate**2, angle_var, angle_var])
 
 
 def measure(
@@ -142,7 +131,7 @@ def measure(
     the four noise variances it was drawn with.
     """
     state = np.concatenate([truth.position, truth.velocity])
-    z_true = observe(state, config.position_array)
+    z_true = observe(state, config.position)
     snr = snr_at_range(float(z_true[0]), config)
     r = measurement_noise_var(bandwidth, snr, config)
     z = z_true + np.sqrt(r) * rng.standard_normal(4)

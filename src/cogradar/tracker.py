@@ -10,6 +10,7 @@ episodes never share state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,6 +21,8 @@ from .radar import RadarConfig, observe
 from .trajectory import Phase
 
 _MAX_CONDITION = 1e12
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
 INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
 INIT_VELOCITY_STD = 500.0  # m/s, per axis
 
@@ -88,7 +91,7 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time update of the mean ``x`` (6,) and covariance ``P`` (6, 6):
     x = F x, P = F P F' + Q(phase), symmetrized."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
+    if not (np.isfinite(x).all() and np.isfinite(P).all()):
         raise ValueError("non-finite track state")
     F = model.F
     P = F @ P @ F.T + model.Q[phase]
@@ -110,7 +113,7 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
     the transmission correlates when the range innovation stays within three
     windows on either side.
     """
-    window = 1.96 * np.sqrt(r[0])
+    window = 1.96 * math.sqrt(r[0])
     nu_range = float(nu[0])
     return GateResult(
         correlated=bool(abs(nu_range) <= 3.0 * window),
@@ -125,16 +128,18 @@ def update(
     """Joseph-form EKF measurement update of the prior ``(x, P)`` with noise
     variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
     predicted state."""
-    R = np.diag(r)
-    S = H @ P @ H.T + R
+    PHt = P @ H.T
+    S = H @ PHt
     S = 0.5 * (S + S.T)
-    if np.linalg.cond(S) > _MAX_CONDITION:
+    S.flat[::5] += r  # the diagonal of the 4x4 S: S = H P H' + diag(r)
+    s = np.linalg.svd(S, compute_uv=False)
+    if s[0] / s[-1] > _MAX_CONDITION:  # the 2-norm condition number of S
         raise DegenerateInnovationError("degenerate innovation covariance")
     # K = P H' S^-1, via solve on the symmetric S
-    K = np.linalg.solve(S, H @ P).T
+    K = np.linalg.solve(S, PHt.T).T
 
-    I_KH = np.eye(6) - K @ H
-    P = I_KH @ P @ I_KH.T + K @ R @ K.T
+    I_KH = _EYE6 - K @ H
+    P = I_KH @ P @ I_KH.T + (K * r) @ K.T  # K R K' with R = diag(r)
     return x + K @ nu, 0.5 * (P + P.T)
 
 

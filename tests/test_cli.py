@@ -85,29 +85,40 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
 
-def train_on_edited_input(tmp_path, keys, value):
-    """Run ``train`` on the default scenario, or on the golden lookahead
-    Q-table when ``keys[0]`` is "qtable", with the entry at ``keys`` set to
-    ``value``.  Returns the exit code and the output directory."""
+def train_on_rewritten_input(tmp_path, qtable, edit):
+    """Run ``train`` on the golden lookahead Q-table when ``qtable``, else on
+    the default scenario, after ``edit`` has rewritten the parsed document in
+    place.  Returns the exit code and the output directory."""
     path = str(tmp_path / "input.json")
     argv = ["train", "--policy", "qlearn-lookahead", "--runs", "1"]
-    where, *inner, field = keys
-    if where == "qtable":
+    if qtable:
         with open(os.path.join(GOLDEN_DIR, "ql", "qtable.json")) as handle:
-            doc = section = json.load(handle)
+            doc = json.load(handle)
         argv += ["--qtable", path]
     else:
         doc = default_scenario().to_json_dict()
-        section = doc[where]
         argv += ["--config", path,
                  "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")]
-    for key in inner:
-        section = section[key]
-    section[field] = value
+    edit(doc)
     with open(path, "w") as handle:
         json.dump(doc, handle)
     out = str(tmp_path / "out")
     return run(*argv, "--out", out), out
+
+
+def train_on_edited_input(tmp_path, keys, value):
+    """Run ``train`` on the default scenario, or on the golden lookahead
+    Q-table when ``keys[0]`` is "qtable", with the entry at ``keys`` set to
+    ``value``.  Returns the exit code and the output directory."""
+    where, *inner, field = keys
+
+    def edit(doc):
+        section = doc if where == "qtable" else doc[where]
+        for key in inner:
+            section = section[key]
+        section[field] = value
+
+    return train_on_rewritten_input(tmp_path, where == "qtable", edit)
 
 
 class TestIntegerFields:
@@ -171,6 +182,55 @@ class TestFloatFields:
         code, out = train_on_edited_input(tmp_path, keys, value)
         assert code == 2
         assert f"{name} must be" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestShapeFields:
+    """A list or a section given as a scalar fails at load time, and the
+    message names the field."""
+
+    @pytest.mark.parametrize(
+        "qtable, key, message",
+        [
+            (False, "radar", "radar must be an object"),
+            (False, "hyperparams", "hyperparams must be an object"),
+            (False, "actions_hz", "actions_hz must be a list"),
+            (True, "pred_var_edges", "pred_var_edges must be a list"),
+            (True, "actions_hz", "actions_hz must be a list"),
+        ],
+        ids=["radar", "hyperparams", "actions_hz", "qtable.pred_var_edges",
+             "qtable.actions_hz"],
+    )
+    def test_scalar_rejected(self, capsys, tmp_path, qtable, key, message):
+        code, out = train_on_rewritten_input(
+            tmp_path, qtable, lambda doc: doc.update({key: 5})
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestHyperparamsKeys:
+    """The scenario's hyperparams section holds exactly the five
+    hyperparameters; a stray or missing key names the section and the key."""
+
+    def test_misspelt_key(self, capsys, tmp_path):
+        def rename(doc):
+            doc["hyperparams"]["epsilom"] = doc["hyperparams"].pop("epsilon")
+
+        code, out = train_on_rewritten_input(tmp_path, False, rename)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hyperparams" in err and "'epsilom'" in err and "'epsilon'" in err
+        assert not os.path.exists(out)
+
+    def test_extra_key(self, capsys, tmp_path):
+        code, out = train_on_rewritten_input(
+            tmp_path, False, lambda doc: doc["hyperparams"].update(extra=1)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "hyperparams" in err and "'extra'" in err
         assert not os.path.exists(out)
 
 
