@@ -5,9 +5,10 @@ calibrate, train, evaluate, compare, and trace. Every output file is
 written atomically, and all run-to-run randomness flows from --seed so
 any invocation is reproducible byte for byte.
 
-The truth trajectory is always generated from the scenario's episode
-seed, not from --seed: policies evaluated under different noise seeds
-still fly against the same target.
+Every command that runs episodes generates the truth trajectory from the
+scenario's episode seed, not from --seed: policies evaluated under
+different noise seeds still fly against the same target.  The exception is
+generate-trajectory, whose output is the truth itself: --seed seeds it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .trajectory import generate_trajectory, save_trajectory_csv
 POLICY_NAMES = ("fixed", "scaling", "qlearn", "qlearn-lookahead")
 TRAINABLE_POLICY_NAMES = ("qlearn", "qlearn-lookahead")
 SUMMARY_CSV_HEADER = ["policy", "n_runs", "successful_runs", "mean_windowed_min_mse"]
+SUMMARY_LINE = "{0}: {2}/{1} full tracks, windowed-min MSE {3:.6g} m^2"  # one row, on stdout
 
 
 class UsageError(Exception):
@@ -224,70 +226,58 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
-    policy = _build_policy(args.policy[0], scenario, args.qtable)
-    results, report = evaluate(
-        _truth(scenario),
-        policy,
-        scenario.radar,
-        scenario.process,
-        scenario.episode,
-        n_runs=args.runs,
-        base_seed=_base_seed(args, scenario),
-    )
-    mse = overall_windowed_mse(results)  # before any write: a failure leaves no file
-    metrics_path = _out_path(args, "metrics.csv")
-    histogram_path = _out_path(args, "histogram.csv")
-    histogram = report.histogram
-    save_metrics_csv(report, metrics_path)
-    save_histogram_csv(histogram, histogram_path)
-    print(f"wrote {metrics_path} and {histogram_path}")
-    print(
-        f"{args.policy[0]}: "
-        f"{histogram.full_track_count}/{histogram.n_runs} full tracks, "
-        f"windowed-min MSE {mse:.6g} m^2"
-    )
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+def _score(args: argparse.Namespace, scenario: ScenarioConfig) -> Iterator[tuple]:
+    """Evaluate each --policy on --runs seeded runs, computing every number
+    before anything is written, so a failure leaves no file.  Yields, per
+    policy, the runs, the per-step windowed-min MSE and the summary row:
+    the policy, the runs, the full tracks and the overall windowed-min MSE."""
+    # build every policy first, so a bad spec fails before any run
+    policies = [_build_policy(spec, scenario, args.qtable) for spec in args.policy]
     trajectory = _truth(scenario)
-    base_seed = _base_seed(args, scenario)
-    policies = [
-        (spec, _build_policy(spec, scenario, args.qtable))
-        for spec in args.policy
-    ]
-    # score every policy before writing, so a failure leaves no file behind
-    reports, rows = [], []
-    for spec, policy in policies:
-        results, report = evaluate(
+    for spec, policy in zip(args.policy, policies):
+        results, per_step = evaluate(
             trajectory,
             policy,
             scenario.radar,
             scenario.process,
             scenario.episode,
             n_runs=args.runs,
-            base_seed=base_seed,
+            base_seed=_base_seed(args, scenario),
         )
-        full_tracks = report.histogram.full_track_count
-        rows.append((str(spec), args.runs, full_tracks, overall_windowed_mse(results)))
-        reports.append(report)
-    slugs: dict[str, int] = {}
-    for spec, report in zip(args.policy, reports):
-        slug = _slug(spec)
-        if slug in slugs:
-            slugs[slug] += 1
-            slug = f"{slug}_{slugs[slug]}"
-        else:
-            slugs[slug] = 0
-        save_metrics_csv(report, _out_path(args, f"metrics_{slug}.csv"))
+        full_tracks = sum(result.successful for result in results)
+        row = (str(spec), args.runs, full_tracks, overall_windowed_mse(results))
+        yield results, per_step, row
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args)
+    [(results, per_step, row)] = _score(args, scenario)
+    metrics_path = _out_path(args, "metrics.csv")
+    histogram_path = _out_path(args, "histogram.csv")
+    save_metrics_csv(per_step, metrics_path)
+    save_histogram_csv(results, scenario.episode.n_transmissions, histogram_path)
+    print(f"wrote {metrics_path} and {histogram_path}")
+    print(SUMMARY_LINE.format(*row))
+    return 0
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    scores = [(per_step, row) for _, per_step, row in _score(args, _load_scenario(args))]
+    used: set[str] = set()
+    for spec, (per_step, _) in zip(args.policy, scores):
+        base = slug = _slug(spec)
+        n = 0
+        while slug in used:  # a suffixed slug may itself be another's slug
+            n += 1
+            slug = f"{base}_{n}"
+        used.add(slug)
+        save_metrics_csv(per_step, _out_path(args, f"metrics_{slug}.csv"))
+    rows = [row for _, row in scores]
     summary_path = _out_path(args, "summary.csv")
     write_csv(summary_path, SUMMARY_CSV_HEADER, rows)
     print(f"wrote {summary_path} and {len(rows)} per-policy metrics files")
-    for p, n, s, mse in rows:
-        print(f"  {p}: {s}/{n} full tracks, windowed-min MSE {mse:.6g} m^2")
+    for row in rows:
+        print("  " + SUMMARY_LINE.format(*row))
     return 0
 
 

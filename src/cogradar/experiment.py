@@ -43,8 +43,8 @@ from .tracker import (
 from .trajectory import TruthPoint
 
 DEFAULT_N_TRANSMISSIONS = 160
-DEFAULT_MSE_WINDOW = 3
-DEFAULT_HISTOGRAM_BIN_WIDTH = 20
+MSE_WINDOW = 3  # dwells per windowed-min
+HISTOGRAM_BIN_WIDTH = 20  # dwells per beams-before-loss bin
 DEFAULT_TRAIN_RUNS = 200
 DEFAULT_EVAL_RUNS = 100
 DEFAULT_CALIBRATE_RUNS = 100
@@ -125,27 +125,6 @@ class RunResult:
 
     def squared_errors(self) -> np.ndarray:
         return self.records.range_error_true**2
-
-
-@dataclass(frozen=True)
-class SuccessHistogram:
-    """Counts of beams-before-loss; full tracks get a dedicated final bin."""
-
-    bin_width: int
-    bin_lows: tuple[int, ...]
-    counts: tuple[int, ...]
-    full_track_count: int
-    n_runs: int
-
-    def __post_init__(self) -> None:
-        if sum(self.counts) + self.full_track_count != self.n_runs:
-            raise ValueError("histogram counts must sum to the number of runs")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    mean_windowed_min_mse: np.ndarray  # m^2 per step
-    histogram: SuccessHistogram
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +271,16 @@ def evaluate(
     episode: EpisodeConfig,
     n_runs: int = DEFAULT_EVAL_RUNS,
     base_seed: int = 0,
-) -> tuple[tuple[RunResult, ...], MetricsReport]:
-    """Run n_runs frozen episodes and aggregate the tracking metrics."""
+) -> tuple[tuple[RunResult, ...], np.ndarray]:
+    """Run n_runs frozen episodes; returns them and the per-step mean
+    windowed-min MSE."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     results = tuple(
         seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
         for i in range(n_runs)
     )
-    report = MetricsReport(
-        mean_windowed_min_mse=mean_windowed_mse(results),
-        histogram=success_histogram(
-            results, DEFAULT_HISTOGRAM_BIN_WIDTH, episode.n_transmissions
-        ),
-    )
-    return results, report
+    return results, mean_windowed_mse(results)
 
 
 def calibrate_discretizer(
@@ -335,7 +309,7 @@ def calibrate_discretizer(
 # ---------------------------------------------------------------------------
 
 
-def windowed_min(series: Sequence[float], window: int = DEFAULT_MSE_WINDOW) -> np.ndarray:
+def windowed_min(series: Sequence[float], window: int) -> np.ndarray:
     """Minimum over each full window of ``window`` consecutive values."""
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -345,14 +319,12 @@ def windowed_min(series: Sequence[float], window: int = DEFAULT_MSE_WINDOW) -> n
     return np.lib.stride_tricks.sliding_window_view(arr, window).min(axis=1)
 
 
-def mean_windowed_mse(
-    results: Sequence[RunResult], window: int = DEFAULT_MSE_WINDOW
-) -> np.ndarray:
+def mean_windowed_mse(results: Sequence[RunResult]) -> np.ndarray:
     """Per-step mean of the windowed-min squared range error, averaging only
     over runs still alive at each step."""
     if len(results) == 0:
         raise ValueError("need at least one run")
-    series = [windowed_min(result.squared_errors(), window) for result in results]
+    series = [windowed_min(result.squared_errors(), MSE_WINDOW) for result in results]
     max_len = max(len(s) for s in series)
     if max_len == 0:
         return np.empty(0)
@@ -364,36 +336,25 @@ def mean_windowed_mse(
     return total / alive
 
 
-def overall_windowed_mse(
-    results: Sequence[RunResult], window: int = DEFAULT_MSE_WINDOW
-) -> float:
+def overall_windowed_mse(results: Sequence[RunResult]) -> float:
     """Scalar summary: mean over every windowed-min value of every run."""
     pooled = np.concatenate(
-        [windowed_min(result.squared_errors(), window) for result in results]
+        [windowed_min(result.squared_errors(), MSE_WINDOW) for result in results]
     )
     if pooled.size == 0:
         raise ValueError("no full windows to aggregate")
     return float(pooled.mean())
 
 
-def success_histogram(
-    results: Sequence[RunResult], bin_width: int, n_transmissions: int
-) -> SuccessHistogram:
-    """Histogram of beams-before-loss with a dedicated full-track bin."""
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
-    lost_steps = [r.lost_at for r in results if r.lost_at is not None]
-    n_bins = n_transmissions // bin_width + 1
+def success_histogram(results: Sequence[RunResult], n_transmissions: int) -> list[int]:
+    """Lost runs per bin of beams-before-loss, ``HISTOGRAM_BIN_WIDTH`` dwells
+    wide; a loss on the final transmission counts in the last bin."""
+    n_bins = n_transmissions // HISTOGRAM_BIN_WIDTH + 1
     counts = [0] * n_bins
-    for lost_at in lost_steps:
-        counts[min(lost_at // bin_width, n_bins - 1)] += 1
-    return SuccessHistogram(
-        bin_width=bin_width,
-        bin_lows=tuple(i * bin_width for i in range(n_bins)),
-        counts=tuple(counts),
-        full_track_count=sum(1 for r in results if r.successful),
-        n_runs=len(results),
-    )
+    for result in results:
+        if result.lost_at is not None:
+            counts[min(result.lost_at // HISTOGRAM_BIN_WIDTH, n_bins - 1)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +371,16 @@ def save_run_csv(result: RunResult, path: str) -> None:
     write_csv(path, RUN_CSV_HEADER, rows)
 
 
-def save_metrics_csv(report: MetricsReport, path: str) -> None:
-    write_csv(path, METRICS_CSV_HEADER, enumerate(report.mean_windowed_min_mse))
+def save_metrics_csv(per_step: np.ndarray, path: str) -> None:
+    write_csv(path, METRICS_CSV_HEADER, enumerate(per_step))
 
 
-def save_histogram_csv(histogram: SuccessHistogram, path: str) -> None:
-    rows = [[lo, lo + histogram.bin_width, count]
-            for lo, count in zip(histogram.bin_lows, histogram.counts)]
-    rows.append([FULL_TRACK_LABEL, "", histogram.full_track_count])
+def save_histogram_csv(
+    results: Sequence[RunResult], n_transmissions: int, path: str
+) -> None:
+    """The loss histogram, then the full tracks in a final labelled row."""
+    counts = success_histogram(results, n_transmissions)
+    rows = [[i * HISTOGRAM_BIN_WIDTH, (i + 1) * HISTOGRAM_BIN_WIDTH, count]
+            for i, count in enumerate(counts)]
+    rows.append([FULL_TRACK_LABEL, "", sum(result.successful for result in results)])
     write_csv(path, HISTOGRAM_CSV_HEADER, rows)

@@ -29,6 +29,14 @@ def require_float(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_point(name: str, value) -> None:
+    """Reject all but three finite coordinates, naming the field."""
+    if len(value) != 3:
+        raise ValueError(f"{name} must have 3 coordinates, got {len(value)}")
+    for i, coordinate in enumerate(value):
+        require_float(f"{name}[{i}]", coordinate)
+
+
 def require_list(name: str, value) -> None:
     """Reject all but lists and tuples (a JSON array), naming the field."""
     if not isinstance(value, (list, tuple)):

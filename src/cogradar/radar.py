@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fileio import require_float
+from .fileio import require_float, require_point
 from .trajectory import TruthPoint
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -35,8 +35,7 @@ class RadarConfig:
     max_bw: float = DEFAULT_MAX_BW  # Hz
 
     def __post_init__(self) -> None:
-        for i, coordinate in enumerate(self.position):
-            require_float(f"position[{i}]", coordinate)
+        require_point("position", self.position)
         for f in fields(self):
             if f.name != "position":  # every other field is a float
                 require_float(f.name, getattr(self, f.name))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import require_float, write_csv
+from .fileio import require_float, require_point, write_csv
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -53,8 +53,7 @@ class TrajectoryConfig:
     reentry_altitude: float = 7_000.0  # m, Terminal begins below this on descent
 
     def __post_init__(self) -> None:
-        for i, coordinate in enumerate(self.launch_position):
-            require_float(f"launch_position[{i}]", coordinate)
+        require_point("launch_position", self.launch_position)
         for f in fields(self):
             if f.name != "launch_position":  # every other field is a float
                 require_float(f.name, getattr(self, f.name))

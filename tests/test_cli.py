@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -206,6 +207,27 @@ class TestShapeFields:
             tmp_path, qtable, lambda doc: doc.update({key: 5})
         )
         assert code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestPointFields:
+    """A radar or launch position without exactly three coordinates fails
+    at load time, and the message names the field."""
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("radar", "position"), [14_800.0, -17_600.0]),
+            (("radar", "position"), [14_800.0, -17_600.0, 0.0, 1.0]),
+            (("trajectory", "launch_position"), [0.0, 0.0]),
+        ],
+        ids=["radar.position-2", "radar.position-4", "trajectory.launch_position-2"],
+    )
+    def test_wrong_length_rejected(self, capsys, tmp_path, keys, value):
+        code, out = train_on_edited_input(tmp_path, keys, value)
+        assert code == 2
+        message = f"{keys[-1]} must have 3 coordinates, got {len(value)}"
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
@@ -439,6 +461,27 @@ class TestCompare:
             assert int(fields[1]) == 2
             assert 0 <= int(fields[2]) <= 2
             assert np.isfinite(float(fields[3]))
+
+    def test_suffixed_slug_does_not_overwrite(self, capsys, tmp_path):
+        """The second q.json is suffixed to qlearn_q_1, which is also the
+        third table's own slug; each policy still gets its own file."""
+        specs = []
+        for name in ("a/q.json", "b/q.json", "c/q_1.json"):
+            path = tmp_path / name
+            path.parent.mkdir()
+            shutil.copy(os.path.join(GOLDEN_DIR, "q", "qtable.json"), path)
+            specs.append(f"qlearn:{path}")
+        out = str(tmp_path / "cmp")
+        code = run("compare", "--policy", ",".join(specs), "--runs", "2", *FAST,
+                   "--out", out)
+        assert code == 0
+        assert "3 per-policy metrics files" in capsys.readouterr().out
+        assert sorted(os.listdir(out)) == [
+            "metrics_qlearn_q.csv",
+            "metrics_qlearn_q_1.csv",
+            "metrics_qlearn_q_1_1.csv",
+            "summary.csv",
+        ]
 
     def test_empty_policy_list_is_usage_error(self, capsys):
         assert run("compare", "--policy", ",") == 1

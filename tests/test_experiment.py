@@ -10,9 +10,7 @@ from cogradar import experiment
 from cogradar.experiment import (
     RECORD_DTYPE,
     EpisodeConfig,
-    MetricsReport,
     RunResult,
-    SuccessHistogram,
     calibrate_discretizer,
     evaluate,
     mean_windowed_mse,
@@ -184,10 +182,6 @@ class TestMeanWindowedMse:
         assert out[:3] == pytest.approx([(4.0 + 16.0) / 2.0] * 3)
         assert out[3:] == pytest.approx([4.0] * 3)
 
-    def test_window_one_equals_raw_series(self):
-        run = fake_run([1.0, 2.0, 3.0])
-        assert mean_windowed_mse([run], window=1) == pytest.approx([1.0, 4.0, 9.0])
-
     def test_overall_scalar(self):
         runs = [fake_run([2.0] * 6), fake_run([4.0] * 6)]
         assert overall_windowed_mse(runs) == pytest.approx(10.0)
@@ -200,16 +194,15 @@ class TestMeanWindowedMse:
 class TestSuccessHistogram:
     def test_all_successful(self):
         runs = [fake_run([1.0] * 160) for _ in range(10)]
-        hist = success_histogram(runs, 20, n_transmissions=160)
-        assert hist.full_track_count == 10
-        assert sum(hist.counts) == 0
+        counts = success_histogram(runs, n_transmissions=160)
+        assert len(counts) == 9
+        assert sum(counts) == 0
 
     def test_lost_at_twelve(self):
         runs = [fake_run([1.0] * 12, lost=True)]
-        hist = success_histogram(runs, 20, n_transmissions=160)
-        assert hist.counts[0] == 1
-        assert hist.bin_lows[0] == 0
-        assert hist.full_track_count == 0
+        counts = success_histogram(runs, n_transmissions=160)
+        assert counts[0] == 1
+        assert sum(counts) == 1
 
     def test_counts_conserved(self):
         runs = [
@@ -218,20 +211,10 @@ class TestSuccessHistogram:
             fake_run([1.0] * 160),
             fake_run([1.0] * 160, lost=True),
         ]
-        hist = success_histogram(runs, 20, n_transmissions=160)
-        assert sum(hist.counts) + hist.full_track_count == 4
-        assert hist.counts[77 // 20] >= 1
-        assert hist.counts[-1] == 1  # loss on the final transmission
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SuccessHistogram(
-                bin_width=20,
-                bin_lows=(0,),
-                counts=(1,),
-                full_track_count=1,
-                n_runs=1,
-            )
+        counts = success_histogram(runs, n_transmissions=160)
+        assert sum(counts) + sum(run.successful for run in runs) == 4
+        assert counts[77 // 20] >= 1
+        assert counts[-1] == 1  # loss on the final transmission
 
 
 class TestRunEpisode:
@@ -523,7 +506,7 @@ class TestTrainQlearning:
 
 class TestEvaluate:
     def test_aggregates_all_runs(self):
-        results, report = evaluate(
+        results, per_step = evaluate(
             stationary_trajectory(161),
             FixedPolicy(1e6),
             moderate_radar(),
@@ -533,11 +516,10 @@ class TestEvaluate:
             base_seed=0,
         )
         assert len(results) == 8
-        assert report.histogram.n_runs == 8
-        assert sum(report.histogram.counts) + report.histogram.full_track_count == 8
+        assert per_step == pytest.approx(mean_windowed_mse(results))
 
     def test_single_run_report_matches_run(self):
-        results, report = evaluate(
+        results, per_step = evaluate(
             stationary_trajectory(161),
             FixedPolicy(1e6),
             moderate_radar(),
@@ -546,7 +528,7 @@ class TestEvaluate:
             n_runs=1,
             base_seed=3,
         )
-        assert report.mean_windowed_min_mse == pytest.approx(
+        assert per_step == pytest.approx(
             windowed_min(results[0].squared_errors(), 3)
         )
 
@@ -576,12 +558,10 @@ class TestEvaluate:
                 base_seed=9,
             )
 
-        first_results, first_report = once()
-        second_results, second_report = once()
+        first_results, first_per_step = once()
+        second_results, second_per_step = once()
         assert all(map(same_run, first_results, second_results))
-        assert first_report.mean_windowed_min_mse == pytest.approx(
-            second_report.mean_windowed_min_mse, abs=0.0
-        )
+        assert first_per_step == pytest.approx(second_per_step, abs=0.0)
 
 
 class TestCalibrateDiscretizer:
@@ -655,7 +635,7 @@ class TestCsvExport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_metrics_csv(self, tmp_path):
-        _, report = evaluate(
+        _, per_step = evaluate(
             stationary_trajectory(161),
             FixedPolicy(1e6),
             moderate_radar(),
@@ -664,26 +644,23 @@ class TestCsvExport:
             n_runs=3,
         )
         path = tmp_path / "metrics.csv"
-        save_metrics_csv(report, str(path))
+        save_metrics_csv(per_step, str(path))
         with open(path) as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == len(report.mean_windowed_min_mse)
+        assert len(rows) == len(per_step)
         for i, row in enumerate(rows):
             assert int(row["step"]) == i
-            assert float(row["mean_windowed_min_mse"]) == (
-                report.mean_windowed_min_mse[i]
-            )
+            assert float(row["mean_windowed_min_mse"]) == per_step[i]
 
     def test_histogram_csv_final_row_labeled(self, tmp_path):
         runs = [fake_run([1.0] * 12, lost=True), fake_run([1.0] * 160)]
-        hist = success_histogram(runs, 20, n_transmissions=160)
         path = tmp_path / "hist.csv"
-        save_histogram_csv(hist, str(path))
+        save_histogram_csv(runs, 160, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert lines[1] == "0,20,1"
         assert lines[-1] == "full_track,,1"
-        assert len(lines) == 2 + len(hist.counts)
+        assert len(lines) == 2 + len(success_histogram(runs, 160))
 
     def test_no_stray_tmp_files(self, tmp_path):
         path = tmp_path / "run.csv"
@@ -704,12 +681,3 @@ class TestConfigValidation:
     def test_run_result_invariant(self):
         with pytest.raises(ValueError):
             RunResult(records=fake_run([]).records, lost_at=3)
-
-    def test_metrics_report_histogram_counts_full_tracks(self):
-        runs = [fake_run([1.0] * 10)]
-        report = MetricsReport(
-            mean_windowed_min_mse=mean_windowed_mse(runs),
-            histogram=success_histogram(runs, 20, 10),
-        )
-        assert report.histogram.full_track_count == 1
-        assert report.histogram.n_runs == 1

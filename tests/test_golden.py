@@ -12,6 +12,7 @@ After an intended change to the outputs, regenerate with
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import re
@@ -81,6 +82,15 @@ def test_quickstart_outputs_match_golden(tmp_path):
         with open(tmp_path / name, newline="") as handle:
             actual = handle.read()
         assert_matches(expected, actual, name)
+    # evaluate and compare score one policy on the same seeds alike
+    assert (tmp_path / "eval" / "metrics.csv").read_bytes() == (
+        tmp_path / "cmp" / "metrics_qlearn_qtable.csv"
+    ).read_bytes()
+    with open(tmp_path / "cmp" / "summary.csv", newline="") as handle:
+        summary = {row["policy"]: row for row in csv.DictReader(handle)}
+    with open(tmp_path / "eval" / "histogram.csv", newline="") as handle:
+        histogram = {row["bin_lo"]: row["count"] for row in csv.DictReader(handle)}
+    assert summary["qlearn:q/qtable.json"]["successful_runs"] == histogram["full_track"]
 
 
 def test_number_comparison():
