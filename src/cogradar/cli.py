@@ -2,8 +2,9 @@
 
 Subcommands cover the full experiment lifecycle: generate-trajectory,
 calibrate, train, evaluate, compare, and trace. Every output file is
-written atomically, and all run-to-run randomness flows from --seed so
-any invocation is reproducible byte for byte.
+written atomically.  Every episode is a run of ``experiment.seeded_run``
+seeded from --seed, so any invocation is reproducible byte for byte, a trace
+is run 0 of an evaluate at the same --seed, and a failed run names its seed.
 
 Every command that runs episodes generates the truth trajectory from the
 scenario's episode seed, not from --seed: policies evaluated under
@@ -20,20 +21,15 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .config import ScenarioConfig, default_scenario
 from .experiment import (
-    DEFAULT_CALIBRATE_RUNS,
-    DEFAULT_EVAL_RUNS,
-    DEFAULT_TRAIN_RUNS,
     calibrate_discretizer,
     evaluate,
     overall_windowed_mse,
-    run_episode,
     save_histogram_csv,
     save_metrics_csv,
     save_run_csv,
+    seeded_run,
     train_qlearning,
 )
 from .fileio import write_csv
@@ -51,6 +47,9 @@ POLICY_NAMES = ("fixed", "scaling", "qlearn", "qlearn-lookahead")
 TRAINABLE_POLICY_NAMES = ("qlearn", "qlearn-lookahead")
 SUMMARY_CSV_HEADER = ["policy", "n_runs", "successful_runs", "mean_windowed_min_mse"]
 SUMMARY_LINE = "{0}: {2}/{1} full tracks, windowed-min MSE {3:.6g} m^2"  # one row, on stdout
+DEFAULT_TRAIN_RUNS = 200
+DEFAULT_EVAL_RUNS = 100
+DEFAULT_CALIBRATE_RUNS = 100
 
 
 class UsageError(Exception):
@@ -90,6 +89,8 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _base_seed(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return args.seed if args.seed is not None else scenario.episode.seed
 
 
@@ -97,13 +98,18 @@ def _truth(scenario: ScenarioConfig):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
-def _load_table(path: str, scenario: ScenarioConfig) -> QTable:
-    """Load a Q-table whose action menu matches the scenario's."""
+def _load_table(path: str, scenario: ScenarioConfig, name: str) -> QTable:
+    """Load a Q-table that fits the scenario's actions and the policy's depth."""
     table = QTable.load(path)
     if table.actions != scenario.actions:
         raise ValueError(
             f"Q-table {path}: actions_hz {list(table.actions.bandwidths)} differ "
             f"from the scenario's actions_hz {list(scenario.actions.bandwidths)}"
+        )
+    if (table.hyperparams.L > 1) != (name == "qlearn-lookahead"):
+        raise UsageError(
+            f"Q-table {path} has L={table.hyperparams.L}, which does not fit "
+            f"--policy {name} (qlearn needs L = 1, qlearn-lookahead L > 1)"
         )
     return table
 
@@ -132,7 +138,7 @@ def _build_policy(
         raise UsageError(f"{spec.name} needs a Q-table: {spec.name}:PATH or --qtable PATH")
     if not os.path.isfile(path):
         raise FileNotFoundError(f"Q-table file not found: {path}")
-    return QLearningPolicy(_load_table(path, scenario), epsilon=0.0)
+    return QLearningPolicy(_load_table(path, scenario, spec.name), epsilon=0.0)
 
 
 def _slug(spec: PolicySpec) -> str:
@@ -188,13 +194,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     trajectory = _truth(scenario)
     base_seed = _base_seed(args, scenario)
     if args.qtable is not None:
-        table = _load_table(args.qtable, scenario)
-        L = table.hyperparams.L
-        if (L > 1) != (spec.name == "qlearn-lookahead"):
-            raise UsageError(
-                f"Q-table {args.qtable} has L={L}, which does not fit "
-                f"--policy {spec.name} (qlearn needs L = 1, qlearn-lookahead L > 1)"
-            )
+        if args.edges is not None:
+            raise UsageError("--edges with --qtable: a warm start keeps the table's edges")
+        table = _load_table(args.qtable, scenario, spec.name)
     else:
         if args.edges is not None:
             discretizer = Discretizer.load(args.edges)
@@ -205,6 +207,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 scenario.radar,
                 scenario.process,
                 scenario.episode,
+                n_runs=DEFAULT_CALIBRATE_RUNS,
                 base_seed=base_seed + 1_000_000,
                 actions=scenario.actions,
             )
@@ -284,18 +287,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     policy = _build_policy(args.policy[0], scenario, args.qtable)
-    result = run_episode(
+    result = seeded_run(
+        0,
+        _base_seed(args, scenario),
         _truth(scenario),
         policy,
         scenario.radar,
         scenario.process,
         scenario.episode,
-        rng=np.random.default_rng(_base_seed(args, scenario)),
-        learning=False,
-        reward_clip=scenario.hyperparams.C,
     )
     path = _out_path(args, "trace.csv")
-    save_run_csv(result, path)
+    save_run_csv(result, scenario.hyperparams.C, path)
     status = "full track" if result.successful else f"lost at step {result.lost_at}"
     print(f"wrote {path} ({len(result.records)} steps, {status})")
     return 0

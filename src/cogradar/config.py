@@ -85,6 +85,9 @@ class ScenarioConfig:
         require_list("radar.position", radar["position"])
         radar["position"] = tuple(radar["position"])
         require_object("process.accel_noise_std", data["process"]["accel_noise_std"])
+        for name in data["process"]["accel_noise_std"]:
+            if name not in {phase.value for phase in Phase}:
+                raise ValueError(f"process.accel_noise_std: unknown phase {name!r}")
         noise = {Phase(name): std for name, std in data["process"]["accel_noise_std"].items()}
         hyper = data["hyperparams"]
         names = [f.name for f in dataclasses.fields(Hyperparams)]

@@ -8,7 +8,7 @@ decision loop.  Episodes stop early when the gate misses ``miss_limit`` times
 in a row.
 
 Reproducibility contract: every random draw flows from the episode rng, and
-campaigns seed run i with base_seed + i, so any run can be replayed alone.
+``seeded_run`` seeds run i with base_seed + i, so any run replays alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .fileio import require_float, require_int, write_csv
 from .policy import (
-    DEFAULT_REWARD_CLIP,
     ActionSet,
     FixedPolicy,
     Discretizer,
@@ -45,9 +44,6 @@ from .trajectory import TruthPoint
 DEFAULT_N_TRANSMISSIONS = 160
 MSE_WINDOW = 3  # dwells per windowed-min
 HISTOGRAM_BIN_WIDTH = 20  # dwells per beams-before-loss bin
-DEFAULT_TRAIN_RUNS = 200
-DEFAULT_EVAL_RUNS = 100
-DEFAULT_CALIBRATE_RUNS = 100
 
 RUN_CSV_HEADER = [
     "step",
@@ -56,7 +52,7 @@ RUN_CSV_HEADER = [
     "innovation_m",
     "window_m",
     "correlated",
-    "reward",
+    "reward",  # what a learner clipping at the scenario's C receives
     "state",
     "action",
 ]
@@ -72,7 +68,6 @@ RECORD_DTYPE = np.dtype(
         ("range_innovation", "f8"),  # m
         ("range_window", "f8"),  # m
         ("correlated", "?"),
-        ("reward", "f8"),
         ("state_index", "i8"),  # -1 for non-tabular policies
         ("action_index", "i8"),
         ("pred_var", "f8"),  # m^2, range-projected prior variance
@@ -101,6 +96,8 @@ class EpisodeConfig:
             raise ValueError("n_transmissions must be > 0")
         if self.miss_limit < 1:
             raise ValueError("miss_limit must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.initial_bandwidth is not None:
             require_float("initial_bandwidth", self.initial_bandwidth)
             if self.initial_bandwidth <= 0.0:
@@ -143,25 +140,22 @@ def run_episode(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     learning: bool = False,
-    reward_clip: float = DEFAULT_REWARD_CLIP,
 ) -> RunResult:
     """Run one tracking episode; returns a record per transmission.
 
     Sample 0 initializes the track; samples 1..n_transmissions are the
     decision loop.  The policy sees only quantities computable before its
     transmission: the range-projected prior variance, the previous waveform's
-    range noise variance, and the previous gate outcome.  Rewards are
-    clipped at ``reward_clip`` (C).
+    range noise variance, and the previous gate outcome.  When
+    ``learning``, the policy learns from each dwell's range error and loss.
     """
     if len(trajectory) < episode.n_transmissions + 1:
         raise ValueError(
             "trajectory too short: need n_transmissions + 1 = "
             f"{episode.n_transmissions + 1} samples, have {len(trajectory)}"
         )
-    if rng is None:
-        rng = np.random.default_rng(episode.seed)
     policy.reset()
 
     init_bw = (
@@ -201,9 +195,8 @@ def run_episode(
 
         range_error = abs(_distance(x[:3].tolist(), radar_position)
                           - _distance(truth.position.tolist(), radar_position))
-        score = reward(range_error, lost, reward_clip)
         if learning:
-            policy.learn(score)
+            policy.learn(range_error, lost)
 
         last_meas_var = float(r[0])
         last_correlated = decision.correlated
@@ -213,7 +206,6 @@ def run_episode(
             decision.range_innovation,
             decision.range_window,
             decision.correlated,
-            score,
             -1 if policy.last_state is None else policy.last_state,
             -1 if policy.last_action is None else policy.last_action,
             pred_var,
@@ -248,8 +240,8 @@ def train_qlearning(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    n_runs: int = DEFAULT_TRAIN_RUNS,
-    base_seed: int = 0,
+    n_runs: int,
+    base_seed: int,
 ) -> QTable:
     """Update the table over n_runs epsilon-greedy episodes."""
     if n_runs < 0:
@@ -257,8 +249,7 @@ def train_qlearning(
     policy = QLearningPolicy(table)
     for i in range(n_runs):
         seeded_run(
-            i, base_seed, trajectory, policy, radar, process, episode,
-            learning=True, reward_clip=table.hyperparams.C,
+            i, base_seed, trajectory, policy, radar, process, episode, learning=True
         )
     return table
 
@@ -269,8 +260,8 @@ def evaluate(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    n_runs: int = DEFAULT_EVAL_RUNS,
-    base_seed: int = 0,
+    n_runs: int,
+    base_seed: int,
 ) -> tuple[tuple[RunResult, ...], np.ndarray]:
     """Run n_runs frozen episodes; returns them and the per-step mean
     windowed-min MSE."""
@@ -288,13 +279,12 @@ def calibrate_discretizer(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    n_runs: int = DEFAULT_CALIBRATE_RUNS,
-    base_seed: int = 0,
-    actions: Optional[ActionSet] = None,
+    n_runs: int,
+    base_seed: int,
+    actions: ActionSet,
 ) -> Discretizer:
     """Pilot campaign for bin edges: fixed-bandwidth episodes cycling through
     the action menu, pooling the variances the policies will later see."""
-    actions = actions if actions is not None else ActionSet()
     pooled = [np.zeros(0, dtype=RECORD_DTYPE)]  # zero runs pool zero samples
     for i in range(n_runs):
         policy = FixedPolicy(actions[i % len(actions)], radar.min_bw, radar.max_bw)
@@ -362,11 +352,12 @@ def success_histogram(results: Sequence[RunResult], n_transmissions: int) -> lis
 # ---------------------------------------------------------------------------
 
 
-def save_run_csv(result: RunResult, path: str) -> None:
+def save_run_csv(result: RunResult, C: float, path: str) -> None:
     rows = []
     for step, row in enumerate(result.records.tolist()):
-        bw, err, innov, window, correlated, r, state, action = row[:8]
-        rows.append([step, bw, err, innov, window, int(correlated), r,
+        bw, err, innov, window, correlated, state, action = row[:7]
+        rows.append([step, bw, err, innov, window, int(correlated),
+                     reward(err, step + 1 == result.lost_at, C),
                      "" if state < 0 else state, "" if action < 0 else action])
     write_csv(path, RUN_CSV_HEADER, rows)
 

@@ -362,8 +362,8 @@ class Policy(ABC):
     def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
         """Pick the bandwidth for the next transmission."""
 
-    def learn(self, r: float) -> None:
-        """Consume the reward observed after the last choice; default no-op."""
+    def learn(self, range_error: float, lost: bool) -> None:
+        """Learn from the last choice's range error and loss; a no-op here."""
 
 
 class FixedPolicy(Policy):
@@ -450,13 +450,14 @@ class QLearningPolicy(Policy):
         self._pending = (s, a)
         return self.table.actions[a]
 
-    def learn(self, r: float) -> None:
-        """Reward observed after the last choice backs up the buffered pairs
-        with a bootstrap from the state that choice acted on."""
+    def learn(self, range_error: float, lost: bool) -> None:
+        """The last choice's reward, clipped at the table's C, backs up the
+        buffered pairs with a bootstrap from the state that choice acted on."""
         if self._pending is None:
             raise ValueError("learn called before choose")
         s_now, _ = self._pending
         if self._pairs:
+            r = reward(range_error, lost, self.table.hyperparams.C)
             lookahead_update(self.table, self._pairs, r, s_now)
         # appendleft on a full deque drops the oldest pair from the right
         self._pairs.appendleft(self._pending)

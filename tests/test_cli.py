@@ -11,8 +11,10 @@ import pytest
 from cogradar import experiment
 from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
-from cogradar.policy import ActionSet, Discretizer, QTable
+from cogradar.experiment import evaluate, save_run_csv
+from cogradar.policy import ActionSet, BandwidthScalingPolicy, Discretizer, QTable
 from cogradar.tracker import DegenerateInnovationError
+from cogradar.trajectory import generate_trajectory
 from trajectory_readers import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
@@ -211,6 +213,44 @@ class TestShapeFields:
         assert not os.path.exists(out)
 
 
+class TestPhaseNames:
+    def test_unknown_phase_rejected(self, capsys, tmp_path):
+        code, out = train_on_rewritten_input(
+            tmp_path, False,
+            lambda doc: doc["process"]["accel_noise_std"].update(boost2=1.0),
+        )
+        assert code == 2
+        assert "process.accel_noise_std: unknown phase 'boost2'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestNegativeSeeds:
+    """A negative seed fails before any run or write, naming the field."""
+
+    def test_scenario_seed(self, capsys, tmp_path):
+        code, out = train_on_edited_input(tmp_path, ("episode", "seed"), -1)
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate-trajectory"],
+        ["calibrate", "--runs", "2"],
+        ["train", "--runs", "1"],
+        ["evaluate", "--policy", "fixed:1e6", "--runs", "2"],
+        ["compare", "--policy", "fixed:1e6,scaling", "--runs", "2"],
+        ["trace", "--policy", "scaling"],
+    ])
+    def test_seed_flag(self, capsys, tmp_path, monkeypatch, argv):
+        runs = []
+        monkeypatch.setattr(experiment, "run_episode", lambda *a, **k: runs.append(a))
+        out = str(tmp_path / "out")
+        assert run(*argv, "--seed", "-4", *FAST, "--out", out) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert runs == []
+        assert not os.path.exists(out)
+
+
 class TestPointFields:
     """A radar or launch position without exactly three coordinates fails
     at load time, and the message names the field."""
@@ -353,6 +393,39 @@ class TestCalibrateAndTrain:
         assert "L" in err and path in err and policy in err
         assert not os.path.exists(out)
 
+    def test_warm_start_rejects_edges(self, capsys, tmp_path, edges_file):
+        """A warm start keeps the table's own edges, so --edges is an error."""
+        out = str(tmp_path / "out")
+        code = run(
+            "train", "--qtable", os.path.join(GOLDEN_DIR, "q", "qtable.json"),
+            "--edges", edges_file, "--runs", "1", *FAST, "--out", out,
+        )
+        assert code == 1
+        assert "warm start keeps the table's edges" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestTableDepth:
+    """Every command that loads a Q-table checks its depth L against the
+    policy name: L == 1 for qlearn, L > 1 for qlearn-lookahead."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--runs", "1", "--policy", "qlearn-lookahead:{q}"],
+        ["evaluate", "--runs", "1", "--policy", "qlearn:{ql}"],
+        ["compare", "--runs", "1", "--policy", "fixed:1e6,qlearn-lookahead:{q}"],
+        ["compare", "--runs", "1", "--policy", "qlearn:{q},qlearn:{ql}"],
+        ["trace", "--policy", "qlearn-lookahead:{q}"],
+        ["trace", "--policy", "qlearn:{ql}"],
+    ])
+    def test_other_depth_rejected(self, capsys, tmp_path, argv):
+        q, ql = (os.path.join(GOLDEN_DIR, name, "qtable.json") for name in ("q", "ql"))
+        out = str(tmp_path / "out")
+        argv = [arg.format(q=q, ql=ql) for arg in argv]
+        assert run(*argv, *FAST, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "L=" in err and "does not fit" in err
+        assert not os.path.exists(out)
+
 
 class TestEvaluate:
     def test_byte_identical_outputs(self, capsys, tmp_path):
@@ -411,6 +484,18 @@ class TestFailedRun:
         err = capsys.readouterr().err
         assert "run 2 (seed 1002): degenerate innovation covariance" in err
         assert len(runs) == 3
+
+    def test_failed_trace_names_run_and_seed(self, capsys, tmp_path, monkeypatch):
+        def failing_update(*args):
+            raise DegenerateInnovationError("degenerate innovation covariance")
+
+        monkeypatch.setattr(experiment, "update", failing_update)
+        out = str(tmp_path / "out")
+        code = run("trace", "--policy", "scaling", "--seed", "1000", *FAST, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "run 0 (seed 1000): degenerate innovation covariance" in err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command, policy", [
         ("evaluate", "fixed:1e6"),
@@ -517,6 +602,26 @@ class TestTrace:
         assert len(rows) == 1 + 145  # the track is lost at step 145
         assert last["correlated"] == "0"
         assert float(last["reward"]) == -0.5
+
+    def test_trace_is_run_zero_of_evaluate(self, capsys, tmp_path):
+        """trace --seed 7 writes the bytes that save_run_csv writes for run 0
+        of a one-run evaluate at base seed 7, at the scenario's C."""
+        out = str(tmp_path / "out")
+        assert run("trace", "--policy", "scaling", "--seed", "7", "--out", out) == 0
+        scenario = default_scenario()
+        radar = scenario.radar
+        [result], _ = evaluate(
+            generate_trajectory(scenario.trajectory, seed=scenario.episode.seed),
+            BandwidthScalingPolicy(radar.min_bw, radar.max_bw),
+            radar,
+            scenario.process,
+            scenario.episode,
+            n_runs=1,
+            base_seed=7,
+        )
+        path = str(tmp_path / "run0.csv")
+        save_run_csv(result, scenario.hyperparams.C, path)
+        assert read(os.path.join(out, "trace.csv")) == read(path)
 
 
 class TestOutputFiles:

@@ -24,12 +24,14 @@ from cogradar.experiment import (
     windowed_min,
 )
 from cogradar.policy import (
+    ActionSet,
     BandwidthScalingPolicy,
     Discretizer,
     FixedPolicy,
     Hyperparams,
     QLearningPolicy,
     QTable,
+    reward,
 )
 from cogradar.radar import RadarConfig
 from cogradar.tracker import GateResult, ProcessModel
@@ -275,13 +277,6 @@ class TestRunEpisode:
         two = run_episode(*args, EpisodeConfig(), np.random.default_rng(7))
         assert same_run(one, two)
 
-    def test_rng_defaults_to_episode_seed(self):
-        trajectory = stationary_trajectory(161)
-        args = (trajectory, FixedPolicy(2.5e6), moderate_radar(), quiet_process())
-        implicit = run_episode(*args, EpisodeConfig(seed=11))
-        explicit = run_episode(*args, EpisodeConfig(seed=11), np.random.default_rng(11))
-        assert same_run(implicit, explicit)
-
     def test_causality_prefix_replay(self):
         trajectory = stationary_trajectory(161)
         table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.3))
@@ -374,7 +369,7 @@ class TestRunEpisode:
         assert all(0 <= rec.action_index < 6 for rec in result.records)
 
 
-def run_scripted(hits, miss_limit=5, reward_clip=2.0):
+def run_scripted(hits, miss_limit=5):
     """Run an episode whose gate answers from ``hits`` in order: True is a
     hit, False a miss.  Everything else in the loop runs for real."""
     answers = iter(hits)
@@ -393,7 +388,6 @@ def run_scripted(hits, miss_limit=5, reward_clip=2.0):
             quiet_process(),
             EpisodeConfig(n_transmissions=len(hits), miss_limit=miss_limit),
             np.random.default_rng(0),
-            reward_clip=reward_clip,
         )
 
 
@@ -417,8 +411,6 @@ class TestMissCounter:
         result = run_scripted([True] * 3 + [False] * 5 + [True] * 5)
         assert result.lost_at == 8
         assert len(result.records) == 8
-        assert result.records.reward[-1] == -2.0
-        assert np.all(result.records.reward[:-1] > -2.0)
 
     def test_five_misses_from_fresh(self):
         result = run_scripted([False] * 10)
@@ -435,10 +427,6 @@ class TestMissCounter:
         result = run_scripted([i % 2 == 0 for i in range(200)])
         assert result.successful
         assert len(result.records) == 200
-
-    def test_loss_reward_is_minus_reward_clip(self):
-        result = run_scripted([False] * 5, reward_clip=0.5)
-        assert result.records.reward[-1] == -0.5
 
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
     def test_loss_matches_reference_scan(self, hits):
@@ -468,6 +456,7 @@ class TestTrainQlearning:
             quiet_process(),
             EpisodeConfig(),
             n_runs=0,
+            base_seed=0,
         )
         assert out is table
         assert np.array_equal(table.values, before)
@@ -543,6 +532,7 @@ class TestEvaluate:
             quiet_process(),
             EpisodeConfig(),
             n_runs=4,
+            base_seed=0,
         )
         assert np.array_equal(table.values, before)
 
@@ -573,6 +563,7 @@ class TestCalibrateDiscretizer:
             EpisodeConfig(),
             n_runs=12,
             base_seed=0,
+            actions=ActionSet(),
         )
         assert len(d.pred_var_edges) == 9
         assert len(d.meas_var_edges) == 7
@@ -584,8 +575,9 @@ class TestCalibrateDiscretizer:
             quiet_process(),
             EpisodeConfig(),
         )
-        assert calibrate_discretizer(*args, n_runs=6) == calibrate_discretizer(
-            *args, n_runs=6
+        kwargs = dict(n_runs=6, base_seed=0, actions=ActionSet())
+        assert calibrate_discretizer(*args, **kwargs) == calibrate_discretizer(
+            *args, **kwargs
         )
 
 
@@ -603,7 +595,7 @@ class TestCsvExport:
     def test_run_csv_round_trips_floats(self, tmp_path):
         result = self.make_result()
         path = tmp_path / "run.csv"
-        save_run_csv(result, str(path))
+        save_run_csv(result, 2.0, str(path))
         with open(path) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(result.records)
@@ -614,13 +606,13 @@ class TestCsvExport:
             assert float(row["innovation_m"]) == rec.range_innovation
             assert float(row["window_m"]) == rec.range_window
             assert int(row["correlated"]) == int(rec.correlated)
-            assert float(row["reward"]) == rec.reward
+            assert float(row["reward"]) == reward(rec.range_error_true, False, 2.0)
             assert row["state"] == ""
             assert row["action"] == ""
 
     def test_run_csv_header(self, tmp_path):
         path = tmp_path / "run.csv"
-        save_run_csv(self.make_result(), str(path))
+        save_run_csv(self.make_result(), 2.0, str(path))
         first = path.read_text().splitlines()[0]
         assert first == (
             "step,bandwidth_hz,range_error_m,innovation_m,window_m,"
@@ -630,9 +622,21 @@ class TestCsvExport:
     def test_byte_identical_rewrites(self, tmp_path):
         result = self.make_result()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_run_csv(result, str(a))
-        save_run_csv(result, str(b))
+        save_run_csv(result, 2.0, str(a))
+        save_run_csv(result, 2.0, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_loss_reward_is_minus_C(self, tmp_path):
+        """Only the loss row, the last, reads -C; C is the writer's argument."""
+        result = run_scripted([True] * 3 + [False] * 5 + [True] * 5)
+        for C in (2.0, 0.5):
+            path = tmp_path / "run.csv"
+            save_run_csv(result, C, str(path))
+            with open(path) as handle:
+                rewards = [float(row["reward"]) for row in csv.DictReader(handle)]
+            assert len(rewards) == 8
+            assert rewards[-1] == -C
+            assert all(r > -C for r in rewards[:-1])
 
     def test_metrics_csv(self, tmp_path):
         _, per_step = evaluate(
@@ -642,6 +646,7 @@ class TestCsvExport:
             quiet_process(),
             EpisodeConfig(),
             n_runs=3,
+            base_seed=0,
         )
         path = tmp_path / "metrics.csv"
         save_metrics_csv(per_step, str(path))
@@ -664,8 +669,8 @@ class TestCsvExport:
 
     def test_no_stray_tmp_files(self, tmp_path):
         path = tmp_path / "run.csv"
-        save_run_csv(self.make_result(), str(path))
-        save_run_csv(self.make_result(), str(path))
+        save_run_csv(self.make_result(), 2.0, str(path))
+        save_run_csv(self.make_result(), 2.0, str(path))
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
@@ -677,6 +682,10 @@ class TestConfigValidation:
             EpisodeConfig(miss_limit=0)
         with pytest.raises(ValueError):
             EpisodeConfig(initial_bandwidth=0.0)
+
+    def test_episode_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            EpisodeConfig(seed=-1)
 
     def test_run_result_invariant(self):
         with pytest.raises(ValueError):

@@ -281,12 +281,12 @@ class TestLookaheadUpdate:
         table = make_table(L=2)
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
-        for pred, meas, r in [(0.5, 0.5, -0.5), (3.5, 2.5, -1.0), (9.5, 0.5, -2.0)]:
+        for pred, meas, error in [(0.5, 0.5, 500.0), (3.5, 2.5, 1000.0), (9.5, 0.5, 2000.0)]:
             policy.choose(ctx(pred=pred, meas=meas), rng)  # s = 0, 26, 72
-            policy.learn(r)
+            policy.learn(error, False)
         before = table.values.copy()
         policy.choose(ctx(pred=5.5, meas=0.5), rng)  # s = 40
-        policy.learn(-1.0)
+        policy.learn(1000.0, False)
         changed = {tuple(i) for i in np.argwhere(table.values != before)}
         assert changed == {(72, 0), (26, 0)}
 
@@ -406,7 +406,7 @@ class TestFixedPolicy:
 
     def test_learn_is_noop(self):
         policy = FixedPolicy(5e6)
-        policy.learn(-1.0)
+        policy.learn(1000.0, False)
 
 
 class TestBandwidthScalingPolicy:
@@ -445,7 +445,7 @@ class TestQLearningPolicy:
         table = make_table()
         policy = QLearningPolicy(table, epsilon=0.0)
         policy.choose(ctx(), np.random.default_rng(0))
-        policy.learn(-0.5)
+        policy.learn(500.0, False)
         assert np.count_nonzero(table.values) == 0
 
     def test_second_learn_updates_previous_pair(self):
@@ -453,10 +453,10 @@ class TestQLearningPolicy:
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
         policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
-        policy.learn(-0.5)
+        policy.learn(500.0, False)
         policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s = 26
         assert (policy.last_state, policy.last_action) == (26, 0)
-        policy.learn(-1.0)
+        policy.learn(1000.0, False)
         # Q[0, 0] = 0.1 * (-1 + 0.9 * max Q[26, :]) = -0.1
         assert table.values[0, 0] == pytest.approx(-0.1, abs=1e-15)
         assert np.count_nonzero(table.values) == 1
@@ -466,11 +466,11 @@ class TestQLearningPolicy:
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
         policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s0 = 0
-        policy.learn(-0.5)
+        policy.learn(500.0, False)
         policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s1 = 26
-        policy.learn(-1.0)  # updates (0, 0) only
+        policy.learn(1000.0, False)  # updates (0, 0) only
         policy.choose(ctx(pred=9.5, meas=0.5), rng)  # s2 = 72
-        policy.learn(-2.0)  # updates (26, 0) then (0, 0)
+        policy.learn(2000.0, False)  # updates (26, 0) then (0, 0)
         assert table.values[26, 0] == pytest.approx(-0.2, abs=1e-12)
         # Q[0,0]: -0.1 + 0.1 * (-2 + 0.9 * 0 - (-0.1)) = -0.29
         assert table.values[0, 0] == pytest.approx(-0.29, abs=1e-12)
@@ -490,16 +490,29 @@ class TestQLearningPolicy:
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
         policy.choose(ctx(), rng)
-        policy.learn(-0.5)
+        policy.learn(500.0, False)
         policy.reset()
         policy.choose(ctx(), rng)
-        policy.learn(-1.0)  # first transmission of the new episode: no update
+        policy.learn(1000.0, False)  # first transmission of the new episode: no update
         assert np.count_nonzero(table.values) == 0
 
     def test_learn_before_choose_rejected(self):
         policy = QLearningPolicy(make_table())
         with pytest.raises(ValueError, match="before choose"):
-            policy.learn(-1.0)
+            policy.learn(1000.0, False)
+
+    def test_lost_dwell_backs_up_minus_table_C(self):
+        """The learner clips its reward at its own table's C: with C = 0.5,
+        alpha = 1 and gamma = 0, a lost dwell sets the previous pair to -0.5."""
+        table = make_table(C=0.5, alpha=1.0, gamma=0.0)
+        policy = QLearningPolicy(table, epsilon=0.0)
+        rng = np.random.default_rng(0)
+        policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
+        policy.learn(10.0, False)
+        policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s = 26
+        policy.learn(10.0, True)
+        assert table.values[0, 0] == -0.5
+        assert np.count_nonzero(table.values) == 1
 
     def test_epsilon_defaults_to_table_hyperparam(self):
         table = make_table(epsilon=0.35)
