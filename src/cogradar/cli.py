@@ -236,17 +236,16 @@ def _score(args: argparse.Namespace, scenario: ScenarioConfig) -> Iterator[tuple
     the policy, the runs, the full tracks and the overall windowed-min MSE."""
     # build every policy first, so a bad spec fails before any run
     policies = [_build_policy(spec, scenario, args.qtable) for spec in args.policy]
-    trajectory = _truth(scenario)
-    for spec, policy in zip(args.policy, policies):
-        results, per_step = evaluate(
-            trajectory,
-            policy,
-            scenario.radar,
-            scenario.process,
-            scenario.episode,
-            n_runs=args.runs,
-            base_seed=_base_seed(args, scenario),
-        )
+    scores = evaluate(
+        _truth(scenario),
+        policies,
+        scenario.radar,
+        scenario.process,
+        scenario.episode,
+        n_runs=args.runs,
+        base_seed=_base_seed(args, scenario),
+    )
+    for spec, (results, per_step) in zip(args.policy, scores):
         full_tracks = sum(result.successful for result in results)
         row = (str(spec), args.runs, full_tracks, overall_windowed_mse(results))
         yield results, per_step, row

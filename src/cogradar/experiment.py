@@ -7,19 +7,27 @@ track (velocity unknown, large covariance) and the remaining samples form the
 decision loop.  Episodes stop early when the gate misses ``miss_limit`` times
 in a row.
 
+Frozen campaigns (evaluate, compare, calibrate) run in lockstep: one
+``run_episode`` call steps every (policy, run) lane together through the
+kernel in ``lockstep``.  Training and one-lane calls run the scalar loop
+here, which stays the reference.
+
 Reproducibility contract: every random draw flows from the episode rng, and
-``seeded_run`` seeds run i with base_seed + i, so any run replays alone.
+``seeded_run`` seeds run i with base_seed + i, so any run replays alone.  A
+frozen run draws four normals per transmission and nothing else, so lane j
+of a lockstep call replays as that run of the scalar loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .fileio import require_float, require_int, write_csv
+from .lockstep import LaneError, Lockstep
 from .policy import (
     ActionSet,
     FixedPolicy,
@@ -31,6 +39,7 @@ from .policy import (
     reward,
 )
 from .radar import RadarConfig, measure, observe_jacobian
+from .records import RECORD_DTYPE, RunResult, Runs
 from .tracker import (
     ProcessModel,
     gate,
@@ -60,22 +69,6 @@ METRICS_CSV_HEADER = ["step", "mean_windowed_min_mse"]
 HISTOGRAM_CSV_HEADER = ["bin_lo", "bin_hi", "count"]
 FULL_TRACK_LABEL = "full_track"
 
-# Everything observable about one transmission; row k of a run is step k.
-RECORD_DTYPE = np.dtype(
-    [
-        ("bandwidth", "f8"),  # Hz
-        ("range_error_true", "f8"),  # m, |estimated - true| range
-        ("range_innovation", "f8"),  # m
-        ("range_window", "f8"),  # m
-        ("correlated", "?"),
-        ("state_index", "i8"),  # -1 for non-tabular policies
-        ("action_index", "i8"),
-        ("pred_var", "f8"),  # m^2, range-projected prior variance
-        ("meas_var", "f8"),  # m^2, R_rr of this transmission
-    ]
-)
-
-
 @dataclass(frozen=True)
 class EpisodeConfig:
     """Per-episode protocol: how many dwells, when a track counts as lost.
@@ -104,26 +97,6 @@ class EpisodeConfig:
                 raise ValueError("initial_bandwidth must be > 0")
 
 
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    """One ``RECORD_DTYPE`` row per transmission; ``lost_at`` is the number
-    of transmissions when the track was declared lost, None for a full track."""
-
-    records: np.recarray
-    lost_at: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.lost_at is not None and self.lost_at != len(self.records):
-            raise ValueError("lost_at must equal the number of records")
-
-    @property
-    def successful(self) -> bool:
-        return self.lost_at is None
-
-    def squared_errors(self) -> np.ndarray:
-        return self.records.range_error_true**2
-
-
 # ---------------------------------------------------------------------------
 # Episode loop
 # ---------------------------------------------------------------------------
@@ -136,13 +109,13 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 def run_episode(
     trajectory: Sequence[TruthPoint],
-    policy: Policy,
+    policy: Union[Policy, Sequence[Policy]],
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Sequence[int]],
     learning: bool = False,
-) -> RunResult:
+) -> Union[RunResult, Runs]:
     """Run one tracking episode; returns a record per transmission.
 
     Sample 0 initializes the track; samples 1..n_transmissions are the
@@ -150,12 +123,21 @@ def run_episode(
     transmission: the range-projected prior variance, the previous waveform's
     range noise variance, and the previous gate outcome.  When
     ``learning``, the policy learns from each dwell's range error and loss.
+
+    Lockstep: given a sequence of frozen policies and a sequence of seeds,
+    lane j runs ``policy[j]`` on ``default_rng(rng[j])`` and the lanes step
+    together; returns their ``Runs``.  If lanes fail, ``LaneError`` names
+    the first of them in lane order.
     """
     if len(trajectory) < episode.n_transmissions + 1:
         raise ValueError(
             "trajectory too short: need n_transmissions + 1 = "
             f"{episode.n_transmissions + 1} samples, have {len(trajectory)}"
         )
+    if not isinstance(policy, Policy):
+        if learning:
+            raise ValueError("lockstep lanes are frozen: they cannot learn")
+        return Lockstep(trajectory, policy, radar, process, episode, rng).run()
     policy.reset()
 
     init_bw = (
@@ -234,6 +216,35 @@ def seeded_run(i: int, base_seed: int, *args, **kwargs) -> RunResult:
         raise type(exc)(f"run {i} (seed {seed}): {exc}") from exc
 
 
+def seeded_runs(
+    policies: Sequence[Policy],
+    runs: Sequence[int],
+    base_seed: int,
+    trajectory: Sequence[TruthPoint],
+    radar: RadarConfig,
+    process: ProcessModel,
+    episode: EpisodeConfig,
+) -> tuple[RunResult, ...]:
+    """Lane j is run ``runs[j]`` of the frozen ``policies[j]``.
+
+    Two or more lanes whose policies draw nothing from the rng step together
+    in one lockstep ``run_episode`` call; otherwise each lane is a
+    ``seeded_run``.  Either way a failure names the run and seed of the first
+    failed lane in lane order, the run that the lane-by-lane loop meets first.
+    """
+    if len(policies) < 2 or not all(policy.lockstep for policy in policies):
+        return tuple(
+            seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
+            for policy, i in zip(policies, runs)
+        )
+    seeds = [base_seed + i for i in runs]
+    try:
+        return tuple(run_episode(trajectory, policies, radar, process, episode, seeds))
+    except LaneError as exc:
+        i = runs[exc.lane]
+        raise type(exc.error)(f"run {i} (seed {base_seed + i}): {exc.error}") from exc.error
+
+
 def train_qlearning(
     trajectory: Sequence[TruthPoint],
     table: QTable,
@@ -256,22 +267,22 @@ def train_qlearning(
 
 def evaluate(
     trajectory: Sequence[TruthPoint],
-    policy: Policy,
+    policies: Sequence[Policy],
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
     n_runs: int,
     base_seed: int,
-) -> tuple[tuple[RunResult, ...], np.ndarray]:
-    """Run n_runs frozen episodes; returns them and the per-step mean
-    windowed-min MSE."""
+) -> list[tuple[tuple[RunResult, ...], np.ndarray]]:
+    """Run n_runs frozen episodes of every policy on the same seeds; returns,
+    per policy, its runs and their per-step mean windowed-min MSE."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    results = tuple(
-        seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
-        for i in range(n_runs)
-    )
-    return results, mean_windowed_mse(results)
+    lanes = [policy for policy in policies for _ in range(n_runs)]
+    results = seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
+                          trajectory, radar, process, episode)
+    per_policy = [results[j : j + n_runs] for j in range(0, len(results), n_runs)]
+    return [(runs, mean_windowed_mse(runs)) for runs in per_policy]
 
 
 def calibrate_discretizer(
@@ -285,12 +296,13 @@ def calibrate_discretizer(
 ) -> Discretizer:
     """Pilot campaign for bin edges: fixed-bandwidth episodes cycling through
     the action menu, pooling the variances the policies will later see."""
-    pooled = [np.zeros(0, dtype=RECORD_DTYPE)]  # zero runs pool zero samples
-    for i in range(n_runs):
-        policy = FixedPolicy(actions[i % len(actions)], radar.min_bw, radar.max_bw)
-        result = seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
-        pooled.append(result.records)
-    samples = np.concatenate(pooled)
+    policies = [FixedPolicy(bw, radar.min_bw, radar.max_bw)
+                for bw in actions.bandwidths[:n_runs]]
+    results = seeded_runs([policies[i % len(policies)] for i in range(n_runs)],
+                          range(n_runs), base_seed, trajectory, radar, process, episode)
+    # zero runs pool zero samples
+    samples = np.concatenate([np.zeros(0, dtype=RECORD_DTYPE),
+                              *(result.records for result in results)])
     return Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
 
 

@@ -1,0 +1,340 @@
+"""Frozen campaigns in lockstep: the kernel behind a many-lane
+``experiment.run_episode`` call.
+
+A lane is one (policy, run) pair: lane j runs a frozen policy on the noise of
+``default_rng(seed_j)``.  A frozen run draws four normals per transmission
+and nothing else, so each lane draws its whole block of normals up front.
+The truth side of every dwell (true measurement, true range, SNR) is
+computed once, and each distinct bandwidth's noise variances once per dwell,
+with the scalar functions.  The estimate side of every lane is stepped
+together over a leading lane axis, operation for operation as the scalar
+loop computes it, so each lane's records are its scalar run's.  Lanes drop
+out as they lose the track.
+"""
+
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
+
+from .policy import Policy
+from .radar import RadarConfig, measurement_noise_var, observe, snr_at_range
+from .records import RECORD_DTYPE, Runs
+from .tracker import (
+    _EYE6,
+    _MAX_CONDITION,
+    DegenerateInnovationError,
+    ProcessModel,
+    initialize_track,
+    wrap_angle,
+)
+from .trajectory import TruthPoint
+
+if TYPE_CHECKING:  # experiment imports this module
+    from .experiment import EpisodeConfig
+
+_DIAG4 = np.arange(4)
+
+
+class LaneError(ValueError):
+    """Lane ``lane`` of a lockstep call failed with ``error``, the error the
+    scalar loop raises for that run."""
+
+    def __init__(self, lane: int, seed: int, error: ValueError) -> None:
+        super().__init__(f"lane {lane} (seed {seed}): {error}")
+        self.lane = lane
+        self.error = error
+
+
+class _LaneFailure(Exception):
+    """The active lanes masked by ``bad`` failed a check with ``error``."""
+
+    def __init__(self, bad: np.ndarray, error: ValueError) -> None:
+        super().__init__(error)
+        self.bad = bad
+        self.error = error
+
+
+def _check(bad: np.ndarray, message: str, error: type = ValueError) -> None:
+    if bad.any():
+        raise _LaneFailure(bad, error(message))
+
+
+class _Lanes(SimpleNamespace):
+    """Per-lane arrays of the active lanes, ordered by policy and then by
+    lane; ``ids`` holds the lane indices."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, keep: np.ndarray) -> "_Lanes":
+        return _Lanes(**{name: values[keep] for name, values in vars(self).items()})
+
+
+def _lane_range(x: np.ndarray, radar_position: Sequence[float]) -> tuple:
+    """Offset from the radar (three arrays) and range of each state row,
+    in the order of operations of the scalar ``radar._geometry``."""
+    dx, dy, dz = (x[:, i] - radar_position[i] for i in range(3))
+    return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _lane_observe(x: np.ndarray, geometry: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``observe`` (m, 4) and ``observe_jacobian`` (m, 4, 6) at each state
+    row, bit for bit the scalar forms: the same elementwise operations in the
+    same order, and atan2 and asin from ``math`` lane by lane."""
+    dx, dy, dz, r = geometry
+    vx, vy, vz = x[:, 3], x[:, 4], x[:, 5]
+    r2 = r * r
+    r3 = r2 * r
+    rho_sq = dx * dx + dy * dy
+    rho = np.sqrt(rho_sq)
+    dv = dx * vx + dy * vy + dz * vz
+    h = np.empty((len(r), 4))
+    h[:, 0] = r
+    h[:, 1] = dv / r
+    h[:, 2] = [math.atan2(b, a) for a, b in zip(dx.tolist(), dy.tolist())]
+    h[:, 3] = [math.asin(s) for s in (dz / r).tolist()]
+    H = np.zeros((len(r), 4, 6))
+    for i, (d, v) in enumerate(((dx, vx), (dy, vy), (dz, vz))):
+        H[:, 0, i] = H[:, 1, 3 + i] = d / r
+        H[:, 1, i] = v / r - dv * d / r3
+    H[:, 2, 0] = -dy / rho_sq
+    H[:, 2, 1] = dx / rho_sq
+    H[:, 3, 0] = -dz * dx / (r2 * rho)
+    H[:, 3, 1] = -dz * dy / (r2 * rho)
+    H[:, 3, 2] = rho / r2
+    return h, H
+
+
+def _lane_update(
+    x: np.ndarray, P: np.ndarray, r: np.ndarray, H: np.ndarray, nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``tracker.update`` over lanes, product for product, so each lane's
+    posterior is the scalar one.  Also returns the mask of lanes whose S is
+    degenerate; when any is, the priors come back unchanged."""
+    PHt = P @ H.transpose(0, 2, 1)
+    S = H @ PHt
+    S = 0.5 * (S + S.transpose(0, 2, 1))
+    S[:, _DIAG4, _DIAG4] += r
+    lam = np.linalg.eigvalsh(S)  # ascending
+    low = lam[:, 0]
+    degenerate = (low <= 0.0) | (
+        lam[:, -1] / np.where(low > 0.0, low, np.inf) > _MAX_CONDITION
+    )
+    if degenerate.any():
+        return x, P, degenerate
+    K = np.linalg.solve(S, PHt.transpose(0, 2, 1)).transpose(0, 2, 1)
+    I_KH = _EYE6 - K @ H
+    P = I_KH @ P @ I_KH.transpose(0, 2, 1) + (K * r[:, None, :]) @ K.transpose(0, 2, 1)
+    x = x + (K @ nu[:, :, None])[:, :, 0]
+    return x, 0.5 * (P + P.transpose(0, 2, 1)), degenerate
+
+
+class Lockstep:
+    """Lane j runs the frozen ``policies[j]`` on ``default_rng(seeds[j])``;
+    ``run`` steps every lane together and returns their ``Runs``.
+
+    A lane that fails one of the scalar loop's checks is set aside with its
+    error and the step reruns without it: lanes are independent, so the
+    others come out the same.  At the end ``run`` raises ``LaneError`` for
+    the first failed lane in lane order.
+    """
+
+    def __init__(
+        self,
+        trajectory: Sequence[TruthPoint],
+        policies: Sequence[Policy],
+        radar: RadarConfig,
+        process: ProcessModel,
+        episode: EpisodeConfig,
+        seeds: Sequence[int],
+    ) -> None:
+        if len(policies) != len(seeds):
+            raise ValueError("need one seed per lane")
+        self.policies = list(dict.fromkeys(policies))  # distinct, in lane order
+        if not all(policy.lockstep for policy in self.policies):
+            raise ValueError("lockstep lanes need frozen policies that draw nothing")
+        self.radar, self.process, self.episode, self.seeds = radar, process, episode, seeds
+        self.initial = [
+            episode.initial_bandwidth if episode.initial_bandwidth is not None
+            else policy.initial_bandwidth()
+            for policy in self.policies
+        ]
+
+        n = episode.n_transmissions
+        truth = trajectory[: n + 1]
+        self.z_true = np.zeros((n + 1, 4))
+        self.snr: list[float] = []
+        self.truth_failure: Optional[tuple[int, ValueError]] = None
+        for k, point in enumerate(truth):
+            try:  # what measure computes before it draws
+                z = observe(np.concatenate([point.position, point.velocity]), radar.position)
+                self.snr.append(snr_at_range(float(z[0]), radar))
+            except ValueError as exc:  # every lane that gets here fails
+                self.truth_failure = (k, exc)
+                break
+            self.z_true[k] = z
+        positions = np.array([point.position for point in truth])
+        self.true_range = _lane_range(positions, radar.position)[-1]
+        self.phases = [point.phase for point in truth]
+
+        rows: dict = {}  # one noise block per distinct seed
+        for seed in seeds:
+            rows.setdefault(seed, len(rows))
+        self.noise = np.array(
+            [np.random.default_rng(seed).standard_normal((n + 1, 4)) for seed in rows]
+        )
+        group = {policy: g for g, policy in enumerate(self.policies)}
+        groups = np.array([group[policy] for policy in policies], dtype=int)
+        self.start = _Lanes(
+            ids=np.arange(len(policies)),
+            noise_row=np.array([rows[seed] for seed in seeds], dtype=int),
+            group=groups,
+            bandwidth=np.array([p.initial_bandwidth() for p in self.policies])[groups],
+        ).take(sorted(range(len(groups)), key=groups.__getitem__))  # by policy
+
+    def run(self) -> Runs:
+        n = self.episode.n_transmissions
+        failures: dict = {}
+        records = np.zeros((len(self.seeds), n), dtype=RECORD_DTYPE)
+        lost_at = np.zeros(len(self.seeds), dtype=int)  # 0: a full track
+        lanes = self._retry(self._initiate, self.start, failures)
+        for k in range(n):
+            lanes = self._retry(lambda active: self._dwell(active, k), lanes, failures)
+            if not len(lanes):
+                break
+            column = records[:, k]
+            for name in RECORD_DTYPE.names:
+                column[name][lanes.ids] = getattr(lanes, name)
+            lost = lanes.misses >= self.episode.miss_limit
+            if lost.any():
+                lost_at[lanes.ids[lost]] = k + 1
+                lanes = lanes.take(~lost)
+        if failures:
+            lane = min(failures)
+            raise LaneError(lane, self.seeds[lane], failures[lane])
+        lengths = np.where(lost_at > 0, lost_at, n)
+        ends = np.cumsum(lengths)
+        rows = records.reshape(-1)  # lane j's rows start at j * n
+        for lane, (end, length) in enumerate(zip(ends.tolist(), lengths.tolist())):
+            rows[end - length : end] = rows[lane * n : lane * n + length]  # in place
+        return Runs(
+            records=rows[: lengths.sum()].view(np.recarray),
+            ends=ends,
+            lost_at=tuple(int(k) if k else None for k in lost_at),
+        )
+
+    @staticmethod
+    def _retry(step, lanes: _Lanes, failures: dict) -> _Lanes:
+        """``step(lanes)``, rerun without the lanes that fail; a failure also
+        retires every later lane, which can no longer be the one reported."""
+        while len(lanes):
+            try:
+                return step(lanes)
+            except _LaneFailure as failure:
+                for lane in lanes.ids[failure.bad].tolist():
+                    failures[lane] = failure.error
+                lanes = lanes.take(~failure.bad & (lanes.ids < min(failures)))
+        return lanes
+
+    def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
+        """``measure`` of truth row k at each lane's bandwidth: z and r."""
+        if self.truth_failure is not None and self.truth_failure[0] == k:
+            raise _LaneFailure(np.ones(len(noise_row), bool), self.truth_failure[1])
+        # the scalar noise variances, once per distinct bandwidth
+        distinct = sorted(set(bandwidth.tolist()))
+        r = np.array([measurement_noise_var(bw, self.snr[k], self.radar)
+                      for bw in distinct])[np.searchsorted(distinct, bandwidth)]
+        z = self.z_true[k] + np.sqrt(r) * self.noise[noise_row, k]
+        _check(z[:, 0] <= 0.0, "measured range must be > 0")
+        _check(~((-np.pi / 2.0 < z[:, 3]) & (z[:, 3] < np.pi / 2.0)),
+               "elevation out of (-pi/2, pi/2)")
+        return z, r
+
+    def _initiate(self, lanes: _Lanes) -> _Lanes:
+        """Track initiation on truth row 0."""
+        z, r = self._measure(0, np.take(self.initial, lanes.group), lanes.noise_row)
+        tracks = [initialize_track(row, self.radar) for row in z]
+        m = len(lanes)
+        return _Lanes(
+            **vars(lanes),
+            x=np.array([x for x, _ in tracks]),
+            P=np.array([P for _, P in tracks]),
+            meas_var=r[:, 0],
+            correlated=np.ones(m, dtype=bool),
+            streak=np.zeros(m, dtype=int),
+            misses=np.zeros(m, dtype=int),
+        )
+
+    def _choose(self, lanes: _Lanes, pred_var: np.ndarray) -> tuple:
+        """Every policy's ``choose_lanes`` on its own lanes, which are a
+        slice: the active lanes stay ordered by policy."""
+        m = len(lanes)
+        chosen = (np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int),
+                  np.empty(m, dtype=int))
+        ends = np.searchsorted(lanes.group, np.arange(1, len(self.policies) + 1))
+        start = 0
+        for policy, end in zip(self.policies, ends.tolist()):
+            part = slice(start, end)
+            values = policy.choose_lanes(pred_var[part], lanes.meas_var[part],
+                                         lanes.correlated[part], lanes.bandwidth[part],
+                                         lanes.streak[part])
+            for array, value in zip(chosen, values):
+                array[part] = value
+            start = end
+        return chosen
+
+    def _dwell(self, lanes: _Lanes, k: int) -> _Lanes:
+        """Decision dwell k of the active lanes, on truth row k + 1: the lanes'
+        new state, whose fields named as in ``RECORD_DTYPE`` are the dwell's
+        record.  The checks are the scalar loop's, in its order."""
+        x, P = lanes.x, lanes.P
+        _check(~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2))),
+               "non-finite track state")
+        row = k + 1
+        F = self.process.F
+        x = (F @ x[:, :, None])[:, :, 0]
+        P = F @ P @ F.T + self.process.Q[self.phases[row]]
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        position = self.radar.position
+        geometry = _lane_range(x, position)
+        _check(geometry[-1] == 0.0, "target at radar")
+        h, H = _lane_observe(x, geometry)
+        h0 = H[:, 0]
+        pred_var = ((h0[:, None, :] @ P) @ h0[:, :, None])[:, 0, 0]
+        _check(pred_var <= 0.0, "predicted_range_variance must be > 0")
+        _check(lanes.meas_var <= 0.0, "last_measurement_range_variance must be > 0")
+        bandwidth, streak, state, action = self._choose(lanes, pred_var)
+        z, r = self._measure(row, bandwidth, lanes.noise_row)
+        nu = z - h
+        nu[:, 2:] = wrap_angle(nu[:, 2:])
+        window = 1.96 * np.sqrt(r[:, 0])
+        correlated = np.abs(nu[:, 0]) <= 3.0 * window
+        hits = np.flatnonzero(correlated)
+        if hits.size:
+            x_hit, P_hit, degenerate = _lane_update(x[hits], P[hits], r[hits], H[hits], nu[hits])
+            bad = np.zeros(len(lanes), dtype=bool)
+            bad[hits[degenerate]] = True
+            _check(bad, "degenerate innovation covariance", DegenerateInnovationError)
+            x[hits], P[hits] = x_hit, P_hit
+        return _Lanes(
+            ids=lanes.ids,
+            noise_row=lanes.noise_row,
+            group=lanes.group,
+            x=x,
+            P=P,
+            streak=streak,
+            misses=np.where(correlated, 0, lanes.misses + 1),
+            bandwidth=bandwidth,
+            range_error_true=np.abs(_lane_range(x, position)[-1] - self.true_range[row]),
+            range_innovation=nu[:, 0],
+            range_window=window,
+            correlated=correlated,
+            state_index=state,
+            action_index=action,
+            pred_var=pred_var,
+            meas_var=r[:, 0],
+        )

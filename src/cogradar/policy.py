@@ -29,7 +29,6 @@ from .radar import DEFAULT_MAX_BW, DEFAULT_MIN_BW
 DEFAULT_ACTIONS_HZ = (0.5e6, 1.0e6, 2.5e6, 5.0e6, 7.5e6, 10.0e6)
 N_PRED_VAR_EDGES = 9  # 10 prediction-variance bins
 N_MEAS_VAR_EDGES = 7  # 8 measurement-variance bins
-DEFAULT_REWARD_CLIP = 2.0
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -39,7 +38,7 @@ class Hyperparams:
     alpha: float = 0.1
     gamma: float = 0.9
     epsilon: float = 0.2
-    C: float = DEFAULT_REWARD_CLIP
+    C: float = 2.0
     L: int = 1
 
     def __post_init__(self) -> None:
@@ -267,7 +266,7 @@ class QTable:
 # ---------------------------------------------------------------------------
 
 
-def reward(range_error: float, lost: bool, C: float = DEFAULT_REWARD_CLIP) -> float:
+def reward(range_error: float, lost: bool, C: float) -> float:
     """Negative range error in km, clipped at C; loss is always worst (-C)."""
     if range_error < 0.0:
         raise ValueError("range_error must be >= 0")
@@ -348,6 +347,9 @@ class Policy(ABC):
 
     last_state: Optional[int] = None
     last_action: Optional[int] = None
+    # whether choose_lanes stands in for choose: the choice draws nothing
+    # from the rng, so frozen lanes of the policy can run in lockstep
+    lockstep = False
 
     def reset(self) -> None:
         """Clear per-episode state; the default has none."""
@@ -365,9 +367,29 @@ class Policy(ABC):
     def learn(self, range_error: float, lost: bool) -> None:
         """Learn from the last choice's range error and loss; a no-op here."""
 
+    def choose_lanes(
+        self,
+        pred_var: np.ndarray,
+        meas_var: np.ndarray,
+        correlated: np.ndarray,
+        bandwidth: np.ndarray,
+        streak: np.ndarray,
+    ) -> tuple:
+        """``choose`` for many frozen lanes of this policy at once.
+
+        Takes per-lane arrays of the three ``PolicyContext`` inputs, of each
+        lane's previous bandwidth (the initial bandwidth before the first
+        choice) and of its streak of gate hits.  Returns the bandwidths, the
+        streaks, and the state and action indices (-1 for non-tabular
+        policies), each an array or one value for every lane.
+        """
+        raise NotImplementedError
+
 
 class FixedPolicy(Policy):
     """Always transmits the same bandwidth."""
+
+    lockstep = True
 
     def __init__(
         self,
@@ -385,9 +407,14 @@ class FixedPolicy(Policy):
     def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
         return self.bandwidth
 
+    def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
+        return self.bandwidth, streak, -1, -1
+
 
 class BandwidthScalingPolicy(Policy):
     """Start wide, halve on every miss, double after five straight hits."""
+
+    lockstep = True
 
     def __init__(
         self, min_bw: float = DEFAULT_MIN_BW, max_bw: float = DEFAULT_MAX_BW
@@ -416,6 +443,16 @@ class BandwidthScalingPolicy(Policy):
         )
         self._prev_bw = bw
         return bw
+
+    def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
+        streak = np.where(correlated, streak + 1, 0)
+        doubled = streak >= 5
+        bandwidth = np.where(
+            correlated,
+            np.where(doubled, np.minimum(2.0 * bandwidth, self.max_bw), bandwidth),
+            np.maximum(bandwidth / 2.0, self.min_bw),
+        )
+        return bandwidth, np.where(doubled, 0, streak), -1, -1
 
 
 class QLearningPolicy(Policy):
@@ -449,6 +486,19 @@ class QLearningPolicy(Policy):
         self.last_state, self.last_action = s, a
         self._pending = (s, a)
         return self.table.actions[a]
+
+    @property
+    def lockstep(self) -> bool:
+        """Greedy only: an exploring choice draws from the rng."""
+        return self.epsilon == 0.0
+
+    def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
+        d = self.table.discretizer
+        s = (np.asarray(d.pred_var_edges).searchsorted(pred_var, side="right")
+             * d.n_meas_bins
+             + np.asarray(d.meas_var_edges).searchsorted(meas_var, side="right"))
+        a = self.table.values[s].argmax(axis=1)  # ties break to the lowest index
+        return np.asarray(self.table.actions.bandwidths)[a], streak, s, a
 
     def learn(self, range_error: float, lost: bool) -> None:
         """The last choice's reward, clipped at the table's C, backs up the

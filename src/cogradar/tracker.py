@@ -132,8 +132,9 @@ def update(
     S = H @ PHt
     S = 0.5 * (S + S.T)
     S.flat[::5] += r  # the diagonal of the 4x4 S: S = H P H' + diag(r)
-    s = np.linalg.svd(S, compute_uv=False)
-    if s[0] / s[-1] > _MAX_CONDITION:  # the 2-norm condition number of S
+    lam = np.linalg.eigvalsh(S)  # ascending
+    # S must be positive definite with a 2-norm condition number <= 1e12
+    if lam[0] <= 0.0 or lam[-1] / lam[0] > _MAX_CONDITION:
         raise DegenerateInnovationError("degenerate innovation covariance")
     # K = P H' S^-1, via solve on the symmetric S
     K = np.linalg.solve(S, PHt.T).T

@@ -112,9 +112,9 @@ def trained(scenario, hard_trajectory, discretizer):
 
 
 def _eval(trajectory, policy, scenario):
-    results, _ = evaluate(
+    [(results, _)] = evaluate(
         trajectory,
-        policy,
+        [policy],
         scenario.radar,
         scenario.process,
         scenario.episode,

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cogradar import experiment
+from cogradar import experiment, lockstep
 from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
 from cogradar.experiment import evaluate, save_run_csv
@@ -454,6 +454,66 @@ class TestEvaluate:
         assert len(rows) == 1 + (20 - 3 + 1)
 
 
+MARK = 1e25  # a range-rate normal this large marks the dwell a run fails on
+
+
+def fail_marked_dwells(monkeypatch, marks, fails=lambda rate, range_var: True):
+    """Fail chosen dwells of chosen runs with a degenerate innovation
+    covariance, on the scalar and the lockstep path alike.
+
+    ``marks`` maps (seed, noise row) to a range-rate normal of size ``MARK``
+    and either sign; row k + 1 of a run's normals is its decision dwell k.
+    Both updates fail where the range-rate innovation is that large and
+    ``fails(sign, range_var)`` holds, and elsewhere drop the mark.
+    """
+    real_rng, update, lane_update = (
+        np.random.default_rng, experiment.update, lockstep._lane_update
+    )
+
+    class MarkedRng:
+        def __init__(self, seed):
+            self._rng, self._seed, self._drawn = real_rng(seed), seed, 0
+
+        def standard_normal(self, size):
+            out = self._rng.standard_normal(size)
+            rows = out.reshape(-1, 4)
+            for i in range(len(rows)):
+                rows[i, 1] = marks.get((self._seed, self._drawn + i), rows[i, 1])
+            self._drawn += len(rows)
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def triage(nu, r):
+        """The lanes that fail here, and the innovations without the marks."""
+        rate = nu[..., 1]
+        marked = np.abs(rate) > 0.1 * MARK
+        bad = marked & fails(np.sign(rate), r[..., 0])
+        nu = nu.copy()
+        nu[..., 1] = np.where(marked, 0.0, rate)
+        return bad, nu
+
+    def failing_update(x, P, r, H, nu):
+        bad, nu = triage(nu, r)
+        if bad:
+            raise DegenerateInnovationError("degenerate innovation covariance")
+        return update(x, P, r, H, nu)
+
+    def failing_lane_update(x, P, r, H, nu):
+        bad, nu = triage(nu, r)
+        x, P, degenerate = lane_update(x, P, r, H, nu)
+        return x, P, degenerate | bad
+
+    seeds = {seed for seed, _ in marks}
+    monkeypatch.setattr(
+        np.random, "default_rng",
+        lambda seed=None: MarkedRng(seed) if seed in seeds else real_rng(seed),
+    )
+    monkeypatch.setattr(experiment, "update", failing_update)
+    monkeypatch.setattr(lockstep, "_lane_update", failing_lane_update)
+
+
 class TestFailedRun:
     @pytest.mark.parametrize(
         "argv",
@@ -464,26 +524,35 @@ class TestFailedRun:
         ],
     )
     def test_failed_run_names_index_and_seed(self, capsys, tmp_path, monkeypatch, argv):
-        """A numerical failure in the third run names run 2 and its seed."""
-        runs = []
-        run_episode, update = experiment.run_episode, experiment.update
-
-        def counting_run_episode(*args, **kwargs):
-            runs.append(None)
-            return run_episode(*args, **kwargs)
-
-        def failing_update(*args):
-            if len(runs) == 3:
-                raise DegenerateInnovationError("degenerate innovation covariance")
-            return update(*args)
-
-        monkeypatch.setattr(experiment, "run_episode", counting_run_episode)
-        monkeypatch.setattr(experiment, "update", failing_update)
-        code = run(*argv, "--runs", "4", "--seed", "1000", *FAST, "--out", str(tmp_path))
+        """A numerical failure in the third run names run 2 and its seed, and
+        leaves no file: lanes 0-3 of evaluate and calibrate run in lockstep,
+        train runs them one by one."""
+        fail_marked_dwells(monkeypatch, {(1002, 2): MARK})
+        out = str(tmp_path / "out")
+        code = run(*argv, "--runs", "4", "--seed", "1000", *FAST, "--out", out)
         assert code == 2
         err = capsys.readouterr().err
         assert "run 2 (seed 1002): degenerate innovation covariance" in err
-        assert len(runs) == 3
+        assert not os.path.exists(out)
+
+    def test_compare_names_the_first_failed_lane(self, capsys, tmp_path, monkeypatch):
+        """Lane (fixed:5e6, run 0) fails at dwell 1, before lane (fixed:1e6,
+        run 3) fails at dwell 6; run by run, policy by policy, the loop meets
+        run 3 of fixed:1e6 first, so that is the run the message names."""
+        fail_marked_dwells(
+            monkeypatch,
+            {(1000, 2): -MARK, (1003, 7): MARK},
+            # a positive mark fails the 1 MHz lanes, a negative one the 5 MHz
+            # lanes: their range variances lie above and below 50 m^2
+            fails=lambda sign, range_var: (sign > 0) == (range_var > 50.0),
+        )
+        out = str(tmp_path / "out")
+        code = run("compare", "--policy", "fixed:1e6,fixed:5e6", "--runs", "4",
+                   "--seed", "1000", *FAST, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "run 3 (seed 1003): degenerate innovation covariance" in err
+        assert not os.path.exists(out)
 
     def test_failed_trace_names_run_and_seed(self, capsys, tmp_path, monkeypatch):
         def failing_update(*args):
@@ -610,9 +679,9 @@ class TestTrace:
         assert run("trace", "--policy", "scaling", "--seed", "7", "--out", out) == 0
         scenario = default_scenario()
         radar = scenario.radar
-        [result], _ = evaluate(
+        [([result], _)] = evaluate(
             generate_trajectory(scenario.trajectory, seed=scenario.episode.seed),
-            BandwidthScalingPolicy(radar.min_bw, radar.max_bw),
+            [BandwidthScalingPolicy(radar.min_bw, radar.max_bw)],
             radar,
             scenario.process,
             scenario.episode,

@@ -1,15 +1,22 @@
 """The dwell math on Python floats against the numpy reference forms kept in
 ``ekf_oracle``: the measurement function and its Jacobian to 1e-12, one
 measurement update to 1e-9, and whole episodes on the acceptance seeds with
-identical gate decisions and ``lost_at``."""
+identical gate decisions and ``lost_at``.
+
+The scalar episodes are in turn the oracle of the lockstep lanes: the frozen
+roster (fixed 1, 5 and 10 MHz, scaling and both golden Q-tables) runs as the
+lanes of one call, and each lane must match its scalar run in gates, losses,
+states and actions, with range errors within 1e-9 m."""
+
+import os
 
 import numpy as np
 import pytest
 
 import ekf_oracle as oracle
 from cogradar.config import default_scenario
-from cogradar.experiment import seeded_run
-from cogradar.policy import BandwidthScalingPolicy, FixedPolicy
+from cogradar.experiment import evaluate, seeded_run
+from cogradar.policy import BandwidthScalingPolicy, FixedPolicy, QLearningPolicy, QTable
 from cogradar.radar import measurement_noise_var, observe, observe_jacobian
 from cogradar.tracker import update
 from cogradar.trajectory import generate_trajectory
@@ -17,6 +24,8 @@ from test_acceptance import EVAL_SEED, N_EVAL_RUNS
 from test_radar import random_states
 
 RADAR_POSITIONS = ((0.0, 0.0, 0.0), (20_000.0, -12_000.0, 0.0))
+ROSTER = ("fixed:1e6", "fixed:5e6", "fixed:1e7", "scaling", "qlearn", "qlearn-lookahead")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _assert_close(actual, expected, rtol):
@@ -65,25 +74,45 @@ def hard_trajectory():
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
-@pytest.mark.parametrize(
-    "bandwidth", [1e6, 5e6, 1e7, None], ids=["fixed:1e6", "fixed:5e6", "fixed:1e7", "scaling"]
-)
-def test_run_episode_matches_oracle_loop(hard_trajectory, bandwidth):
-    """``evaluate --seed 1000`` run by run: the same gate decision on every
-    dwell, the same ``lost_at``, range errors within 1e-9 m."""
+def _frozen(name, radar):
+    if name == "scaling":
+        return BandwidthScalingPolicy(radar.min_bw, radar.max_bw)
+    if name.startswith("fixed:"):
+        return FixedPolicy(float(name[6:]), radar.min_bw, radar.max_bw)
+    path = os.path.join(GOLDEN_DIR, "q" if name == "qlearn" else "ql", "qtable.json")
+    return QLearningPolicy(QTable.load(path), epsilon=0.0)
+
+
+@pytest.fixture(scope="module")
+def roster_lanes(hard_trajectory):
+    """Every policy below evaluated in one lockstep call: {name: (policy, runs)}."""
     sc = default_scenario()
-    if bandwidth is None:
-        policy = BandwidthScalingPolicy(sc.radar.min_bw, sc.radar.max_bw)
-    else:
-        policy = FixedPolicy(bandwidth, sc.radar.min_bw, sc.radar.max_bw)
+    policies = [_frozen(name, sc.radar) for name in ROSTER]
+    scores = evaluate(hard_trajectory, policies, sc.radar, sc.process, sc.episode,
+                      n_runs=N_EVAL_RUNS, base_seed=EVAL_SEED)
+    return {name: (policy, runs) for name, policy, (runs, _) in zip(ROSTER, policies, scores)}
+
+
+@pytest.mark.parametrize("name", ROSTER)
+def test_run_episode_matches_oracle_loop(hard_trajectory, roster_lanes, name):
+    """``evaluate --seed 1000`` run by run.  Against the oracle loop: the same
+    gate decision on every dwell, the same ``lost_at``, range errors within
+    1e-9 m.  The run's lockstep lane, from one call for all six policies,
+    also has the same states and actions."""
+    sc = default_scenario()
+    policy, lanes = roster_lanes[name]
     args = (hard_trajectory, policy, sc.radar, sc.process, sc.episode)
-    for i in range(N_EVAL_RUNS):
+    assert len(lanes) == N_EVAL_RUNS
+    for i, lane in enumerate(lanes):
         result = seeded_run(i, EVAL_SEED, *args)
         correlated, range_errors, lost_at = oracle.run_episode(
             *args, np.random.default_rng(EVAL_SEED + i)
         )
-        assert result.lost_at == lost_at, f"run {i}"
+        assert result.lost_at == lost_at == lane.lost_at, f"run {i}"
         assert result.records.correlated.tolist() == correlated, f"run {i}"
-        np.testing.assert_allclose(
-            result.records.range_error_true, range_errors, rtol=0.0, atol=1e-9
-        )
+        for field in ("correlated", "state_index", "action_index", "bandwidth"):
+            assert lane.records[field].tolist() == result.records[field].tolist(), (i, field)
+        for errors in (range_errors, lane.records.range_error_true):
+            np.testing.assert_allclose(
+                result.records.range_error_true, errors, rtol=0.0, atol=1e-9
+            )

@@ -495,9 +495,9 @@ class TestTrainQlearning:
 
 class TestEvaluate:
     def test_aggregates_all_runs(self):
-        results, per_step = evaluate(
+        [(results, per_step)] = evaluate(
             stationary_trajectory(161),
-            FixedPolicy(1e6),
+            [FixedPolicy(1e6)],
             moderate_radar(),
             quiet_process(),
             EpisodeConfig(),
@@ -508,9 +508,9 @@ class TestEvaluate:
         assert per_step == pytest.approx(mean_windowed_mse(results))
 
     def test_single_run_report_matches_run(self):
-        results, per_step = evaluate(
+        [(results, per_step)] = evaluate(
             stationary_trajectory(161),
-            FixedPolicy(1e6),
+            [FixedPolicy(1e6)],
             moderate_radar(),
             quiet_process(),
             EpisodeConfig(),
@@ -527,7 +527,7 @@ class TestEvaluate:
         before = table.values.copy()
         evaluate(
             stationary_trajectory(161),
-            QLearningPolicy(table, epsilon=0.0),
+            [QLearningPolicy(table, epsilon=0.0)],
             moderate_radar(),
             quiet_process(),
             EpisodeConfig(),
@@ -538,15 +538,16 @@ class TestEvaluate:
 
     def test_deterministic_across_invocations(self):
         def once():
-            return evaluate(
+            [score] = evaluate(
                 stationary_trajectory(161),
-                BandwidthScalingPolicy(),
+                [BandwidthScalingPolicy()],
                 moderate_radar(),
                 quiet_process(),
                 EpisodeConfig(),
                 n_runs=5,
                 base_seed=9,
             )
+            return score
 
         first_results, first_per_step = once()
         second_results, second_per_step = once()
@@ -639,9 +640,9 @@ class TestCsvExport:
             assert all(r > -C for r in rewards[:-1])
 
     def test_metrics_csv(self, tmp_path):
-        _, per_step = evaluate(
+        [(_, per_step)] = evaluate(
             stationary_trajectory(161),
-            FixedPolicy(1e6),
+            [FixedPolicy(1e6)],
             moderate_radar(),
             quiet_process(),
             EpisodeConfig(),

@@ -148,25 +148,25 @@ class TestDiscretizer:
 
 class TestReward:
     def test_lost_is_minus_c(self):
-        assert reward(0.0, lost=True) == -2.0
+        assert reward(0.0, lost=True, C=2.0) == -2.0
         assert reward(1e6, lost=True, C=3.0) == -3.0
 
     def test_zero_error(self):
-        assert reward(0.0, lost=False) == 0.0
+        assert reward(0.0, lost=False, C=2.0) == 0.0
 
     def test_km_normalization(self):
-        assert reward(500.0, lost=False) == pytest.approx(-0.5)
+        assert reward(500.0, lost=False, C=2.0) == pytest.approx(-0.5)
 
     def test_clipped_at_c(self):
-        assert reward(7_500.0, lost=False) == -2.0
+        assert reward(7_500.0, lost=False, C=2.0) == -2.0
 
     def test_loss_never_better_than_survival(self):
         for error in (0.0, 100.0, 1e4, 1e8):
-            assert reward(error, lost=True) <= reward(error, lost=False)
+            assert reward(error, lost=True, C=2.0) <= reward(error, lost=False, C=2.0)
 
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError):
-            reward(-1.0, lost=False)
+            reward(-1.0, lost=False, C=2.0)
 
 
 class TestQUpdate:
