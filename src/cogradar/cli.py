@@ -98,6 +98,11 @@ def _truth(scenario: ScenarioConfig):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
+def _models(scenario: ScenarioConfig) -> tuple:
+    """The radar, process and episode arguments of every campaign."""
+    return scenario.radar, scenario.process, scenario.episode
+
+
 def _load_table(path: str, scenario: ScenarioConfig, name: str) -> QTable:
     """Load a Q-table that fits the scenario's actions and the policy's depth."""
     table = QTable.load(path)
@@ -170,14 +175,8 @@ def _cmd_generate_trajectory(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     discretizer = calibrate_discretizer(
-        _truth(scenario),
-        scenario.radar,
-        scenario.process,
-        scenario.episode,
-        n_runs=args.runs,
-        base_seed=_base_seed(args, scenario),
-        actions=scenario.actions,
-    )
+        _truth(scenario), *_models(scenario), n_runs=args.runs,
+        base_seed=_base_seed(args, scenario), actions=scenario.actions)
     path = _out_path(args, "edges.json")
     discretizer.save(path)
     print(f"wrote {path}")
@@ -203,26 +202,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         else:
             # self-contained default: pilot calibration on a disjoint seed stream
             discretizer = calibrate_discretizer(
-                trajectory,
-                scenario.radar,
-                scenario.process,
-                scenario.episode,
-                n_runs=DEFAULT_CALIBRATE_RUNS,
-                base_seed=base_seed + 1_000_000,
-                actions=scenario.actions,
-            )
+                trajectory, *_models(scenario), n_runs=DEFAULT_CALIBRATE_RUNS,
+                base_seed=base_seed + 1_000_000, actions=scenario.actions)
         table = scenario.new_table(
             discretizer, lookahead=spec.name == "qlearn-lookahead"
         )
-    train_qlearning(
-        trajectory,
-        table,
-        scenario.radar,
-        scenario.process,
-        scenario.episode,
-        n_runs=args.runs,
-        base_seed=base_seed,
-    )
+    train_qlearning(trajectory, table, *_models(scenario), n_runs=args.runs,
+                    base_seed=base_seed)
     path = _out_path(args, "qtable.json")
     table.save(path)
     print(f"wrote {path} after {args.runs} training runs")
@@ -236,15 +222,8 @@ def _score(args: argparse.Namespace, scenario: ScenarioConfig) -> Iterator[tuple
     the policy, the runs, the full tracks and the overall windowed-min MSE."""
     # build every policy first, so a bad spec fails before any run
     policies = [_build_policy(spec, scenario, args.qtable) for spec in args.policy]
-    scores = evaluate(
-        _truth(scenario),
-        policies,
-        scenario.radar,
-        scenario.process,
-        scenario.episode,
-        n_runs=args.runs,
-        base_seed=_base_seed(args, scenario),
-    )
+    scores = evaluate(_truth(scenario), policies, *_models(scenario), n_runs=args.runs,
+                      base_seed=_base_seed(args, scenario))
     for spec, (results, per_step) in zip(args.policy, scores):
         full_tracks = sum(result.successful for result in results)
         row = (str(spec), args.runs, full_tracks, overall_windowed_mse(results))
@@ -286,15 +265,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     policy = _build_policy(args.policy[0], scenario, args.qtable)
-    result = seeded_run(
-        0,
-        _base_seed(args, scenario),
-        _truth(scenario),
-        policy,
-        scenario.radar,
-        scenario.process,
-        scenario.episode,
-    )
+    result = seeded_run(0, _base_seed(args, scenario), _truth(scenario), policy,
+                        *_models(scenario))
     path = _out_path(args, "trace.csv")
     save_run_csv(result, scenario.hyperparams.C, path)
     status = "full track" if result.successful else f"lost at step {result.lost_at}"

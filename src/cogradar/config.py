@@ -77,18 +77,16 @@ class ScenarioConfig:
             raise ValueError(f"scenario JSON missing keys: {sorted(missing)}")
         for name in ("trajectory", "radar", "process", "episode", "hyperparams"):
             require_object(name, data[name])
-        traj = dict(data["trajectory"])
-        require_list("trajectory.launch_position", traj["launch_position"])
-        traj["launch_position"] = tuple(traj["launch_position"])
+        traj = _section("trajectory", data["trajectory"], TrajectoryConfig, "launch_position")
         radar = dict(data["radar"])
         radar.pop("transmit_energy", None)  # dropped field, still in older files
-        require_list("radar.position", radar["position"])
-        radar["position"] = tuple(radar["position"])
-        require_object("process.accel_noise_std", data["process"]["accel_noise_std"])
-        for name in data["process"]["accel_noise_std"]:
+        radar = _section("radar", radar, RadarConfig, "position")
+        process = _section("process", data["process"], ProcessModel)
+        require_object("process.accel_noise_std", process["accel_noise_std"])
+        for name in process["accel_noise_std"]:
             if name not in {phase.value for phase in Phase}:
                 raise ValueError(f"process.accel_noise_std: unknown phase {name!r}")
-        noise = {Phase(name): std for name, std in data["process"]["accel_noise_std"].items()}
+        noise = {Phase(name): std for name, std in process["accel_noise_std"].items()}
         hyper = data["hyperparams"]
         names = [f.name for f in dataclasses.fields(Hyperparams)]
         unknown = sorted(set(hyper) - set(names))
@@ -98,8 +96,8 @@ class ScenarioConfig:
         return cls(
             trajectory=TrajectoryConfig(**traj),
             radar=RadarConfig(**radar),
-            process=ProcessModel(dt=data["process"]["dt"], accel_noise_std=noise),
-            episode=EpisodeConfig(**data["episode"]),
+            process=ProcessModel(dt=process["dt"], accel_noise_std=noise),
+            episode=EpisodeConfig(**_section("episode", data["episode"], EpisodeConfig)),
             actions=ActionSet(data["actions_hz"]),
             hyperparams=Hyperparams(**hyper),
         )
@@ -107,6 +105,25 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
         return cls.from_json_dict(read_json(path, (), "scenario"))
+
+
+def _section(name: str, section: dict, cls: type, point: str = "") -> dict:
+    """Scenario section ``name`` as keyword arguments of ``cls``: a field left
+    out takes its default, and a missing required field or a key that names
+    no field fails, naming the section.  The ``point`` field, a JSON list,
+    becomes a tuple."""
+    section = dict(section)
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(section) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {unknown}")
+    for f in fields:
+        if f.name not in section and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{name}: missing key {f.name!r}")
+    if point in section:
+        require_list(f"{name}.{point}", section[point])
+        section[point] = tuple(section[point])
+    return section
 
 
 def default_scenario() -> ScenarioConfig:

@@ -38,7 +38,7 @@ from .policy import (
     QTable,
     reward,
 )
-from .radar import RadarConfig, measure, observe_jacobian
+from .radar import RadarConfig, TruthSide, measure, observe_jacobian
 from .records import RECORD_DTYPE, RunResult, Runs
 from .tracker import (
     ProcessModel,
@@ -108,7 +108,7 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def run_episode(
-    trajectory: Sequence[TruthPoint],
+    trajectory: Union[Sequence[TruthPoint], TruthSide],
     policy: Union[Policy, Sequence[Policy]],
     radar: RadarConfig,
     process: ProcessModel,
@@ -123,6 +123,7 @@ def run_episode(
     transmission: the range-projected prior variance, the previous waveform's
     range noise variance, and the previous gate outcome.  When
     ``learning``, the policy learns from each dwell's range error and loss.
+    A campaign passes its trajectory's ``TruthSide`` for ``radar``, built once.
 
     Lockstep: given a sequence of frozen policies and a sequence of seeds,
     lane j runs ``policy[j]`` on ``default_rng(rng[j])`` and the lanes step
@@ -134,18 +135,17 @@ def run_episode(
             "trajectory too short: need n_transmissions + 1 = "
             f"{episode.n_transmissions + 1} samples, have {len(trajectory)}"
         )
+    truth = (trajectory if isinstance(trajectory, TruthSide)
+             else TruthSide(trajectory[: episode.n_transmissions + 1], radar))
     if not isinstance(policy, Policy):
         if learning:
             raise ValueError("lockstep lanes are frozen: they cannot learn")
-        return Lockstep(trajectory, policy, radar, process, episode, rng).run()
+        return Lockstep(truth, policy, radar, process, episode, rng).run()
     policy.reset()
 
-    init_bw = (
-        episode.initial_bandwidth
-        if episode.initial_bandwidth is not None
-        else policy.initial_bandwidth()
-    )
-    z, r = measure(trajectory[0], init_bw, radar, rng)
+    init_bw = (policy.initial_bandwidth() if episode.initial_bandwidth is None
+               else episode.initial_bandwidth)
+    z, r = measure(truth, 0, init_bw, rng)
     x, P = initialize_track(z, radar)
     last_meas_var = float(r[0])
     last_correlated = True
@@ -155,8 +155,7 @@ def run_episode(
     records = np.zeros(episode.n_transmissions, dtype=RECORD_DTYPE)
     radar_position = radar.position
     for k in range(episode.n_transmissions):
-        truth = trajectory[k + 1]
-        x, P = predict(x, P, process, truth.phase)
+        x, P = predict(x, P, process, truth.phases[k + 1])
         H = observe_jacobian(x, radar_position)
         pred_var = float(H[0] @ P @ H[0])
         ctx = PolicyContext(
@@ -165,7 +164,7 @@ def run_episode(
             last_correlated=last_correlated,
         )
         bandwidth = policy.choose(ctx, rng)
-        z, r = measure(truth, bandwidth, radar, rng)
+        z, r = measure(truth, k + 1, bandwidth, rng)
         nu = innovation(x, z, radar_position)
         decision = gate(nu, r)
         if decision.correlated:
@@ -175,24 +174,17 @@ def run_episode(
             misses += 1
         lost = misses >= episode.miss_limit
 
-        range_error = abs(_distance(x[:3].tolist(), radar_position)
-                          - _distance(truth.position.tolist(), radar_position))
+        range_error = abs(_distance(x[:3].tolist(), radar_position) - truth.range[k + 1])
         if learning:
             policy.learn(range_error, lost)
 
         last_meas_var = float(r[0])
         last_correlated = decision.correlated
-        records[k] = (
-            bandwidth,
-            range_error,
-            decision.range_innovation,
-            decision.range_window,
-            decision.correlated,
-            -1 if policy.last_state is None else policy.last_state,
-            -1 if policy.last_action is None else policy.last_action,
-            pred_var,
-            last_meas_var,
-        )
+        records[k] = (bandwidth, range_error, decision.range_innovation,
+                      decision.range_window, decision.correlated,
+                      -1 if policy.last_state is None else policy.last_state,
+                      -1 if policy.last_action is None else policy.last_action,
+                      pred_var, last_meas_var)
         if lost:
             lost_at = k + 1
             break
@@ -258,10 +250,9 @@ def train_qlearning(
     if n_runs < 0:
         raise ValueError("n_runs must be >= 0")
     policy = QLearningPolicy(table)
+    truth = TruthSide(trajectory[: episode.n_transmissions + 1], radar)
     for i in range(n_runs):
-        seeded_run(
-            i, base_seed, trajectory, policy, radar, process, episode, learning=True
-        )
+        seeded_run(i, base_seed, truth, policy, radar, process, episode, learning=True)
     return table
 
 

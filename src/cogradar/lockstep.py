@@ -4,24 +4,23 @@
 A lane is one (policy, run) pair: lane j runs a frozen policy on the noise of
 ``default_rng(seed_j)``.  A frozen run draws four normals per transmission
 and nothing else, so each lane draws its whole block of normals up front.
-The truth side of every dwell (true measurement, true range, SNR) is
-computed once, and each distinct bandwidth's noise variances once per dwell,
-with the scalar functions.  The estimate side of every lane is stepped
-together over a leading lane axis, operation for operation as the scalar
-loop computes it, so each lane's records are its scalar run's.  Lanes drop
-out as they lose the track.
+The truth side of every dwell (true measurement, true range, SNR and each
+bandwidth's noise variances) is the scalar loop's ``TruthSide``.  The
+estimate side of every lane is stepped together over a leading lane axis,
+operation for operation as the scalar loop computes it, so each lane's
+records are its scalar run's.  Lanes drop out as they lose the track.
 """
 
 from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .policy import Policy
-from .radar import RadarConfig, measurement_noise_var, observe, snr_at_range
+from .radar import RadarConfig, TruthSide
 from .records import RECORD_DTYPE, Runs
 from .tracker import (
     _EYE6,
@@ -29,9 +28,9 @@ from .tracker import (
     DegenerateInnovationError,
     ProcessModel,
     initialize_track,
+    kalman_gain,
     wrap_angle,
 )
-from .trajectory import TruthPoint
 
 if TYPE_CHECKING:  # experiment imports this module
     from .experiment import EpisodeConfig
@@ -119,14 +118,13 @@ def _lane_update(
     S = H @ PHt
     S = 0.5 * (S + S.transpose(0, 2, 1))
     S[:, _DIAG4, _DIAG4] += r
-    lam = np.linalg.eigvalsh(S)  # ascending
+    lam, K = kalman_gain(S, PHt)
     low = lam[:, 0]
-    degenerate = (low <= 0.0) | (
+    degenerate = ~(low > 0.0) | (  # a NaN eigenvalue is degenerate
         lam[:, -1] / np.where(low > 0.0, low, np.inf) > _MAX_CONDITION
     )
     if degenerate.any():
         return x, P, degenerate
-    K = np.linalg.solve(S, PHt.transpose(0, 2, 1)).transpose(0, 2, 1)
     I_KH = _EYE6 - K @ H
     P = I_KH @ P @ I_KH.transpose(0, 2, 1) + (K * r[:, None, :]) @ K.transpose(0, 2, 1)
     x = x + (K @ nu[:, :, None])[:, :, 0]
@@ -145,7 +143,7 @@ class Lockstep:
 
     def __init__(
         self,
-        trajectory: Sequence[TruthPoint],
+        truth: TruthSide,
         policies: Sequence[Policy],
         radar: RadarConfig,
         process: ProcessModel,
@@ -157,30 +155,12 @@ class Lockstep:
         self.policies = list(dict.fromkeys(policies))  # distinct, in lane order
         if not all(policy.lockstep for policy in self.policies):
             raise ValueError("lockstep lanes need frozen policies that draw nothing")
-        self.radar, self.process, self.episode, self.seeds = radar, process, episode, seeds
-        self.initial = [
-            episode.initial_bandwidth if episode.initial_bandwidth is not None
-            else policy.initial_bandwidth()
-            for policy in self.policies
-        ]
+        self.truth, self.radar, self.process = truth, radar, process
+        self.episode, self.seeds = episode, seeds
+        self.initial = [policy.initial_bandwidth() if episode.initial_bandwidth is None
+                        else episode.initial_bandwidth for policy in self.policies]
 
         n = episode.n_transmissions
-        truth = trajectory[: n + 1]
-        self.z_true = np.zeros((n + 1, 4))
-        self.snr: list[float] = []
-        self.truth_failure: Optional[tuple[int, ValueError]] = None
-        for k, point in enumerate(truth):
-            try:  # what measure computes before it draws
-                z = observe(np.concatenate([point.position, point.velocity]), radar.position)
-                self.snr.append(snr_at_range(float(z[0]), radar))
-            except ValueError as exc:  # every lane that gets here fails
-                self.truth_failure = (k, exc)
-                break
-            self.z_true[k] = z
-        positions = np.array([point.position for point in truth])
-        self.true_range = _lane_range(positions, radar.position)[-1]
-        self.phases = [point.phase for point in truth]
-
         rows: dict = {}  # one noise block per distinct seed
         for seed in seeds:
             rows.setdefault(seed, len(rows))
@@ -242,13 +222,14 @@ class Lockstep:
 
     def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""
-        if self.truth_failure is not None and self.truth_failure[0] == k:
-            raise _LaneFailure(np.ones(len(noise_row), bool), self.truth_failure[1])
-        # the scalar noise variances, once per distinct bandwidth
+        truth = self.truth
+        if k == len(truth.z_true):  # every lane that gets here fails
+            raise _LaneFailure(np.ones(len(noise_row), bool), truth.failure)
         distinct = sorted(set(bandwidth.tolist()))
-        r = np.array([measurement_noise_var(bw, self.snr[k], self.radar)
-                      for bw in distinct])[np.searchsorted(distinct, bandwidth)]
-        z = self.z_true[k] + np.sqrt(r) * self.noise[noise_row, k]
+        pick = np.searchsorted(distinct, bandwidth)
+        r, root = (np.array([rows[k] for rows in column])[pick]
+                   for column in zip(*(truth.noise(bw) for bw in distinct)))
+        z = truth.z_true[k] + root * self.noise[noise_row, k]
         _check(z[:, 0] <= 0.0, "measured range must be > 0")
         _check(~((-np.pi / 2.0 < z[:, 3]) & (z[:, 3] < np.pi / 2.0)),
                "elevation out of (-pi/2, pi/2)")
@@ -297,7 +278,7 @@ class Lockstep:
         row = k + 1
         F = self.process.F
         x = (F @ x[:, :, None])[:, :, 0]
-        P = F @ P @ F.T + self.process.Q[self.phases[row]]
+        P = F @ P @ F.T + self.process.Q[self.truth.phases[row]]
         P = 0.5 * (P + P.transpose(0, 2, 1))
         position = self.radar.position
         geometry = _lane_range(x, position)
@@ -329,7 +310,7 @@ class Lockstep:
             streak=streak,
             misses=np.where(correlated, 0, lanes.misses + 1),
             bandwidth=bandwidth,
-            range_error_true=np.abs(_lane_range(x, position)[-1] - self.true_range[row]),
+            range_error_true=np.abs(_lane_range(x, position)[-1] - self.truth.range[row]),
             range_innovation=nu[:, 0],
             range_window=window,
             correlated=correlated,

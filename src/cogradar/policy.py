@@ -276,11 +276,12 @@ def reward(range_error: float, lost: bool, C: float) -> float:
 
 
 def q_update(table: QTable, s_prev: int, a_prev: int, r: float, s_now: int) -> QTable:
-    """One temporal-difference backup; mutates and returns the table."""
-    td_target = r + table.hyperparams.gamma * table.values[s_now].max()
-    table.values[s_prev, a_prev] += table.hyperparams.alpha * (
-        td_target - table.values[s_prev, a_prev]
-    )
+    """One temporal-difference backup on Python floats; mutates and returns
+    the table."""
+    values, hyper = table.values, table.hyperparams
+    td_target = r + hyper.gamma * max(values[s_now].tolist())
+    q = values.item(s_prev, a_prev)
+    values[s_prev, a_prev] = q + hyper.alpha * (td_target - q)
     return table
 
 
@@ -308,7 +309,8 @@ def select_action(
         raise ValueError("epsilon must be in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(table.actions)))
-    return int(np.argmax(table.values[s]))
+    row = table.values[s].tolist()
+    return row.index(max(row))
 
 
 def bandwidth_scaling_step(

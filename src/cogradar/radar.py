@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,22 +119,62 @@ def measurement_noise_var(
     return np.array([sigma_range**2, sigma_rate**2, angle_var, angle_var])
 
 
+class TruthSide:
+    """What every transmission on ``trajectory`` computes before it draws,
+    once per campaign: per truth row the noise-free measurement ``z_true``,
+    the SNR and the true ``range``, and per (row, bandwidth) the noise
+    variances r and their square roots (``noise``).  The rows stop before
+    the first whose truth fails (target at radar); ``failure`` holds that
+    error, which measuring the row raises."""
+
+    def __init__(self, trajectory: Sequence[TruthPoint], config: RadarConfig) -> None:
+        self.config = config
+        self.phases = [point.phase for point in trajectory]
+        self.z_true: list[np.ndarray] = []
+        self.snr: list[float] = []
+        self.range: list[float] = []  # |truth - radar| = z_true[0]
+        self.failure: Optional[ValueError] = None
+        self._noise: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        for point in trajectory:
+            try:
+                z = observe(np.concatenate([point.position, point.velocity]), config.position)
+                snr = snr_at_range(float(z[0]), config)
+                if snr <= 0.0:  # measurement_noise_var's check, made per row
+                    raise ValueError("snr must be > 0")
+            except ValueError as exc:
+                self.failure = exc
+                break
+            self.z_true.append(z)
+            self.snr.append(snr)
+            self.range.append(float(z[0]))
+
+    def __len__(self) -> int:
+        return len(self.phases)
+
+    def noise(self, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
+        """r and sqrt(r) of every row at ``bandwidth``, (rows, 4) each, made
+        on first use."""
+        if bandwidth not in self._noise:
+            r = np.array([measurement_noise_var(bandwidth, snr, self.config)
+                          for snr in self.snr]).reshape(-1, 4)
+            self._noise[bandwidth] = r, np.sqrt(r)
+        return self._noise[bandwidth]
+
+
 def measure(
-    truth: TruthPoint,
-    bandwidth: float,
-    config: RadarConfig,
-    rng: np.random.Generator,
+    truth: TruthSide, k: int, bandwidth: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one transmission: h(truth) plus Gaussian noise from R(theta).
+    """Simulate one transmission on truth row k: z_true plus Gaussian noise
+    from R(theta).
 
     Returns the measured (range, range rate, azimuth, elevation) vector and
     the four noise variances it was drawn with.
     """
-    state = np.concatenate([truth.position, truth.velocity])
-    z_true = observe(state, config.position)
-    snr = snr_at_range(float(z_true[0]), config)
-    r = measurement_noise_var(bandwidth, snr, config)
-    z = z_true + np.sqrt(r) * rng.standard_normal(4)
+    if k >= len(truth.z_true):
+        raise truth.failure
+    r, root = truth.noise(bandwidth)
+    r = r[k]
+    z = truth.z_true[k] + root[k] * rng.standard_normal(4)
     if z[0] <= 0.0:
         raise ValueError("measured range must be > 0")
     if not -np.pi / 2.0 < z[3] < np.pi / 2.0:

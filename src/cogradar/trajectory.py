@@ -163,27 +163,13 @@ def _lateral_basis(velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]:
-    """Integrate a three-phase ballistic trajectory until impact.
+    """Integrate a three-phase ballistic trajectory until impact: one point
+    per dt from t = 0 to the first point at altitude <= 0.
 
-    Parameters
-    ----------
-    config : TrajectoryConfig
-    seed : int
-        Seed for the terminal-phase maneuver noise.  Identical
-        (config, seed) pairs produce bit-identical trajectories.
-
-    Returns
-    -------
-    list of TruthPoint
-        One point per dt, starting at t = 0, ending at the first point whose
-        altitude is <= 0.
-
-    Raises
-    ------
-    DegenerateTrajectoryError
-        If the configuration never leaves the ground.
-    ValueError
-        If the state becomes non-finite during integration.
+    ``seed`` seeds the terminal-phase maneuver noise, so identical (config,
+    seed) pairs give bit-identical trajectories.  Raises
+    ``DegenerateTrajectoryError`` if the configuration never leaves the
+    ground, and ValueError if the state becomes non-finite.
     """
     rng = np.random.default_rng(seed)
     direction = _launch_direction(config)

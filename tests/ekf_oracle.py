@@ -6,6 +6,11 @@ The faster forms in ``cogradar.radar`` and ``cogradar.tracker`` must agree
 with these to rounding: ``np.linalg.norm`` and ``d @ v`` go through BLAS
 and ``np.arctan2``/``np.arcsin`` through numpy's own kernels, so the last
 bits may differ, never a gate decision.
+
+Also the ndarray forms of the Q-learning rules, ``q_update`` and
+``lookahead_update``, from before the learner moved to Python floats.  They
+make the same IEEE operations in the same order, so a table trained by the
+package must equal, byte for byte, the same updates replayed through these.
 """
 
 from __future__ import annotations
@@ -84,6 +89,21 @@ def update(
     I_KH = np.eye(6) - K @ H
     P = I_KH @ P @ I_KH.T + K @ R @ K.T
     return x + K @ nu, 0.5 * (P + P.T)
+
+
+def q_update(table, s_prev, a_prev, r, s_now):
+    """One temporal-difference backup on the array; mutates the table."""
+    td_target = r + table.hyperparams.gamma * table.values[s_now].max()
+    table.values[s_prev, a_prev] += table.hyperparams.alpha * (
+        td_target - table.values[s_prev, a_prev]
+    )
+
+
+def lookahead_update(table, pairs, r, s_now):
+    """The same reward backed up to every pair, newest first, each against
+    the table as the previous sub-update left it."""
+    for s_prev, a_prev in pairs:
+        q_update(table, s_prev, a_prev, r, s_now)
 
 
 def measure(truth, bandwidth, radar, rng):

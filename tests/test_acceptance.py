@@ -36,6 +36,7 @@ from cogradar.policy import (
 )
 from cogradar.radar import (
     RadarConfig,
+    TruthSide,
     measure,
     observe_jacobian,
     snr_at_range,
@@ -295,7 +296,7 @@ def test_04_ekf_numerics(capsys, scenario):
         phase = phases[(i // 100) % 3]
         x, P = predict(x, P, model, phase)
         if i % 7 != 3:  # every seventh step keeps the prediction, as a miss does
-            z = measure(truth, actions[i % 6], radar, rng)
+            z = measure(TruthSide([truth], radar), 0, actions[i % 6], rng)
             x, P = _ekf_update(x, P, z, radar)
         symmetric &= bool(np.array_equal(P, P.T))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(P).min()))

@@ -296,6 +296,22 @@ class TestHyperparamsKeys:
         assert not os.path.exists(out)
 
 
+class TestSectionKeys:
+    """A missing required scenario field or a stray key exits 2 with a
+    message that names the section and the key."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["process"].pop("dt"), "process: missing key 'dt'"),
+        (lambda doc: doc["radar"].update(gain=3.0), "radar: unknown keys ['gain']"),
+        (lambda doc: doc["process"].update(drift=0.1), "process: unknown keys ['drift']"),
+    ], ids=["process.dt-missing", "radar-unknown", "process-unknown"])
+    def test_named_at_load(self, capsys, tmp_path, edit, message):
+        code, out = train_on_rewritten_input(tmp_path, False, edit)
+        assert code == 2
+        assert f"cogradar: error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestPolicySpec:
     def test_parse_with_param(self):
         assert PolicySpec.parse("fixed:1e6") == PolicySpec("fixed", "1e6")

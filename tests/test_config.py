@@ -173,3 +173,36 @@ def test_easy_scenario_differs_only_in_trajectory():
     assert dataclasses.replace(easy, trajectory=hard.trajectory) == hard
     traj = generate_trajectory(easy.trajectory, seed=easy.episode.seed)
     assert len(traj) >= easy.episode.n_transmissions + 1
+
+
+class TestSectionKeys:
+    """Every scenario section reads its keys the same way: a field left out
+    takes its default, a missing required field and a key that names no
+    field fail, naming the section."""
+
+    @pytest.mark.parametrize("section, key, cls", [
+        ("trajectory", "launch_position", TrajectoryConfig),
+        ("radar", "position", RadarConfig),
+        ("radar", "snr_ref", RadarConfig),
+        ("episode", "miss_limit", EpisodeConfig),
+    ])
+    def test_missing_field_takes_its_default(self, section, key, cls):
+        data = default_scenario().to_json_dict()
+        del data[section][key]
+        loaded = getattr(ScenarioConfig.from_json_dict(data), section)
+        assert getattr(loaded, key) == getattr(cls(), key)
+
+    @pytest.mark.parametrize("key", ["dt", "accel_noise_std"])
+    def test_missing_required_field_is_named(self, key):
+        data = default_scenario().to_json_dict()
+        del data["process"][key]
+        with pytest.raises(ValueError, match=f"^process: missing key '{key}'$"):
+            ScenarioConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("section", ["trajectory", "radar", "process", "episode"])
+    def test_unknown_keys_are_named(self, section):
+        data = default_scenario().to_json_dict()
+        data[section]["zeta"] = 1.0
+        data[section]["bogus"] = 2.0
+        with pytest.raises(ValueError, match=rf"^{section}: unknown keys \['bogus', 'zeta'\]$"):
+            ScenarioConfig.from_json_dict(data)

@@ -6,9 +6,13 @@ identical gate decisions and ``lost_at``.
 The scalar episodes are in turn the oracle of the lockstep lanes: the frozen
 roster (fixed 1, 5 and 10 MHz, scaling and both golden Q-tables) runs as the
 lanes of one call, and each lane must match its scalar run in gates, losses,
-states and actions, with range errors within 1e-9 m."""
+states and actions, with range errors within 1e-9 m.
+
+Training replays through the oracle's ndarray Q-learning rules: the same
+states, actions, range errors and losses give byte-equal Q-values."""
 
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,7 +20,14 @@ import pytest
 import ekf_oracle as oracle
 from cogradar.config import default_scenario
 from cogradar.experiment import evaluate, seeded_run
-from cogradar.policy import BandwidthScalingPolicy, FixedPolicy, QLearningPolicy, QTable
+from cogradar.policy import (
+    BandwidthScalingPolicy,
+    Discretizer,
+    FixedPolicy,
+    QLearningPolicy,
+    QTable,
+    reward,
+)
 from cogradar.radar import measurement_noise_var, observe, observe_jacobian
 from cogradar.tracker import update
 from cogradar.trajectory import generate_trajectory
@@ -116,3 +127,34 @@ def test_run_episode_matches_oracle_loop(hard_trajectory, roster_lanes, name):
             np.testing.assert_allclose(
                 result.records.range_error_true, errors, rtol=0.0, atol=1e-9
             )
+
+
+@pytest.mark.parametrize("lookahead", [False, True], ids=["L1", "L5"])
+def test_training_matches_oracle_rules(hard_trajectory, lookahead):
+    """Eight epsilon-greedy episodes through ``seeded_run(learning=True)``,
+    then each run's recorded states, actions, range errors and ``lost_at``
+    replayed through the oracle's ndarray rules on a copy of the starting
+    table: the Q-values must be byte-equal.  Lost runs, whose last dwell
+    backs up -C, are among them."""
+    sc = default_scenario()
+    edges = Discretizer.load(os.path.join(GOLDEN_DIR, "cal", "edges.json"))
+    table = sc.new_table(edges, lookahead=lookahead)
+    replay = QTable(table.values.copy(), table.discretizer, table.actions, table.hyperparams)
+    policy = QLearningPolicy(table)
+    runs = [seeded_run(i, 0, hard_trajectory, policy, sc.radar, sc.process, sc.episode,
+                       learning=True) for i in range(8)]
+    assert any(run.lost_at is not None for run in runs)
+    C, L = table.hyperparams.C, table.hyperparams.L
+    assert L == (5 if lookahead else 1)
+    for run in runs:
+        pairs: deque = deque(maxlen=L)
+        records = run.records
+        for k, (s, a, error) in enumerate(zip(records.state_index.tolist(),
+                                              records.action_index.tolist(),
+                                              records.range_error_true.tolist())):
+            if pairs:
+                lost = k + 1 == run.lost_at
+                oracle.lookahead_update(replay, pairs, reward(error, lost, C), s)
+            pairs.appendleft((s, a))
+    assert np.count_nonzero(table.values) > 50
+    assert table.values.tobytes() == replay.values.tobytes()

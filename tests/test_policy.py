@@ -336,6 +336,17 @@ class TestSelectAction:
         with pytest.raises(ValueError):
             select_action(make_table(), 0, 1.5, np.random.default_rng(0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
+                              st.floats(-30.0, 30.0)), min_size=6, max_size=6))
+    def test_greedy_is_argmax(self, row):
+        """Greedy choice on floats is ``np.argmax`` of the row, ties (signed
+        zeros among them) to the lowest index."""
+        table = make_table()
+        table.values[7] = row
+        want = int(np.argmax(table.values[7]))
+        assert select_action(table, 7, 0.0, np.random.default_rng(0)) == want
+
 
 class TestBandwidthScalingStep:
     def test_miss_halves(self):

@@ -4,6 +4,7 @@ import pytest
 from cogradar.radar import (
     SPEED_OF_LIGHT,
     RadarConfig,
+    TruthSide,
     measure,
     measurement_noise_var,
     observe,
@@ -199,14 +200,14 @@ class TestMeasure:
     def test_determinism(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig()
-        z1, _ = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
-        z2, _ = measure(truth, 5.0e6, cfg, np.random.default_rng(11))
+        z1, _ = measure(TruthSide([truth], cfg), 0, 5.0e6, np.random.default_rng(11))
+        z2, _ = measure(TruthSide([truth], cfg), 0, 5.0e6, np.random.default_rng(11))
         assert z1 == pytest.approx(z2, abs=0.0)
 
     def test_high_snr_limit(self):
         truth = truth_point([8000.0, -3000.0, 4000.0], [100.0, 50.0, -200.0])
         cfg = RadarConfig(snr_ref=1e18, angle_noise_std=1e-12)
-        z, _ = measure(truth, 10.0e6, cfg, np.random.default_rng(0))
+        z, _ = measure(TruthSide([truth], cfg), 0, 10.0e6, np.random.default_rng(0))
         state = np.concatenate([truth.position, truth.velocity])
         assert z == pytest.approx(observe(state, cfg.position_array), abs=1e-3)
 
@@ -221,8 +222,9 @@ class TestMeasure:
             measurement_noise_var(bw, snr_at_range(true_range, cfg), cfg)[0]
         )
         rng = np.random.default_rng(123)
+        side = TruthSide([truth], cfg)
         errors = np.array(
-            [measure(truth, bw, cfg, rng)[0][0] - true_range for _ in range(10_000)]
+            [measure(side, 0, bw, rng)[0][0] - true_range for _ in range(10_000)]
         )
         assert abs(errors.std(ddof=1) - sigma) / sigma < 0.05
         assert abs(errors.mean()) < 5.0 * sigma / np.sqrt(10_000.0)
@@ -230,7 +232,7 @@ class TestMeasure:
     def test_returns_variances_of_bandwidth(self):
         truth = truth_point([8000.0, 0.0, 4000.0], [0.0, 0.0, 0.0])
         cfg = RadarConfig()
-        _, r = measure(truth, 2.5e6, cfg, np.random.default_rng(5))
+        _, r = measure(TruthSide([truth], cfg), 0, 2.5e6, np.random.default_rng(5))
         true_range = np.linalg.norm(truth.position - cfg.position_array)
         snr = snr_at_range(float(true_range), cfg)
         assert np.array_equal(r, measurement_noise_var(2.5e6, snr, cfg))
@@ -243,7 +245,8 @@ class TestValidation:
             with pytest.raises(ValueError, match="bandwidth"):
                 measurement_noise_var(bandwidth, 100.0, RadarConfig())
             with pytest.raises(ValueError, match="bandwidth"):
-                measure(truth, bandwidth, RadarConfig(), np.random.default_rng(0))
+                measure(TruthSide([truth], RadarConfig()), 0, bandwidth,
+                        np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -265,7 +268,7 @@ class TestValidation:
         cfg = RadarConfig()
         truth = truth_point(cfg.position_array + [0.0, 0.0, 5000.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"elevation out of \(-pi/2, pi/2\)"):
-            measure(truth, 1.0e6, cfg, np.random.default_rng(0))
+            measure(TruthSide([truth], cfg), 0, 1.0e6, np.random.default_rng(0))
 
     def test_measurement_rejects_nonpositive_range(self):
         # at SNR ~ 4e-7 sigma_range is ~3e5 m, and the first range draw of
@@ -274,4 +277,4 @@ class TestValidation:
         cfg = RadarConfig(snr_ref=1e-12)
         truth = truth_point(cfg.position_array + [1000.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="measured range must be > 0"):
-            measure(truth, 1.0e6, cfg, np.random.default_rng(5))
+            measure(TruthSide([truth], cfg), 0, 1.0e6, np.random.default_rng(5))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cogradar.radar import (
     RadarConfig,
+    TruthSide,
     measure,
     measurement_noise_var,
     observe,
@@ -416,7 +417,7 @@ class TestCovarianceInvariants:
             t = (k + 1) * model.dt
             truth = TruthPoint(t=t, position=truth_pos, velocity=truth_vel, phase=phase)
             bandwidth = float(rng.choice([0.5e6, 2.5e6, 10e6]))
-            z = measure(truth, bandwidth, radar, rng)
+            z = measure(TruthSide([truth], radar), 0, bandwidth, rng)
             if k % 7 != 3:
                 (x, P), _ = ekf_update(x, P, z, radar)
             asym = np.abs(P - P.T).max()
