@@ -2,9 +2,12 @@
 
 Subcommands cover the full experiment lifecycle: generate-trajectory,
 calibrate, train, evaluate, compare, and trace. Every output file is
-written atomically.  Every episode is a run of ``experiment.seeded_run``
-seeded from --seed, so any invocation is reproducible byte for byte, a trace
-is run 0 of an evaluate at the same --seed, and a failed run names its seed.
+written atomically.  Run i of every campaign draws its noise from
+--seed + i.  train and trace run episodes one by one through
+``experiment.seeded_run``; evaluate, compare and calibrate step all their
+runs together in lockstep, which writes the same bytes.  So any invocation
+is reproducible byte for byte, a trace is run 0 of an evaluate at the same
+--seed, and a failed run names its index and seed.
 
 Every command that runs episodes generates the truth trajectory from the
 scenario's episode seed, not from --seed: policies evaluated under

@@ -10,7 +10,8 @@ in a row.
 Frozen campaigns (evaluate, compare, calibrate) run in lockstep: one
 ``run_episode`` call steps every (policy, run) lane together through the
 kernel in ``lockstep``.  Training and one-lane calls run the scalar loop
-here, which stays the reference.
+here, which stays the reference.  A failed lockstep call names no run, so
+``seeded_runs`` replays its lanes through the scalar loop, which does.
 
 Reproducibility contract: every random draw flows from the episode rng, and
 ``seeded_run`` seeds run i with base_seed + i, so any run replays alone.  A
@@ -27,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .fileio import require_float, require_int, write_csv
-from .lockstep import LaneError, Lockstep
+from .lockstep import Lockstep
 from .policy import (
     ActionSet,
     FixedPolicy,
@@ -127,8 +128,8 @@ def run_episode(
 
     Lockstep: given a sequence of frozen policies and a sequence of seeds,
     lane j runs ``policy[j]`` on ``default_rng(rng[j])`` and the lanes step
-    together; returns their ``Runs``.  If lanes fail, ``LaneError`` names
-    the first of them in lane order.
+    together; returns their ``Runs``.  A failed lane raises the scalar
+    loop's error for its run, without the run's index or seed.
     """
     if len(trajectory) < episode.n_transmissions + 1:
         raise ValueError(
@@ -221,8 +222,10 @@ def seeded_runs(
 
     Two or more lanes whose policies draw nothing from the rng step together
     in one lockstep ``run_episode`` call; otherwise each lane is a
-    ``seeded_run``.  Either way a failure names the run and seed of the first
-    failed lane in lane order, the run that the lane-by-lane loop meets first.
+    ``seeded_run``.  When the lockstep call fails, its lanes replay one by
+    one as ``seeded_run``s, so the error names the first failed run in lane
+    order.  Should every lane pass the replay, the lockstep error is raised
+    as it was: there are no scalar results to fall back on.
     """
     if len(policies) < 2 or not all(policy.lockstep for policy in policies):
         return tuple(
@@ -232,9 +235,10 @@ def seeded_runs(
     seeds = [base_seed + i for i in runs]
     try:
         return tuple(run_episode(trajectory, policies, radar, process, episode, seeds))
-    except LaneError as exc:
-        i = runs[exc.lane]
-        raise type(exc.error)(f"run {i} (seed {base_seed + i}): {exc.error}") from exc.error
+    except ValueError:
+        for policy, i in zip(policies, runs):
+            seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
+        raise
 
 
 def train_qlearning(

@@ -9,6 +9,11 @@ bandwidth's noise variances) is the scalar loop's ``TruthSide``.  The
 estimate side of every lane is stepped together over a leading lane axis,
 operation for operation as the scalar loop computes it, so each lane's
 records are its scalar run's.  Lanes drop out as they lose the track.
+
+A lane that fails one of the scalar loop's checks stops the call at once
+with that check's plain error.  The lane that trips it is the first in dwell
+order, not always the first run in lane order, so the error names no run:
+``experiment.seeded_runs`` replays the lanes through the scalar loop for that.
 """
 
 from __future__ import annotations
@@ -22,15 +27,7 @@ import numpy as np
 from .policy import Policy
 from .radar import RadarConfig, TruthSide
 from .records import RECORD_DTYPE, Runs
-from .tracker import (
-    _EYE6,
-    _MAX_CONDITION,
-    DegenerateInnovationError,
-    ProcessModel,
-    initialize_track,
-    kalman_gain,
-    wrap_angle,
-)
+from .tracker import _EYE6, ProcessModel, initialize_track, kalman_gain, wrap_angle
 
 if TYPE_CHECKING:  # experiment imports this module
     from .experiment import EpisodeConfig
@@ -38,28 +35,9 @@ if TYPE_CHECKING:  # experiment imports this module
 _DIAG4 = np.arange(4)
 
 
-class LaneError(ValueError):
-    """Lane ``lane`` of a lockstep call failed with ``error``, the error the
-    scalar loop raises for that run."""
-
-    def __init__(self, lane: int, seed: int, error: ValueError) -> None:
-        super().__init__(f"lane {lane} (seed {seed}): {error}")
-        self.lane = lane
-        self.error = error
-
-
-class _LaneFailure(Exception):
-    """The active lanes masked by ``bad`` failed a check with ``error``."""
-
-    def __init__(self, bad: np.ndarray, error: ValueError) -> None:
-        super().__init__(error)
-        self.bad = bad
-        self.error = error
-
-
-def _check(bad: np.ndarray, message: str, error: type = ValueError) -> None:
+def _check(bad: np.ndarray, message: str) -> None:
     if bad.any():
-        raise _LaneFailure(bad, error(message))
+        raise ValueError(message)
 
 
 class _Lanes(SimpleNamespace):
@@ -110,36 +88,24 @@ def _lane_observe(x: np.ndarray, geometry: tuple) -> tuple[np.ndarray, np.ndarra
 
 def _lane_update(
     x: np.ndarray, P: np.ndarray, r: np.ndarray, H: np.ndarray, nu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``tracker.update`` over lanes, product for product, so each lane's
-    posterior is the scalar one.  Also returns the mask of lanes whose S is
-    degenerate; when any is, the priors come back unchanged."""
+    posterior is the scalar one; a degenerate S in any lane raises
+    ``DegenerateInnovationError``, as ``update`` does."""
     PHt = P @ H.transpose(0, 2, 1)
     S = H @ PHt
     S = 0.5 * (S + S.transpose(0, 2, 1))
     S[:, _DIAG4, _DIAG4] += r
-    lam, K = kalman_gain(S, PHt)
-    low = lam[:, 0]
-    degenerate = ~(low > 0.0) | (  # a NaN eigenvalue is degenerate
-        lam[:, -1] / np.where(low > 0.0, low, np.inf) > _MAX_CONDITION
-    )
-    if degenerate.any():
-        return x, P, degenerate
+    K = kalman_gain(S, PHt)
     I_KH = _EYE6 - K @ H
     P = I_KH @ P @ I_KH.transpose(0, 2, 1) + (K * r[:, None, :]) @ K.transpose(0, 2, 1)
     x = x + (K @ nu[:, :, None])[:, :, 0]
-    return x, 0.5 * (P + P.transpose(0, 2, 1)), degenerate
+    return x, 0.5 * (P + P.transpose(0, 2, 1))
 
 
 class Lockstep:
     """Lane j runs the frozen ``policies[j]`` on ``default_rng(seeds[j])``;
-    ``run`` steps every lane together and returns their ``Runs``.
-
-    A lane that fails one of the scalar loop's checks is set aside with its
-    error and the step reruns without it: lanes are independent, so the
-    others come out the same.  At the end ``run`` raises ``LaneError`` for
-    the first failed lane in lane order.
-    """
+    ``run`` steps every lane together and returns their ``Runs``."""
 
     def __init__(
         self,
@@ -178,14 +144,11 @@ class Lockstep:
 
     def run(self) -> Runs:
         n = self.episode.n_transmissions
-        failures: dict = {}
         records = np.zeros((len(self.seeds), n), dtype=RECORD_DTYPE)
         lost_at = np.zeros(len(self.seeds), dtype=int)  # 0: a full track
-        lanes = self._retry(self._initiate, self.start, failures)
+        lanes = self._initiate(self.start)
         for k in range(n):
-            lanes = self._retry(lambda active: self._dwell(active, k), lanes, failures)
-            if not len(lanes):
-                break
+            lanes = self._dwell(lanes, k)
             column = records[:, k]
             for name in RECORD_DTYPE.names:
                 column[name][lanes.ids] = getattr(lanes, name)
@@ -193,9 +156,8 @@ class Lockstep:
             if lost.any():
                 lost_at[lanes.ids[lost]] = k + 1
                 lanes = lanes.take(~lost)
-        if failures:
-            lane = min(failures)
-            raise LaneError(lane, self.seeds[lane], failures[lane])
+                if not len(lanes):
+                    break
         lengths = np.where(lost_at > 0, lost_at, n)
         ends = np.cumsum(lengths)
         rows = records.reshape(-1)  # lane j's rows start at j * n
@@ -207,24 +169,11 @@ class Lockstep:
             lost_at=tuple(int(k) if k else None for k in lost_at),
         )
 
-    @staticmethod
-    def _retry(step, lanes: _Lanes, failures: dict) -> _Lanes:
-        """``step(lanes)``, rerun without the lanes that fail; a failure also
-        retires every later lane, which can no longer be the one reported."""
-        while len(lanes):
-            try:
-                return step(lanes)
-            except _LaneFailure as failure:
-                for lane in lanes.ids[failure.bad].tolist():
-                    failures[lane] = failure.error
-                lanes = lanes.take(~failure.bad & (lanes.ids < min(failures)))
-        return lanes
-
     def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""
         truth = self.truth
         if k == len(truth.z_true):  # every lane that gets here fails
-            raise _LaneFailure(np.ones(len(noise_row), bool), truth.failure)
+            raise truth.failure
         distinct = sorted(set(bandwidth.tolist()))
         pick = np.searchsorted(distinct, bandwidth)
         r, root = (np.array([rows[k] for rows in column])[pick]
@@ -296,11 +245,7 @@ class Lockstep:
         correlated = np.abs(nu[:, 0]) <= 3.0 * window
         hits = np.flatnonzero(correlated)
         if hits.size:
-            x_hit, P_hit, degenerate = _lane_update(x[hits], P[hits], r[hits], H[hits], nu[hits])
-            bad = np.zeros(len(lanes), dtype=bool)
-            bad[hits[degenerate]] = True
-            _check(bad, "degenerate innovation covariance", DegenerateInnovationError)
-            x[hits], P[hits] = x_hit, P_hit
+            x[hits], P[hits] = _lane_update(x[hits], P[hits], r[hits], H[hits], nu[hits])
         return _Lanes(
             ids=lanes.ids,
             noise_row=lanes.noise_row,

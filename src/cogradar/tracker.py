@@ -123,13 +123,18 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
     )
 
 
-def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending eigenvalues of the symmetric S and K = P H' S^-1, for
-    one (S, P H') or a stack, from the LAPACK gufuncs behind ``np.linalg``'s
-    ``eigvalsh`` and ``solve``: the same bits at a third of the cost, but a
-    non-converged eigenvalue is NaN, not an error."""
-    return (_umath_linalg.eigvalsh_lo(S),
-            _umath_linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2))
+def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
+    """K = P H' S^-1 for one 4x4 S and its P H', or a stack, from the LAPACK
+    gufuncs behind ``np.linalg``'s ``eigvalsh`` and ``solve``: the same bits
+    at a third of the cost.  The eigenvalues come first, so a degenerate S
+    raises before the solve, which would warn on a singular one."""
+    lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
+    # every S must be positive definite with a 2-norm condition number
+    # <= 1e12; a NaN eigenvalue fails the first test
+    for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
+        if not low > 0.0 or high / low > _MAX_CONDITION:
+            raise DegenerateInnovationError("degenerate innovation covariance")
+    return _umath_linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def update(
@@ -142,10 +147,7 @@ def update(
     S = H @ PHt
     S = 0.5 * (S + S.T)
     S.flat[::5] += r  # the diagonal of the 4x4 S: S = H P H' + diag(r)
-    lam, K = kalman_gain(S, PHt)
-    # S must be positive definite with a 2-norm condition number <= 1e12
-    if not lam[0] > 0.0 or lam[-1] / lam[0] > _MAX_CONDITION:
-        raise DegenerateInnovationError("degenerate innovation covariance")
+    K = kalman_gain(S, PHt)
 
     I_KH = _EYE6 - K @ H
     P = I_KH @ P @ I_KH.T + (K * r) @ K.T  # K R K' with R = diag(r)

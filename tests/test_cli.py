@@ -518,8 +518,9 @@ def fail_marked_dwells(monkeypatch, marks, fails=lambda rate, range_var: True):
 
     def failing_lane_update(x, P, r, H, nu):
         bad, nu = triage(nu, r)
-        x, P, degenerate = lane_update(x, P, r, H, nu)
-        return x, P, degenerate | bad
+        if bad.any():
+            raise DegenerateInnovationError("degenerate innovation covariance")
+        return lane_update(x, P, r, H, nu)
 
     seeds = {seed for seed, _ in marks}
     monkeypatch.setattr(
@@ -599,6 +600,37 @@ class TestFailedRun:
         assert "no full windows to aggregate" in captured.err
         assert "wrote" not in captured.out
         assert not os.path.exists(out) or os.listdir(out) == []
+
+
+class TestFailedLockstepCall:
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "fixed:1e6", "--runs", "1"],
+        ["evaluate", "--policy", "fixed:1e6", "--runs", "2"],
+        ["compare", "--policy", "fixed:1e6,fixed:5e6", "--runs", "2"],
+        ["calibrate", "--runs", "3"],
+    ], ids=["evaluate-1", "evaluate-2", "compare", "calibrate"])
+    def test_short_trajectory_names_run_zero(self, capsys, tmp_path, argv):
+        """One scalar run or a lockstep call: either way the error names the
+        first run and its seed."""
+        out = str(tmp_path / "out")
+        code = run(*argv, "--seed", "7", "--transmissions", "5000", "--out", out)
+        assert code == 2
+        assert "run 0 (seed 7): trajectory too short" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_failure_seen_only_in_the_lanes(self, capsys, tmp_path, monkeypatch):
+        """The scalar replay passes every run, so the lanes' own error is
+        what the command reports, and it writes nothing."""
+        def failing_lane_update(*args):
+            raise DegenerateInnovationError("lanes only")
+
+        monkeypatch.setattr(lockstep, "_lane_update", failing_lane_update)
+        out = str(tmp_path / "out")
+        code = run("evaluate", "--policy", "fixed:1e6", "--runs", "3", *FAST, "--out", out)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: lanes only" in captured.err and "wrote" not in captured.out
+        assert not os.path.exists(out)
 
 
 class TestCompare:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cogradar import experiment
+from cogradar import experiment, lockstep
 from cogradar.experiment import (
     RECORD_DTYPE,
     EpisodeConfig,
@@ -19,6 +19,7 @@ from cogradar.experiment import (
     save_histogram_csv,
     save_metrics_csv,
     save_run_csv,
+    seeded_runs,
     success_histogram,
     train_qlearning,
     windowed_min,
@@ -34,7 +35,7 @@ from cogradar.policy import (
     reward,
 )
 from cogradar.radar import RadarConfig
-from cogradar.tracker import GateResult, ProcessModel
+from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel
 from cogradar.trajectory import Phase, TruthPoint
 
 QUIET_SIGMA = {Phase.BOOST: 1e-3, Phase.MID_COURSE: 1e-3, Phase.TERMINAL: 1e-3}
@@ -553,6 +554,31 @@ class TestEvaluate:
         second_results, second_per_step = once()
         assert all(map(same_run, first_results, second_results))
         assert first_per_step == pytest.approx(second_per_step, abs=0.0)
+
+
+class TestSeededRuns:
+    def test_replay_cannot_hide_a_lane_failure(self, monkeypatch):
+        """When only the lanes fail, the scalar replay runs every lane to the
+        end and then the lanes' error is raised, not the scalar results."""
+        error = DegenerateInnovationError("lanes only")
+
+        def failing_lane_update(*args):
+            raise error
+
+        replayed = []
+        run_episode = experiment.run_episode
+
+        def recorded(*args, **kwargs):
+            replayed.append(run_episode(*args, **kwargs))  # a failed call appends nothing
+            return replayed[-1]
+
+        monkeypatch.setattr(lockstep, "_lane_update", failing_lane_update)
+        monkeypatch.setattr(experiment, "run_episode", recorded)
+        with pytest.raises(DegenerateInnovationError) as raised:
+            seeded_runs([FixedPolicy(1e6)] * 3, range(3), 0, stationary_trajectory(41),
+                        moderate_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
+        assert raised.value is error
+        assert [run.successful for run in replayed] == [True] * 3
 
 
 class TestCalibrateDiscretizer:

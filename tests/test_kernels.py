@@ -1,8 +1,11 @@
 """The shared kernels of the dwell against the calls they replace, byte for
-byte: ``tracker.kalman_gain`` against ``np.linalg.eigvalsh`` and ``solve``,
-and the campaign's ``radar.TruthSide`` against what a measurement computes
-per call.  Both kernels (the scalar loop and the lockstep lanes) read these,
+byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
+and ``eigvalsh``, and the campaign's ``radar.TruthSide`` against what a
+measurement computes per call.  Both kernels (the scalar loop and the lockstep lanes) read these,
 so a difference here would move every output."""
+
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,13 +36,16 @@ def random_gain_inputs(rng, m):
 
 
 def test_gain_matches_linalg():
+    """The gain, and the eigenvalues its condition check reads, are
+    ``np.linalg``'s bits, for one S and for a stack as the lanes pass it."""
     S, PHt = random_gain_inputs(np.random.default_rng(21), 300)
     for one_S, one_PHt in zip(S, PHt):
-        lam, K = kalman_gain(one_S, one_PHt)
-        assert lam.tobytes() == np.linalg.eigvalsh(one_S).tobytes()
+        assert (tracker._umath_linalg.eigvalsh_lo(one_S).tobytes()
+                == np.linalg.eigvalsh(one_S).tobytes())
+        K = kalman_gain(one_S, one_PHt)
         assert K.tobytes() == np.linalg.solve(one_S, one_PHt.T).T.tobytes()
-    lam, K = kalman_gain(S, PHt)  # a stack, as the lanes call it
-    assert lam.tobytes() == np.linalg.eigvalsh(S).tobytes()
+    assert tracker._umath_linalg.eigvalsh_lo(S).tobytes() == np.linalg.eigvalsh(S).tobytes()
+    K = kalman_gain(S, PHt)
     want = np.linalg.solve(S, PHt.transpose(0, 2, 1)).transpose(0, 2, 1)
     assert K.shape == (300, 6, 4) and K.tobytes() == want.tobytes()
 
@@ -47,18 +53,29 @@ def test_gain_matches_linalg():
 def test_nan_eigenvalue_is_degenerate(monkeypatch):
     """LAPACK's gufunc returns NaN where the np.linalg wrapper raised; both
     kernels must count such an S as degenerate."""
-    def nan_gain(S, PHt):
-        lam, K = kalman_gain(S, PHt)
-        return np.full_like(lam, np.nan), K
-
-    monkeypatch.setattr(tracker, "kalman_gain", nan_gain)
-    monkeypatch.setattr(lockstep, "kalman_gain", nan_gain)
+    monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
+        eigvalsh_lo=lambda S: np.full(S.shape[:-1], np.nan), solve=tracker._umath_linalg.solve))
     H = np.hstack([np.eye(4), np.zeros((4, 2))])
     x, P, r, nu = np.zeros(6), np.eye(6), np.ones(4), np.zeros(4)
     with pytest.raises(DegenerateInnovationError):
         update(x, P, r, H, nu)
-    _, _, degenerate = lockstep._lane_update(x[None], P[None], r[None], H[None], nu[None])
-    assert degenerate.tolist() == [True]
+    with pytest.raises(DegenerateInnovationError):
+        lockstep._lane_update(x[None], P[None], r[None], H[None], nu[None])
+
+
+def test_singular_innovation_raises_before_the_solve():
+    """S = diag(0, 1, 1, 1) is exactly singular: both kernels raise on its
+    eigenvalues, without the warning a solve on it would give, also when it
+    is the second lane of a stack."""
+    H = np.hstack([np.eye(4), np.zeros((4, 2))])
+    x, P, r, nu = np.zeros(6), np.diag([-1.0, 0, 0, 0, 0, 0]), np.ones(4), np.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInnovationError):
+            update(x, P, r, H, nu)
+        with pytest.raises(DegenerateInnovationError):
+            lockstep._lane_update(*(np.stack(pair) for pair in
+                                    ((x, x), (np.eye(6), P), (r, r), (H, H), (nu, nu))))
 
 
 @pytest.fixture(scope="module")
