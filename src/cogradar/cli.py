@@ -3,11 +3,12 @@
 Subcommands cover the full experiment lifecycle: generate-trajectory,
 calibrate, train, evaluate, compare, and trace. Every output file is
 written atomically.  Run i of every campaign draws its noise from
---seed + i.  train and trace run episodes one by one through
-``experiment.seeded_run``; evaluate, compare and calibrate step all their
-runs together in lockstep, which writes the same bytes.  So any invocation
-is reproducible byte for byte, a trace is run 0 of an evaluate at the same
---seed, and a failed run names its index and seed.
+--seed + i.  train runs its learning episodes one by one through
+``experiment.seeded_run``; evaluate, compare, calibrate and trace hand all
+their frozen runs to one lockstep call of ``experiment.seeded_runs``.  So any
+invocation is reproducible byte for byte, a trace is lane 0 of the call a
+one-run evaluate at the same --seed makes, and a failed run names its index
+and seed.
 
 Every command that runs episodes generates the truth trajectory from the
 scenario's episode seed, not from --seed: policies evaluated under
@@ -32,7 +33,7 @@ from .experiment import (
     save_histogram_csv,
     save_metrics_csv,
     save_run_csv,
-    seeded_run,
+    seeded_runs,
     train_qlearning,
 )
 from .fileio import write_csv
@@ -268,8 +269,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     policy = _build_policy(args.policy[0], scenario, args.qtable)
-    result = seeded_run(0, _base_seed(args, scenario), _truth(scenario), policy,
-                        *_models(scenario))
+    [result] = seeded_runs([policy], [0], _base_seed(args, scenario), _truth(scenario),
+                           *_models(scenario))
     path = _out_path(args, "trace.csv")
     save_run_csv(result, scenario.hyperparams.C, path)
     status = "full track" if result.successful else f"lost at step {result.lost_at}"

@@ -7,16 +7,15 @@ track (velocity unknown, large covariance) and the remaining samples form the
 decision loop.  Episodes stop early when the gate misses ``miss_limit`` times
 in a row.
 
-Frozen campaigns (evaluate, compare, calibrate) run in lockstep: one
-``run_episode`` call steps every (policy, run) lane together through the
-kernel in ``lockstep``.  Training and one-lane calls run the scalar loop
-here, which stays the reference.  A failed lockstep call names no run, so
-``seeded_runs`` replays its lanes through the scalar loop, which does.
+Every frozen run, one lane or many, is a lane of one lockstep ``run_episode``
+call (the kernel is in ``lockstep``); the scalar loop here runs training and
+is the tests' oracle.  ``seeded_runs`` replays a failed call lane by lane, so
+the error names its run.
 
 Reproducibility contract: every random draw flows from the episode rng, and
-``seeded_run`` seeds run i with base_seed + i, so any run replays alone.  A
-frozen run draws four normals per transmission and nothing else, so lane j
-of a lockstep call replays as that run of the scalar loop.
+run i of a campaign draws from ``default_rng(base_seed + i)``, so any run
+replays alone.  A frozen run draws four normals per transmission and nothing
+else, so lane j of a lockstep call replays as that run of the scalar loop.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .fileio import require_float, require_int, write_csv
-from .lockstep import Lockstep
+from .lockstep import Lockstep, require_frozen
 from .policy import (
     ActionSet,
     FixedPolicy,
@@ -126,10 +125,10 @@ def run_episode(
     ``learning``, the policy learns from each dwell's range error and loss.
     A campaign passes its trajectory's ``TruthSide`` for ``radar``, built once.
 
-    Lockstep: given a sequence of frozen policies and a sequence of seeds,
-    lane j runs ``policy[j]`` on ``default_rng(rng[j])`` and the lanes step
-    together; returns their ``Runs``.  A failed lane raises the scalar
-    loop's error for its run, without the run's index or seed.
+    Lockstep, the path of every frozen run: given a sequence of frozen
+    policies and of seeds, lane j runs ``policy[j]`` on ``default_rng(rng[j])``
+    and the lanes step together; returns their ``Runs``.  A failed lane raises
+    the scalar loop's error for its run, without the run's index or seed.
     """
     if len(trajectory) < episode.n_transmissions + 1:
         raise ValueError(
@@ -198,15 +197,20 @@ def run_episode(
 # ---------------------------------------------------------------------------
 
 
-def seeded_run(i: int, base_seed: int, *args, **kwargs) -> RunResult:
-    """Run i of a campaign: ``run_episode(*args, **kwargs)`` drawing from
-    ``default_rng(base_seed + i)``.  A ValueError is re-raised with the run
-    index and its seed in front of the message, so the run can be replayed."""
-    seed = base_seed + i
+def _run_named(i: int, seed: int, *args, **kwargs) -> Union[RunResult, Runs]:
+    """``run_episode(*args, **kwargs)`` for run i on seed; a ValueError is
+    re-raised with ``run i (seed s): `` in front, so the run can be replayed."""
     try:
-        return run_episode(*args, rng=np.random.default_rng(seed), **kwargs)
+        return run_episode(*args, **kwargs)
     except ValueError as exc:
         raise type(exc)(f"run {i} (seed {seed}): {exc}") from exc
+
+
+def seeded_run(i: int, base_seed: int, *args, **kwargs) -> RunResult:
+    """Run i of a campaign: ``run_episode(*args, **kwargs)`` drawing from
+    ``default_rng(base_seed + i)``; a ValueError names the run and its seed."""
+    seed = base_seed + i
+    return _run_named(i, seed, *args, rng=np.random.default_rng(seed), **kwargs)
 
 
 def seeded_runs(
@@ -217,27 +221,20 @@ def seeded_runs(
     radar: RadarConfig,
     process: ProcessModel,
     episode: EpisodeConfig,
-) -> tuple[RunResult, ...]:
-    """Lane j is run ``runs[j]`` of the frozen ``policies[j]``.
-
-    Two or more lanes whose policies draw nothing from the rng step together
-    in one lockstep ``run_episode`` call; otherwise each lane is a
-    ``seeded_run``.  When the lockstep call fails, its lanes replay one by
-    one as ``seeded_run``s, so the error names the first failed run in lane
-    order.  Should every lane pass the replay, the lockstep error is raised
-    as it was: there are no scalar results to fall back on.
-    """
-    if len(policies) < 2 or not all(policy.lockstep for policy in policies):
-        return tuple(
-            seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
-            for policy, i in zip(policies, runs)
-        )
+) -> Runs:
+    """Lane j is run ``runs[j]`` of the frozen ``policies[j]``; all lanes
+    step together in one lockstep ``run_episode`` call.  A policy that draws
+    from the rng fails before any dwell, naming no run.  A failed call
+    replays its lanes one by one as one-lane calls, so the error names the
+    first failed run in lane order; should every lane pass, the call's own
+    error is raised: there are no replayed results to fall back on."""
+    require_frozen(policies)
     seeds = [base_seed + i for i in runs]
     try:
-        return tuple(run_episode(trajectory, policies, radar, process, episode, seeds))
+        return run_episode(trajectory, policies, radar, process, episode, seeds)
     except ValueError:
-        for policy, i in zip(policies, runs):
-            seeded_run(i, base_seed, trajectory, policy, radar, process, episode)
+        for policy, i, seed in zip(policies, runs, seeds):
+            _run_named(i, seed, trajectory, [policy], radar, process, episode, [seed])
         raise
 
 
@@ -274,8 +271,8 @@ def evaluate(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     lanes = [policy for policy in policies for _ in range(n_runs)]
-    results = seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
-                          trajectory, radar, process, episode)
+    results = tuple(seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
+                                trajectory, radar, process, episode))
     per_policy = [results[j : j + n_runs] for j in range(0, len(results), n_runs)]
     return [(runs, mean_windowed_mse(runs)) for runs in per_policy]
 
@@ -291,13 +288,13 @@ def calibrate_discretizer(
 ) -> Discretizer:
     """Pilot campaign for bin edges: fixed-bandwidth episodes cycling through
     the action menu, pooling the variances the policies will later see."""
+    if n_runs < 0:
+        raise ValueError("n_runs must be >= 0")
     policies = [FixedPolicy(bw, radar.min_bw, radar.max_bw)
                 for bw in actions.bandwidths[:n_runs]]
-    results = seeded_runs([policies[i % len(policies)] for i in range(n_runs)],
-                          range(n_runs), base_seed, trajectory, radar, process, episode)
-    # zero runs pool zero samples
-    samples = np.concatenate([np.zeros(0, dtype=RECORD_DTYPE),
-                              *(result.records for result in results)])
+    samples = seeded_runs([policies[i % len(policies)] for i in range(n_runs)],
+                          range(n_runs), base_seed, trajectory, radar, process,
+                          episode).records
     return Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
 
 

@@ -1,5 +1,5 @@
-"""Frozen campaigns in lockstep: the kernel behind a many-lane
-``experiment.run_episode`` call.
+"""Frozen runs in lockstep: the kernel behind ``experiment.run_episode`` given
+a sequence of policies, which every frozen run takes, one lane or many.
 
 A lane is one (policy, run) pair: lane j runs a frozen policy on the noise of
 ``default_rng(seed_j)``.  A frozen run draws four normals per transmission
@@ -13,7 +13,7 @@ records are its scalar run's.  Lanes drop out as they lose the track.
 A lane that fails one of the scalar loop's checks stops the call at once
 with that check's plain error.  The lane that trips it is the first in dwell
 order, not always the first run in lane order, so the error names no run:
-``experiment.seeded_runs`` replays the lanes through the scalar loop for that.
+``experiment.seeded_runs`` replays the lanes one by one for that.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ _DIAG4 = np.arange(4)
 def _check(bad: np.ndarray, message: str) -> None:
     if bad.any():
         raise ValueError(message)
+
+
+def require_frozen(policies: Sequence[Policy]) -> None:
+    """A lane can run a policy only if the policy draws nothing."""
+    if not all(policy.lockstep for policy in policies):
+        raise ValueError("lockstep lanes need frozen policies that draw nothing")
 
 
 class _Lanes(SimpleNamespace):
@@ -119,8 +125,7 @@ class Lockstep:
         if len(policies) != len(seeds):
             raise ValueError("need one seed per lane")
         self.policies = list(dict.fromkeys(policies))  # distinct, in lane order
-        if not all(policy.lockstep for policy in self.policies):
-            raise ValueError("lockstep lanes need frozen policies that draw nothing")
+        require_frozen(self.policies)
         self.truth, self.radar, self.process = truth, radar, process
         self.episode, self.seeds = episode, seeds
         self.initial = [policy.initial_bandwidth() if episode.initial_bandwidth is None
@@ -146,8 +151,8 @@ class Lockstep:
         n = self.episode.n_transmissions
         records = np.zeros((len(self.seeds), n), dtype=RECORD_DTYPE)
         lost_at = np.zeros(len(self.seeds), dtype=int)  # 0: a full track
-        lanes = self._initiate(self.start)
-        for k in range(n):
+        lanes = self._initiate(self.start) if len(self.start) else self.start
+        for k in range(n if len(lanes) else 0):  # a call with no lanes runs no dwell
             lanes = self._dwell(lanes, k)
             column = records[:, k]
             for name in RECORD_DTYPE.names:
@@ -163,11 +168,8 @@ class Lockstep:
         rows = records.reshape(-1)  # lane j's rows start at j * n
         for lane, (end, length) in enumerate(zip(ends.tolist(), lengths.tolist())):
             rows[end - length : end] = rows[lane * n : lane * n + length]  # in place
-        return Runs(
-            records=rows[: lengths.sum()].view(np.recarray),
-            ends=ends,
-            lost_at=tuple(int(k) if k else None for k in lost_at),
-        )
+        return Runs(records=rows[: lengths.sum()].view(np.recarray), ends=ends,
+                    lost_at=tuple(int(k) if k else None for k in lost_at))
 
     def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""

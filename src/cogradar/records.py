@@ -1,6 +1,6 @@
 """What a run records: one ``RECORD_DTYPE`` row per transmission, held by a
-``RunResult`` for one run of the scalar loop and by ``Runs`` for the lanes of
-one lockstep call."""
+``RunResult`` for one run and by ``Runs`` for the lanes of one lockstep call,
+whose lane j is a ``RunResult``."""
 
 from __future__ import annotations
 

@@ -572,10 +572,7 @@ class TestFailedRun:
         assert not os.path.exists(out)
 
     def test_failed_trace_names_run_and_seed(self, capsys, tmp_path, monkeypatch):
-        def failing_update(*args):
-            raise DegenerateInnovationError("degenerate innovation covariance")
-
-        monkeypatch.setattr(experiment, "update", failing_update)
+        fail_marked_dwells(monkeypatch, {(1000, 2): MARK})
         out = str(tmp_path / "out")
         code = run("trace", "--policy", "scaling", "--seed", "1000", *FAST, "--out", out)
         assert code == 2
@@ -619,10 +616,14 @@ class TestFailedLockstepCall:
         assert not os.path.exists(out)
 
     def test_failure_seen_only_in_the_lanes(self, capsys, tmp_path, monkeypatch):
-        """The scalar replay passes every run, so the lanes' own error is
+        """The one-lane replay passes every run, so the lanes' own error is
         what the command reports, and it writes nothing."""
-        def failing_lane_update(*args):
-            raise DegenerateInnovationError("lanes only")
+        lane_update = lockstep._lane_update
+
+        def failing_lane_update(x, *args):
+            if len(x) > 1:  # a one-lane call never fails
+                raise DegenerateInnovationError("lanes only")
+            return lane_update(x, *args)
 
         monkeypatch.setattr(lockstep, "_lane_update", failing_lane_update)
         out = str(tmp_path / "out")
@@ -631,6 +632,37 @@ class TestFailedLockstepCall:
         captured = capsys.readouterr()
         assert "error: lanes only" in captured.err and "wrote" not in captured.out
         assert not os.path.exists(out)
+
+
+class TestOneKernel:
+    def test_frozen_runs_never_reach_the_scalar_loop(self, capsys, tmp_path, monkeypatch):
+        """trace and a one-run evaluate step their lane through the lockstep
+        kernel: with the scalar predict broken they write the same bytes."""
+        argvs = (["trace", "--policy", "scaling", "--seed", "7"],
+                 ["evaluate", "--policy", "fixed:1e7", "--runs", "1", "--seed", "3"])
+        for n, argv in enumerate(argvs):
+            assert run(*argv, "--out", str(tmp_path / f"{n}a")) == 0
+
+        def broken_predict(*args):
+            raise AssertionError("a frozen run reached the scalar loop")
+
+        monkeypatch.setattr(experiment, "predict", broken_predict)
+        for n, argv in enumerate(argvs):
+            assert run(*argv, "--out", str(tmp_path / f"{n}b")) == 0
+            a, b = tmp_path / f"{n}a", tmp_path / f"{n}b"
+            assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+            for name in os.listdir(a):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_calibrate_rejects_negative_runs(self, capsys, tmp_path):
+        assert run("calibrate", "--runs", "-3", "--out", str(tmp_path)) == 2
+        assert "n_runs must be >= 0" in capsys.readouterr().err
+
+    def test_calibrate_zero_runs_pools_no_samples(self, capsys, tmp_path):
+        """A lockstep call with no lanes records nothing, so the edges fail
+        for want of samples."""
+        assert run("calibrate", "--runs", "0", "--out", str(tmp_path)) == 2
+        assert "need at least two calibration samples" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -558,12 +558,16 @@ class TestEvaluate:
 
 class TestSeededRuns:
     def test_replay_cannot_hide_a_lane_failure(self, monkeypatch):
-        """When only the lanes fail, the scalar replay runs every lane to the
-        end and then the lanes' error is raised, not the scalar results."""
+        """When only the many-lane call fails, the one-lane replay runs every
+        lane to the end and then that call's error is raised, not the
+        replayed results."""
         error = DegenerateInnovationError("lanes only")
+        lane_update = lockstep._lane_update
 
-        def failing_lane_update(*args):
-            raise error
+        def failing_lane_update(x, *args):
+            if len(x) > 1:  # a one-lane call never fails
+                raise error
+            return lane_update(x, *args)
 
         replayed = []
         run_episode = experiment.run_episode

@@ -121,15 +121,21 @@ class TestRuns:
         with pytest.raises(ValueError, match="one seed per lane"):
             run_episode(args[0], [FixedPolicy(1e6)] * 2, *args[1:], [0])
 
-    def test_exploring_policy_runs_the_scalar_loop(self, scenario, hard_trajectory):
-        """An epsilon > 0 table draws from the rng, so its runs stay scalar."""
+    def test_exploring_policy_is_rejected(self, scenario, hard_trajectory, monkeypatch):
+        """An epsilon > 0 table draws from the rng, so it cannot be a lane: its
+        evaluation fails before any dwell, and no run is to blame."""
         sc = scenario
         policy = QLearningPolicy(QTable.load(Q_TABLES["q"]), epsilon=0.5)
-        [(results, _)] = evaluate(hard_trajectory, [policy], sc.radar, sc.process,
-                                  sc.episode, n_runs=3, base_seed=4)
-        for i, result in enumerate(results):
-            scalar = seeded_run(i, 4, hard_trajectory, policy, sc.radar, sc.process, sc.episode)
-            assert np.array_equal(result.records, scalar.records)
+
+        def no_dwell(*args, **kwargs):
+            raise AssertionError("an exploring policy reached run_episode")
+
+        monkeypatch.setattr(experiment, "run_episode", no_dwell)
+        for n_runs in (1, 3):
+            with pytest.raises(ValueError, match="draw nothing") as raised:
+                evaluate(hard_trajectory, [FixedPolicy(1e6), policy], sc.radar, sc.process,
+                         sc.episode, n_runs=n_runs, base_seed=4)
+            assert not str(raised.value).startswith("run ")
 
 
 def test_choose_lanes_is_choose_lane_by_lane():
