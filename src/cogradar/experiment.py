@@ -9,8 +9,10 @@ in a row.
 
 Every frozen run, one lane or many, is a lane of one lockstep ``run_episode``
 call (the kernel is in ``lockstep``); the scalar loop here runs training and
-is the tests' oracle.  ``seeded_runs`` replays a failed call lane by lane, so
-the error names its run.
+is the tests' oracle.  The two loops carry the same per-run decision state,
+the previous bandwidth and the streak of gate hits, through the same
+``choose`` contract.  ``seeded_runs`` bisects a failed call down to its first
+failed lane, so the error names its run.
 
 Reproducibility contract: every random draw flows from the episode rng, and
 run i of a campaign draws from ``default_rng(base_seed + i)``, so any run
@@ -33,7 +35,6 @@ from .policy import (
     FixedPolicy,
     Discretizer,
     Policy,
-    PolicyContext,
     QLearningPolicy,
     QTable,
     reward,
@@ -121,7 +122,8 @@ def run_episode(
     Sample 0 initializes the track; samples 1..n_transmissions are the
     decision loop.  The policy sees only quantities computable before its
     transmission: the range-projected prior variance, the previous waveform's
-    range noise variance, and the previous gate outcome.  When
+    range noise variance, the previous gate outcome, and the previous
+    bandwidth and streak of gate hits, which the loop carries.  When
     ``learning``, the policy learns from each dwell's range error and loss.
     A campaign passes its trajectory's ``TruthSide`` for ``radar``, built once.
 
@@ -143,13 +145,13 @@ def run_episode(
         return Lockstep(truth, policy, radar, process, episode, rng).run()
     policy.reset()
 
-    init_bw = (policy.initial_bandwidth() if episode.initial_bandwidth is None
-               else episode.initial_bandwidth)
+    bandwidth = policy.initial_bandwidth()  # as a lane's, before the first choice
+    init_bw = bandwidth if episode.initial_bandwidth is None else episode.initial_bandwidth
     z, r = measure(truth, 0, init_bw, rng)
     x, P = initialize_track(z, radar)
-    last_meas_var = float(r[0])
-    last_correlated = True
-    misses = 0  # consecutive gate misses
+    meas_var = float(r[0])
+    correlated = True
+    streak = misses = 0  # gate hits counted by the policy, consecutive gate misses
     lost_at = None
 
     records = np.zeros(episode.n_transmissions, dtype=RECORD_DTYPE)
@@ -158,16 +160,17 @@ def run_episode(
         x, P = predict(x, P, process, truth.phases[k + 1])
         H = observe_jacobian(x, radar_position)
         pred_var = float(H[0] @ P @ H[0])
-        ctx = PolicyContext(
-            predicted_range_variance=pred_var,
-            last_measurement_range_variance=last_meas_var,
-            last_correlated=last_correlated,
-        )
-        bandwidth = policy.choose(ctx, rng)
+        if pred_var <= 0.0:
+            raise ValueError("predicted_range_variance must be > 0")
+        if meas_var <= 0.0:
+            raise ValueError("last_measurement_range_variance must be > 0")
+        bandwidth, streak, state, action = policy.choose(
+            pred_var, meas_var, correlated, bandwidth, streak, rng)
         z, r = measure(truth, k + 1, bandwidth, rng)
         nu = innovation(x, z, radar_position)
         decision = gate(nu, r)
-        if decision.correlated:
+        correlated = decision.correlated
+        if correlated:
             x, P = update(x, P, r, H, nu)
             misses = 0
         else:  # a miss keeps the prediction
@@ -178,13 +181,10 @@ def run_episode(
         if learning:
             policy.learn(range_error, lost)
 
-        last_meas_var = float(r[0])
-        last_correlated = decision.correlated
+        meas_var = float(r[0])
         records[k] = (bandwidth, range_error, decision.range_innovation,
-                      decision.range_window, decision.correlated,
-                      -1 if policy.last_state is None else policy.last_state,
-                      -1 if policy.last_action is None else policy.last_action,
-                      pred_var, last_meas_var)
+                      decision.range_window, correlated, state, action,
+                      pred_var, meas_var)
         if lost:
             lost_at = k + 1
             break
@@ -224,17 +224,29 @@ def seeded_runs(
 ) -> Runs:
     """Lane j is run ``runs[j]`` of the frozen ``policies[j]``; all lanes
     step together in one lockstep ``run_episode`` call.  A policy that draws
-    from the rng fails before any dwell, naming no run.  A failed call
-    replays its lanes one by one as one-lane calls, so the error names the
-    first failed run in lane order; should every lane pass, the call's own
-    error is raised: there are no replayed results to fall back on."""
+    from the rng fails before any dwell, naming no run.  A failed call is
+    bisected with lockstep calls on the first half of its lanes, down to the
+    first failed lane in lane order, which replays alone so that the error
+    names its run; should that replay pass, the call's own error is raised:
+    there are no replayed results to fall back on."""
     require_frozen(policies)
     seeds = [base_seed + i for i in runs]
     try:
         return run_episode(trajectory, policies, radar, process, episode, seeds)
     except ValueError:
-        for policy, i, seed in zip(policies, runs, seeds):
-            _run_named(i, seed, trajectory, [policy], radar, process, episode, [seed])
+        lo, hi = 0, len(seeds)  # the first failed lane is in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                run_episode(trajectory, policies[lo:mid], radar, process, episode,
+                            seeds[lo:mid])
+            except ValueError:
+                hi = mid
+            else:
+                lo = mid
+        if hi > lo:
+            _run_named(runs[lo], seeds[lo], trajectory, policies[lo:hi], radar,
+                       process, episode, seeds[lo:hi])
         raise
 
 

@@ -13,7 +13,7 @@ records are its scalar run's.  Lanes drop out as they lose the track.
 A lane that fails one of the scalar loop's checks stops the call at once
 with that check's plain error.  The lane that trips it is the first in dwell
 order, not always the first run in lane order, so the error names no run:
-``experiment.seeded_runs`` replays the lanes one by one for that.
+``experiment.seeded_runs`` bisects the lanes for that.
 """
 
 from __future__ import annotations

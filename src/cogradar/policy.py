@@ -6,6 +6,12 @@ tabular Q-learning over a discretized (prediction variance, measurement
 variance) state, and an L-step lookahead variant that propagates each reward
 to the last L state-action pairs.
 
+Every policy chooses from the same feedback (the predicted range variance,
+the previous waveform's range variance and the previous gate outcome) plus
+the previous bandwidth and streak of gate hits, which the caller carries:
+``choose`` for one run on floats, ``choose_lanes`` for frozen lanes on
+arrays.  A learner's buffer of state-action pairs is its only per-run state.
+
 The Q-learning convention: the reward observed at transmission t updates the
 previous pair, Q[s_{t-1}, a_{t-1}] += alpha * (r_t + gamma * max Q[s_t, :]
 - Q[s_{t-1}, a_{t-1}]), so the very first transmission of an episode performs
@@ -67,26 +73,6 @@ _QTABLE_JSON_KEYS = (
 
 
 @dataclass(frozen=True)
-class PolicyContext:
-    """What the transmitter knows when it must pick the next waveform.
-
-    ``predicted_range_variance`` is the range-projected prior variance
-    (H P- H')_rr; ``last_measurement_range_variance`` is R_rr of the previous
-    transmission's waveform.
-    """
-
-    predicted_range_variance: float  # m^2
-    last_measurement_range_variance: float  # m^2
-    last_correlated: bool
-
-    def __post_init__(self) -> None:
-        if self.predicted_range_variance <= 0.0:
-            raise ValueError("predicted_range_variance must be > 0")
-        if self.last_measurement_range_variance <= 0.0:
-            raise ValueError("last_measurement_range_variance must be > 0")
-
-
-@dataclass(frozen=True)
 class ActionSet:
     """Ordered menu of transmit bandwidths."""
 
@@ -113,7 +99,7 @@ class ActionSet:
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Maps the two context variances to one of 80 states.
+    """Maps the two variances a policy chooses from to one of 80 states.
 
     Bins are half-open [lo, hi): a value equal to an edge lands in the higher
     bin; values below the first edge go to bin 0 and above the last edge to
@@ -341,30 +327,39 @@ def bandwidth_scaling_step(
 
 
 class Policy(ABC):
-    """Per-dwell bandwidth selection.
+    """Per-dwell bandwidth selection; the caller carries each run's decision
+    state, so one policy serves every run and every lane."""
 
-    ``last_state`` / ``last_action`` expose the tabular indices behind the
-    most recent choice (None for non-tabular policies).
-    """
-
-    last_state: Optional[int] = None
-    last_action: Optional[int] = None
     # whether choose_lanes stands in for choose: the choice draws nothing
     # from the rng, so frozen lanes of the policy can run in lockstep
     lockstep = False
 
     def reset(self) -> None:
-        """Clear per-episode state; the default has none."""
-        self.last_state = None
-        self.last_action = None
+        """Clear per-episode learner state; the default has none."""
 
     @abstractmethod
     def initial_bandwidth(self) -> float:
-        """Bandwidth of the track-initiation transmission."""
+        """Bandwidth of the track-initiation transmission, and the previous
+        bandwidth of a run's first choice."""
 
     @abstractmethod
-    def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
-        """Pick the bandwidth for the next transmission."""
+    def choose(
+        self,
+        pred_var: float,
+        meas_var: float,
+        correlated: bool,
+        bandwidth: float,
+        streak: int,
+        rng: np.random.Generator,
+    ) -> tuple[float, int, int, int]:
+        """Pick the bandwidth for the next transmission.
+
+        Takes the range-projected prior variance (H P- H')_rr, R_rr of the
+        previous transmission's waveform, the previous gate outcome, the
+        previous bandwidth and the streak of gate hits.  Returns the
+        bandwidth, the new streak, and the state and action indices (-1 for
+        non-tabular policies).
+        """
 
     def learn(self, range_error: float, lost: bool) -> None:
         """Learn from the last choice's range error and loss; a no-op here."""
@@ -379,11 +374,8 @@ class Policy(ABC):
     ) -> tuple:
         """``choose`` for many frozen lanes of this policy at once.
 
-        Takes per-lane arrays of the three ``PolicyContext`` inputs, of each
-        lane's previous bandwidth (the initial bandwidth before the first
-        choice) and of its streak of gate hits.  Returns the bandwidths, the
-        streaks, and the state and action indices (-1 for non-tabular
-        policies), each an array or one value for every lane.
+        Takes ``choose``'s inputs but the rng as per-lane arrays, and returns
+        its four outputs, each an array or one value for every lane.
         """
         raise NotImplementedError
 
@@ -406,8 +398,8 @@ class FixedPolicy(Policy):
     def initial_bandwidth(self) -> float:
         return self.bandwidth
 
-    def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
-        return self.bandwidth
+    def choose(self, pred_var, meas_var, correlated, bandwidth, streak, rng):
+        return self.bandwidth, streak, -1, -1
 
     def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
         return self.bandwidth, streak, -1, -1
@@ -425,26 +417,13 @@ class BandwidthScalingPolicy(Policy):
             raise ValueError("need 0 < min_bw <= max_bw")
         self.min_bw = float(min_bw)
         self.max_bw = float(max_bw)
-        self.reset()
-
-    def reset(self) -> None:
-        super().reset()
-        self._prev_bw = self.max_bw
-        self._streak = 0
 
     def initial_bandwidth(self) -> float:
         return self.max_bw
 
-    def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
-        bw, self._streak = bandwidth_scaling_step(
-            self._prev_bw,
-            ctx.last_correlated,
-            self._streak,
-            self.min_bw,
-            self.max_bw,
-        )
-        self._prev_bw = bw
-        return bw
+    def choose(self, pred_var, meas_var, correlated, bandwidth, streak, rng):
+        return (*bandwidth_scaling_step(bandwidth, correlated, streak,
+                                        self.min_bw, self.max_bw), -1, -1)
 
     def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
         streak = np.where(correlated, streak + 1, 0)
@@ -470,24 +449,19 @@ class QLearningPolicy(Policy):
         # last L (state, action) pairs, newest first
         self._pairs: deque[tuple[int, int]] = deque(maxlen=table.hyperparams.L)
         self._pending: Optional[tuple[int, int]] = None
-        self.reset()
 
     def reset(self) -> None:
-        super().reset()
         self._pairs.clear()
         self._pending = None
 
     def initial_bandwidth(self) -> float:
         return self.table.actions[len(self.table.actions) - 1]
 
-    def choose(self, ctx: PolicyContext, rng: np.random.Generator) -> float:
-        s = self.table.discretizer.state_index(
-            ctx.predicted_range_variance, ctx.last_measurement_range_variance
-        )
+    def choose(self, pred_var, meas_var, correlated, bandwidth, streak, rng):
+        s = self.table.discretizer.state_index(pred_var, meas_var)
         a = select_action(self.table, s, self.epsilon, rng)
-        self.last_state, self.last_action = s, a
         self._pending = (s, a)
-        return self.table.actions[a]
+        return self.table.actions[a], streak, s, a
 
     @property
     def lockstep(self) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from cogradar.policy import PolicyContext
 from cogradar.radar import measurement_noise_var, snr_at_range
 from cogradar.tracker import (
     _MAX_CONDITION,
@@ -123,10 +122,11 @@ def run_episode(trajectory, policy, radar, process, episode, rng):
     range errors and ``lost_at`` (None for a full track).
     """
     policy.reset()
+    bandwidth, streak = policy.initial_bandwidth(), 0
     init_bw = (
         episode.initial_bandwidth
         if episode.initial_bandwidth is not None
-        else policy.initial_bandwidth()
+        else bandwidth
     )
     z, r = measure(trajectory[0], init_bw, radar, rng)
     x, P = initialize_track(z, radar)
@@ -137,8 +137,9 @@ def run_episode(trajectory, policy, radar, process, episode, rng):
         truth = trajectory[k + 1]
         x, P = predict(x, P, process, truth.phase)
         H = observe_jacobian(x, position)
-        ctx = PolicyContext(float((H @ P @ H.T)[0, 0]), last_meas_var, last_correlated)
-        z, r = measure(truth, policy.choose(ctx, rng), radar, rng)
+        bandwidth, streak, _, _ = policy.choose(float((H @ P @ H.T)[0, 0]), last_meas_var,
+                                                last_correlated, bandwidth, streak, rng)
+        z, r = measure(truth, bandwidth, radar, rng)
         nu = z - observe(x, position)
         nu[2], nu[3] = wrap_angle(nu[2]), wrap_angle(nu[3])
         last_correlated = bool(abs(nu[0]) <= 3.0 * (1.96 * np.sqrt(r[0])))  # the gate

@@ -28,7 +28,6 @@ from cogradar.experiment import (
 from cogradar.policy import (
     BandwidthScalingPolicy,
     FixedPolicy,
-    PolicyContext,
     QLearningPolicy,
     bandwidth_scaling_step,
     lookahead_update,
@@ -173,16 +172,11 @@ def test_01_scaling_rule_conformance(capsys, scenario):
     policy_mismatches = 0
     init_ok = True
     for history in histories:
-        policy.reset()
-        init_ok &= policy.initial_bandwidth() == radar.max_bw
+        got, streak = policy.initial_bandwidth(), 0
+        init_ok &= got == radar.max_bw
         want_bw, want_streak = radar.max_bw, 0
         for correlated in history:
-            ctx = PolicyContext(
-                predicted_range_variance=1.0,
-                last_measurement_range_variance=1.0,
-                last_correlated=correlated,
-            )
-            got = policy.choose(ctx, rng)
+            got, streak, _, _ = policy.choose(1.0, 1.0, correlated, got, streak, rng)
             want_bw, want_streak = _scaling_reference(
                 want_bw, correlated, want_streak, radar.min_bw, radar.max_bw
             )

@@ -584,6 +584,27 @@ class TestSeededRuns:
         assert raised.value is error
         assert [run.successful for run in replayed] == [True] * 3
 
+    def test_replay_bisects_to_the_failed_lane(self, monkeypatch):
+        """When the last of 64 lanes fails, the replay halves the lanes down
+        to it: eight calls in all, not one per lane, naming that run."""
+        class FailingPolicy(FixedPolicy):
+            def choose_lanes(self, *args):
+                raise ValueError("failed lane")
+
+        calls = []
+        run_episode = experiment.run_episode
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_episode", counted)
+        with pytest.raises(ValueError, match=r"^run 63 \(seed 163\): failed lane$"):
+            seeded_runs([FixedPolicy(1e6)] * 63 + [FailingPolicy(1e6)], range(64), 100,
+                        stationary_trajectory(11), moderate_radar(), quiet_process(),
+                        EpisodeConfig(n_transmissions=10))
+        assert len(calls) <= 8
+
 
 class TestCalibrateDiscretizer:
     def test_produces_valid_discretizer(self):

@@ -31,7 +31,6 @@ from cogradar.policy import (
     BandwidthScalingPolicy,
     Discretizer,
     FixedPolicy,
-    PolicyContext,
     QLearningPolicy,
     QTable,
     bandwidth_scaling_step,
@@ -139,27 +138,34 @@ class TestRuns:
 
 
 def test_choose_lanes_is_choose_lane_by_lane():
-    """Each policy's ``choose_lanes`` against its scalar ``choose``: Q-table
-    contexts on the bin edges and between them, scaling from every bandwidth
-    it reaches with every streak and gate outcome."""
+    """Each policy's ``choose_lanes`` against its scalar ``choose``, all four
+    outputs lane by lane: Q-table variances on the bin edges and between
+    them; scaling and fixed from every bandwidth scaling reaches with every
+    streak and gate outcome."""
     rng = np.random.default_rng(3)
     edges = Discretizer(tuple(np.geomspace(1.0, 1e4, 9)), tuple(np.geomspace(0.1, 1e3, 7)))
     pred_var = np.r_[edges.pred_var_edges, rng.uniform(0.5, 2e4, 40)]
     meas_var = np.r_[edges.meas_var_edges, rng.uniform(0.05, 2e3, 42)]
     table = QTable(rng.standard_normal((80, 6)), edges)
-    greedy = QLearningPolicy(table, epsilon=0.0)
     m = len(pred_var)
-    bandwidth, _, state, action = greedy.choose_lanes(
-        pred_var, meas_var, np.ones(m, bool), np.zeros(m), np.zeros(m, int))
-    for j in range(m):
-        ctx = PolicyContext(pred_var[j], meas_var[j], True)
-        assert greedy.choose(ctx, rng) == bandwidth[j]
-        assert (greedy.last_state, greedy.last_action) == (state[j], action[j])
-
-    scaling = BandwidthScalingPolicy(0.5e6, 10e6)
     grid = [(bw, streak, hit) for bw in (0.5e6, 0.625e6, 1e6, 5e6, 8e6, 10e6)
             for streak in range(5) for hit in (False, True)]
     bw, streak, hit = (np.array(column) for column in zip(*grid))
+    ones = np.ones(len(grid))
+    scaling = BandwidthScalingPolicy(0.5e6, 10e6)
+    cases = [
+        (QLearningPolicy(table, epsilon=0.0),
+         pred_var, meas_var, np.ones(m, bool), np.zeros(m), np.zeros(m, int)),
+        (scaling, ones, ones, hit, bw, streak),
+        (FixedPolicy(1e6, 0.5e6, 10e6), ones, ones, hit, bw, streak),
+    ]
+    for policy, *lanes in cases:
+        n = len(lanes[0])
+        chosen = [np.broadcast_to(value, n).tolist() for value in policy.choose_lanes(*lanes)]
+        for j, inputs in enumerate(zip(*(column.tolist() for column in lanes))):
+            want = tuple(column[j] for column in chosen)
+            assert policy.choose(*inputs, rng) == want, (type(policy).__name__, j)
+
     new_bw, new_streak, _, _ = scaling.choose_lanes(None, None, hit, bw, streak)
     want = [bandwidth_scaling_step(b, h, st, 0.5e6, 10e6) for b, st, h in grid]
     assert list(zip(new_bw.tolist(), new_streak.tolist())) == want

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogradar import experiment, lockstep
+from cogradar.config import default_scenario
+from cogradar.experiment import EpisodeConfig, run_episode
 from cogradar.policy import (
     DEFAULT_ACTIONS_HZ,
     ActionSet,
@@ -13,7 +16,6 @@ from cogradar.policy import (
     Discretizer,
     FixedPolicy,
     Hyperparams,
-    PolicyContext,
     QLearningPolicy,
     QTable,
     bandwidth_scaling_step,
@@ -23,6 +25,7 @@ from cogradar.policy import (
     reward,
     select_action,
 )
+from cogradar.trajectory import generate_trajectory
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INTEGER_EDGES = dict(
@@ -35,12 +38,21 @@ def make_table(**kwargs):
     return QTable.zeros(Discretizer(**INTEGER_EDGES), hyperparams=Hyperparams(**kwargs))
 
 
-def ctx(pred=0.5, meas=0.5, correlated=True):
-    return PolicyContext(
-        predicted_range_variance=pred,
-        last_measurement_range_variance=meas,
-        last_correlated=correlated,
-    )
+def ctx(pred=0.5, meas=0.5, correlated=True, bandwidth=10e6, streak=0):
+    """``choose``'s inputs but the rng: the feedback of the last dwell, the
+    previous bandwidth and the streak of gate hits."""
+    return pred, meas, correlated, bandwidth, streak
+
+
+def scaling_widths(policy, outcomes, rng):
+    """The bandwidths chosen after each gate outcome in turn, carrying the
+    bandwidth and streak from one choice to the next as a run does."""
+    bandwidth, streak, widths = policy.initial_bandwidth(), 0, []
+    for correlated in outcomes:
+        bandwidth, streak, _, _ = policy.choose(
+            *ctx(correlated=correlated, bandwidth=bandwidth, streak=streak), rng)
+        widths.append(bandwidth)
+    return widths
 
 
 def alg1_reference(prev_bw, correlated, streak, min_bw, max_bw):
@@ -98,10 +110,8 @@ class TestDiscretizer:
 
     def test_discretize_uses_context_variances(self):
         d = Discretizer(**INTEGER_EDGES)
-        c = ctx(pred=3.5, meas=2.5)
-        assert d.state_index(
-            c.predicted_range_variance, c.last_measurement_range_variance
-        ) == 26
+        pred_var, meas_var, *_ = ctx(pred=3.5, meas=2.5)
+        assert d.state_index(pred_var, meas_var) == 26
 
     @given(st.floats(1e-6, 1e12), st.floats(1.0, 1e6))
     def test_order_preserving(self, v, factor):
@@ -282,10 +292,10 @@ class TestLookaheadUpdate:
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
         for pred, meas, error in [(0.5, 0.5, 500.0), (3.5, 2.5, 1000.0), (9.5, 0.5, 2000.0)]:
-            policy.choose(ctx(pred=pred, meas=meas), rng)  # s = 0, 26, 72
+            policy.choose(*ctx(pred=pred, meas=meas), rng)  # s = 0, 26, 72
             policy.learn(error, False)
         before = table.values.copy()
-        policy.choose(ctx(pred=5.5, meas=0.5), rng)  # s = 40
+        policy.choose(*ctx(pred=5.5, meas=0.5), rng)  # s = 40
         policy.learn(1000.0, False)
         changed = {tuple(i) for i in np.argwhere(table.values != before)}
         assert changed == {(72, 0), (26, 0)}
@@ -405,9 +415,10 @@ class TestFixedPolicy:
         assert policy.initial_bandwidth() == 1e6
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert policy.choose(ctx(), rng) == 1e6
-        assert policy.last_state is None
-        assert policy.last_action is None
+            bandwidth, _, state, action = policy.choose(*ctx(), rng)
+            assert bandwidth == 1e6
+            assert state == -1
+            assert action == -1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -428,34 +439,33 @@ class TestBandwidthScalingPolicy:
     def test_halves_on_misses(self):
         policy = BandwidthScalingPolicy()
         rng = np.random.default_rng(0)
-        widths = [
-            policy.choose(ctx(correlated=False), rng) for _ in range(6)
-        ]
+        widths = scaling_widths(policy, [False] * 6, rng)
         assert widths == [5e6, 2.5e6, 1.25e6, 0.625e6, 0.5e6, 0.5e6]
 
     def test_doubles_after_five_hits(self):
         policy = BandwidthScalingPolicy()
         rng = np.random.default_rng(0)
-        for _ in range(2):
-            policy.choose(ctx(correlated=False), rng)  # down to 2.5 MHz
-        widths = [policy.choose(ctx(correlated=True), rng) for _ in range(10)]
+        # two misses take it down to 2.5 MHz
+        widths = scaling_widths(policy, [False] * 2 + [True] * 10, rng)[2:]
         # four holds, double on the fifth hit, then four holds, double again
         assert widths[:5] == [2.5e6] * 4 + [5e6]
         assert widths[5:] == [5e6] * 4 + [10e6]
 
     def test_reset_restores_initial_state(self):
+        """The policy holds no decision state: a new run starts from the
+        initial bandwidth whatever the last run chose."""
         policy = BandwidthScalingPolicy()
         rng = np.random.default_rng(0)
-        policy.choose(ctx(correlated=False), rng)
+        scaling_widths(policy, [False], rng)
         policy.reset()
-        assert policy.choose(ctx(correlated=False), rng) == 5e6
+        assert scaling_widths(policy, [False], rng) == [5e6]
 
 
 class TestQLearningPolicy:
     def test_first_learn_performs_no_update(self):
         table = make_table()
         policy = QLearningPolicy(table, epsilon=0.0)
-        policy.choose(ctx(), np.random.default_rng(0))
+        policy.choose(*ctx(), np.random.default_rng(0))
         policy.learn(500.0, False)
         assert np.count_nonzero(table.values) == 0
 
@@ -463,10 +473,10 @@ class TestQLearningPolicy:
         table = make_table()
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
-        policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
+        policy.choose(*ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
         policy.learn(500.0, False)
-        policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s = 26
-        assert (policy.last_state, policy.last_action) == (26, 0)
+        _, _, state, action = policy.choose(*ctx(pred=3.5, meas=2.5), rng)  # s = 26
+        assert (state, action) == (26, 0)
         policy.learn(1000.0, False)
         # Q[0, 0] = 0.1 * (-1 + 0.9 * max Q[26, :]) = -0.1
         assert table.values[0, 0] == pytest.approx(-0.1, abs=1e-15)
@@ -476,11 +486,11 @@ class TestQLearningPolicy:
         table = make_table(L=2)
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
-        policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s0 = 0
+        policy.choose(*ctx(pred=0.5, meas=0.5), rng)  # s0 = 0
         policy.learn(500.0, False)
-        policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s1 = 26
+        policy.choose(*ctx(pred=3.5, meas=2.5), rng)  # s1 = 26
         policy.learn(1000.0, False)  # updates (0, 0) only
-        policy.choose(ctx(pred=9.5, meas=0.5), rng)  # s2 = 72
+        policy.choose(*ctx(pred=9.5, meas=0.5), rng)  # s2 = 72
         policy.learn(2000.0, False)  # updates (26, 0) then (0, 0)
         assert table.values[26, 0] == pytest.approx(-0.2, abs=1e-12)
         # Q[0,0]: -0.1 + 0.1 * (-2 + 0.9 * 0 - (-0.1)) = -0.29
@@ -490,7 +500,7 @@ class TestQLearningPolicy:
         table = make_table()
         table.values[0] = [-0.9, -0.1, -0.5, -0.6, -0.7, -0.8]
         policy = QLearningPolicy(table, epsilon=0.0)
-        bw = policy.choose(ctx(pred=0.5, meas=0.5), np.random.default_rng(0))
+        bw, *_ = policy.choose(*ctx(pred=0.5, meas=0.5), np.random.default_rng(0))
         assert bw == DEFAULT_ACTIONS_HZ[1]
 
     def test_initial_bandwidth_is_largest_action(self):
@@ -500,10 +510,10 @@ class TestQLearningPolicy:
         table = make_table()
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
-        policy.choose(ctx(), rng)
+        policy.choose(*ctx(), rng)
         policy.learn(500.0, False)
         policy.reset()
-        policy.choose(ctx(), rng)
+        policy.choose(*ctx(), rng)
         policy.learn(1000.0, False)  # first transmission of the new episode: no update
         assert np.count_nonzero(table.values) == 0
 
@@ -518,9 +528,9 @@ class TestQLearningPolicy:
         table = make_table(C=0.5, alpha=1.0, gamma=0.0)
         policy = QLearningPolicy(table, epsilon=0.0)
         rng = np.random.default_rng(0)
-        policy.choose(ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
+        policy.choose(*ctx(pred=0.5, meas=0.5), rng)  # s = 0, a = 0
         policy.learn(10.0, False)
-        policy.choose(ctx(pred=3.5, meas=2.5), rng)  # s = 26
+        policy.choose(*ctx(pred=3.5, meas=2.5), rng)  # s = 26
         policy.learn(10.0, True)
         assert table.values[0, 0] == -0.5
         assert np.count_nonzero(table.values) == 1
@@ -672,11 +682,41 @@ class TestValidation:
         with pytest.raises(ValueError):
             QTable(values=np.zeros((79, 6)), discretizer=Discretizer(**INTEGER_EDGES))
 
-    def test_context_validation(self):
-        with pytest.raises(ValueError):
-            ctx(pred=0.0)
-        with pytest.raises(ValueError):
-            ctx(meas=-1.0)
+    def test_context_validation(self, monkeypatch):
+        """A variance that is not positive fails the dwell before the policy
+        chooses, with the same message from the scalar loop and from a lane."""
+        sc = default_scenario()
+        trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+        episode = EpisodeConfig(n_transmissions=3)
+        policy = FixedPolicy(1e6)
+        observe_lanes = lockstep._lane_observe
+
+        def negated_r(measure):
+            def negated(*args):
+                z, r = measure(*args)
+                return z, -r
+            return negated
+
+        cases = {
+            "predicted_range_variance must be > 0": [
+                (experiment, "observe_jacobian", lambda x, position: np.zeros((4, 6))),
+                (lockstep, "_lane_observe", lambda x, geometry: (
+                    observe_lanes(x, geometry)[0], np.zeros((len(x), 4, 6)))),
+            ],
+            "last_measurement_range_variance must be > 0": [
+                (experiment, "measure", negated_r(experiment.measure)),
+                (lockstep.Lockstep, "_measure", negated_r(lockstep.Lockstep._measure)),
+            ],
+        }
+        for message, patches in cases.items():
+            with monkeypatch.context() as patched:
+                for owner, name, fake in patches:
+                    patched.setattr(owner, name, fake)
+                with pytest.raises(ValueError, match=message):
+                    run_episode(trajectory, policy, sc.radar, sc.process, episode,
+                                np.random.default_rng(0))
+                with pytest.raises(ValueError, match=message):
+                    run_episode(trajectory, [policy], sc.radar, sc.process, episode, [0])
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
