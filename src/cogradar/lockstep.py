@@ -33,11 +33,9 @@ if TYPE_CHECKING:  # experiment imports this module
     from .experiment import EpisodeConfig
 
 _DIAG4 = np.arange(4)
-
-
-def _check(bad: np.ndarray, message: str) -> None:
-    if bad.any():
-        raise ValueError(message)
+_AZIMUTH_SIGNS = np.array([-1.0, 1.0])
+# The checks count flags with np.count_nonzero, a C call, where .any() and
+# .all() would each go through a Python-level wrapper.
 
 
 def require_frozen(policies: Sequence[Policy]) -> None:
@@ -57,38 +55,42 @@ class _Lanes(SimpleNamespace):
         return _Lanes(**{name: values[keep] for name, values in vars(self).items()})
 
 
-def _lane_range(x: np.ndarray, radar_position: Sequence[float]) -> tuple:
-    """Offset from the radar (three arrays) and range of each state row,
-    in the order of operations of the scalar ``radar._geometry``."""
-    dx, dy, dz = (x[:, i] - radar_position[i] for i in range(3))
-    return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
+def _lane_range(x: np.ndarray, radar_position: np.ndarray) -> tuple:
+    """Offset d (m, 3) of each state row from the radar, then dx^2 + dy^2 and
+    the range as (m, 1) columns, in the order of operations of the scalar
+    ``radar._geometry``."""
+    d = x[:, :3] - radar_position
+    sq = d * d
+    rho_sq = sq[:, :1] + sq[:, 1:2]
+    return d, rho_sq, np.sqrt(rho_sq + sq[:, 2:])
 
 
-def _lane_observe(x: np.ndarray, geometry: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _lane_observe(x: np.ndarray, radar_position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``observe`` (m, 4) and ``observe_jacobian`` (m, 4, 6) at each state
     row, bit for bit the scalar forms: the same elementwise operations in the
-    same order, and atan2 and asin from ``math`` lane by lane."""
-    dx, dy, dz, r = geometry
-    vx, vy, vz = x[:, 3], x[:, 4], x[:, 5]
+    same order on whole blocks, and atan2 and asin from ``math`` lane by lane.
+    A row at the radar raises as ``observe_jacobian`` does."""
+    d, rho_sq, r = _lane_range(x, radar_position)
+    if np.count_nonzero(r == 0.0):
+        raise ValueError("target at radar")
+    v = x[:, 3:]
+    dv = d * v
+    dv = (dv[:, :1] + dv[:, 1:2]) + dv[:, 2:]
     r2 = r * r
-    r3 = r2 * r
-    rho_sq = dx * dx + dy * dy
     rho = np.sqrt(rho_sq)
-    dv = dx * vx + dy * vy + dz * vz
-    h = np.empty((len(r), 4))
-    h[:, 0] = r
-    h[:, 1] = dv / r
-    h[:, 2] = [math.atan2(b, a) for a, b in zip(dx.tolist(), dy.tolist())]
-    h[:, 3] = [math.asin(s) for s in (dz / r).tolist()]
-    H = np.zeros((len(r), 4, 6))
-    for i, (d, v) in enumerate(((dx, vx), (dy, vy), (dz, vz))):
-        H[:, 0, i] = H[:, 1, 3 + i] = d / r
-        H[:, 1, i] = v / r - dv * d / r3
-    H[:, 2, 0] = -dy / rho_sq
-    H[:, 2, 1] = dx / rho_sq
-    H[:, 3, 0] = -dz * dx / (r2 * rho)
-    H[:, 3, 1] = -dz * dy / (r2 * rho)
-    H[:, 3, 2] = rho / r2
+    u = d / r
+    h = np.empty((len(x), 4))
+    h[:, :1] = r
+    h[:, 1:2] = dv / r
+    dx, dy, _ = d.T.tolist()
+    h[:, 2] = list(map(math.atan2, dy, dx))
+    h[:, 3] = list(map(math.asin, u[:, 2].tolist()))
+    H = np.zeros((len(x), 4, 6))
+    H[:, 0, :3] = H[:, 1, 3:] = u
+    H[:, 1, :3] = v / r - dv * d / (r2 * r)
+    H[:, 2, :2] = d[:, 1::-1] * _AZIMUTH_SIGNS / rho_sq  # -dy, dx
+    H[:, 3, :2] = -d[:, 2:] * d[:, :2] / (r2 * rho)
+    H[:, 3, 2:3] = rho / r2
     return h, H
 
 
@@ -128,9 +130,13 @@ class Lockstep:
         require_frozen(self.policies)
         self.truth, self.radar, self.process = truth, radar, process
         self.episode, self.seeds = episode, seeds
+        self.position = radar.position_array
         self.initial = [policy.initial_bandwidth() if episode.initial_bandwidth is None
                         else episode.initial_bandwidth for policy in self.policies]
 
+        # r and sqrt(r) of every truth row, one column per bandwidth in use
+        self.noise_table = np.empty((2, len(truth.z_true), 0, 4))
+        self.noise_column: dict[float, int] = {}
         n = episode.n_transmissions
         rows: dict = {}  # one noise block per distinct seed
         for seed in seeds:
@@ -152,17 +158,19 @@ class Lockstep:
         records = np.zeros((len(self.seeds), n), dtype=RECORD_DTYPE)
         lost_at = np.zeros(len(self.seeds), dtype=int)  # 0: a full track
         lanes = self._initiate(self.start) if len(self.start) else self.start
+        parts, at = self._layout(lanes)
         for k in range(n if len(lanes) else 0):  # a call with no lanes runs no dwell
-            lanes = self._dwell(lanes, k)
+            lanes = self._dwell(lanes, k, parts)
             column = records[:, k]
             for name in RECORD_DTYPE.names:
-                column[name][lanes.ids] = getattr(lanes, name)
+                column[name][at] = getattr(lanes, name)
             lost = lanes.misses >= self.episode.miss_limit
-            if lost.any():
+            if np.count_nonzero(lost):
                 lost_at[lanes.ids[lost]] = k + 1
                 lanes = lanes.take(~lost)
                 if not len(lanes):
                     break
+                parts, at = self._layout(lanes)
         lengths = np.where(lost_at > 0, lost_at, n)
         ends = np.cumsum(lengths)
         rows = records.reshape(-1)  # lane j's rows start at j * n
@@ -171,19 +179,39 @@ class Lockstep:
         return Runs(records=rows[: lengths.sum()].view(np.recarray), ends=ends,
                     lost_at=tuple(int(k) if k else None for k in lost_at))
 
+    def _layout(self, lanes: _Lanes) -> tuple[list, slice | np.ndarray]:
+        """What a set of active lanes keeps until a lane drops out: each
+        policy's slice of the lanes, as (policy, slice) for every policy with
+        active lanes, and where the lanes' records go in a dwell's column,
+        a slice while they are every lane in lane order."""
+        ends = np.searchsorted(lanes.group, np.arange(1, len(self.policies) + 1)).tolist()
+        parts = [(policy, slice(start, end))
+                 for policy, start, end in zip(self.policies, [0, *ends], ends) if end > start]
+        in_order = np.array_equal(lanes.ids, np.arange(len(self.seeds)))
+        return parts, slice(None) if in_order else lanes.ids
+
+    def _noise_columns(self, bandwidth: np.ndarray) -> list:
+        """Each lane's column of ``noise_table``; a bandwidth gets its column
+        from the truth side on first use."""
+        bandwidths = bandwidth.tolist()
+        for new in set(bandwidths).difference(self.noise_column):
+            block = np.stack(self.truth.noise(new))[:, :, None]
+            self.noise_table = np.concatenate([self.noise_table, block], axis=2)
+            self.noise_column[new] = len(self.noise_column)
+        return [self.noise_column[bw] for bw in bandwidths]
+
     def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""
         truth = self.truth
         if k == len(truth.z_true):  # every lane that gets here fails
             raise truth.failure
-        distinct = sorted(set(bandwidth.tolist()))
-        pick = np.searchsorted(distinct, bandwidth)
-        r, root = (np.array([rows[k] for rows in column])[pick]
-                   for column in zip(*(truth.noise(bw) for bw in distinct)))
+        columns = self._noise_columns(bandwidth)  # may grow the table
+        r, root = self.noise_table[:, k, columns]
         z = truth.z_true[k] + root * self.noise[noise_row, k]
-        _check(z[:, 0] <= 0.0, "measured range must be > 0")
-        _check(~((-np.pi / 2.0 < z[:, 3]) & (z[:, 3] < np.pi / 2.0)),
-               "elevation out of (-pi/2, pi/2)")
+        if np.count_nonzero(z[:, 0] <= 0.0):
+            raise ValueError("measured range must be > 0")
+        if np.count_nonzero(np.abs(z[:, 3]) < np.pi / 2.0) < len(z):
+            raise ValueError("elevation out of (-pi/2, pi/2)")
         return z, r
 
     def _initiate(self, lanes: _Lanes) -> _Lanes:
@@ -201,53 +229,52 @@ class Lockstep:
             misses=np.zeros(m, dtype=int),
         )
 
-    def _choose(self, lanes: _Lanes, pred_var: np.ndarray) -> tuple:
-        """Every policy's ``choose_lanes`` on its own lanes, which are a
-        slice: the active lanes stay ordered by policy."""
+    def _choose(self, lanes: _Lanes, pred_var: np.ndarray, parts: list) -> tuple:
+        """Every policy's ``choose_lanes`` on its own slice of the lanes."""
         m = len(lanes)
         chosen = (np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int),
                   np.empty(m, dtype=int))
-        ends = np.searchsorted(lanes.group, np.arange(1, len(self.policies) + 1))
-        start = 0
-        for policy, end in zip(self.policies, ends.tolist()):
-            part = slice(start, end)
+        for policy, part in parts:
             values = policy.choose_lanes(pred_var[part], lanes.meas_var[part],
                                          lanes.correlated[part], lanes.bandwidth[part],
                                          lanes.streak[part])
             for array, value in zip(chosen, values):
                 array[part] = value
-            start = end
         return chosen
 
-    def _dwell(self, lanes: _Lanes, k: int) -> _Lanes:
+    def _dwell(self, lanes: _Lanes, k: int, parts: list) -> _Lanes:
         """Decision dwell k of the active lanes, on truth row k + 1: the lanes'
         new state, whose fields named as in ``RECORD_DTYPE`` are the dwell's
         record.  The checks are the scalar loop's, in its order."""
         x, P = lanes.x, lanes.P
-        _check(~(np.isfinite(x).all(axis=1) & np.isfinite(P).all(axis=(1, 2))),
-               "non-finite track state")
+        if (np.count_nonzero(np.isfinite(x)) < x.size
+                or np.count_nonzero(np.isfinite(P)) < P.size):
+            raise ValueError("non-finite track state")
         row = k + 1
         F = self.process.F
         x = (F @ x[:, :, None])[:, :, 0]
         P = F @ P @ F.T + self.process.Q[self.truth.phases[row]]
         P = 0.5 * (P + P.transpose(0, 2, 1))
-        position = self.radar.position
-        geometry = _lane_range(x, position)
-        _check(geometry[-1] == 0.0, "target at radar")
-        h, H = _lane_observe(x, geometry)
+        h, H = _lane_observe(x, self.position)
         h0 = H[:, 0]
         pred_var = ((h0[:, None, :] @ P) @ h0[:, :, None])[:, 0, 0]
-        _check(pred_var <= 0.0, "predicted_range_variance must be > 0")
-        _check(lanes.meas_var <= 0.0, "last_measurement_range_variance must be > 0")
-        bandwidth, streak, state, action = self._choose(lanes, pred_var)
+        if np.count_nonzero(pred_var <= 0.0):
+            raise ValueError("predicted_range_variance must be > 0")
+        if np.count_nonzero(lanes.meas_var <= 0.0):
+            raise ValueError("last_measurement_range_variance must be > 0")
+        bandwidth, streak, state, action = self._choose(lanes, pred_var, parts)
         z, r = self._measure(row, bandwidth, lanes.noise_row)
         nu = z - h
         nu[:, 2:] = wrap_angle(nu[:, 2:])
         window = 1.96 * np.sqrt(r[:, 0])
         correlated = np.abs(nu[:, 0]) <= 3.0 * window
-        hits = np.flatnonzero(correlated)
-        if hits.size:
+        n_hits = np.count_nonzero(correlated)
+        if n_hits == len(correlated):
+            x, P = _lane_update(x, P, r, H, nu)
+        elif n_hits:
+            hits = np.flatnonzero(correlated)
             x[hits], P[hits] = _lane_update(x[hits], P[hits], r[hits], H[hits], nu[hits])
+        distance = _lane_range(x, self.position)[2][:, 0]
         return _Lanes(
             ids=lanes.ids,
             noise_row=lanes.noise_row,
@@ -257,7 +284,7 @@ class Lockstep:
             streak=streak,
             misses=np.where(correlated, 0, lanes.misses + 1),
             bandwidth=bandwidth,
-            range_error_true=np.abs(_lane_range(x, position)[-1] - self.truth.range[row]),
+            range_error_true=np.abs(distance - self.truth.range[row]),
             range_innovation=nu[:, 0],
             range_window=window,
             correlated=correlated,

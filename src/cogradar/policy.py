@@ -446,6 +446,10 @@ class QLearningPolicy(Policy):
             self.epsilon = table.hyperparams.epsilon
         else:  # an override, checked as a hyperparameter
             self.epsilon = replace(table.hyperparams, epsilon=float(epsilon)).epsilon
+        # the lanes' bin edges and bandwidths as arrays, built once
+        d = table.discretizer
+        self._lane_edges = np.asarray(d.pred_var_edges), np.asarray(d.meas_var_edges)
+        self._lane_bandwidths = np.asarray(table.actions.bandwidths)
         # last L (state, action) pairs, newest first
         self._pairs: deque[tuple[int, int]] = deque(maxlen=table.hyperparams.L)
         self._pending: Optional[tuple[int, int]] = None
@@ -469,12 +473,11 @@ class QLearningPolicy(Policy):
         return self.epsilon == 0.0
 
     def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
-        d = self.table.discretizer
-        s = (np.asarray(d.pred_var_edges).searchsorted(pred_var, side="right")
-             * d.n_meas_bins
-             + np.asarray(d.meas_var_edges).searchsorted(meas_var, side="right"))
+        pred_edges, meas_edges = self._lane_edges
+        s = (pred_edges.searchsorted(pred_var, side="right") * self.table.discretizer.n_meas_bins
+             + meas_edges.searchsorted(meas_var, side="right"))
         a = self.table.values[s].argmax(axis=1)  # ties break to the lowest index
-        return np.asarray(self.table.actions.bandwidths)[a], streak, s, a
+        return self._lane_bandwidths[a], streak, s, a
 
     def learn(self, range_error: float, lost: bool) -> None:
         """The last choice's reward, clipped at the table's C, backs up the

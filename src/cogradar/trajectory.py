@@ -5,11 +5,18 @@ RK4.  The boost phase applies constant thrust along the velocity vector, the
 mid-course phase is essentially exo-atmospheric coasting, and the terminal
 phase (below the re-entry altitude, descending) adds random lateral maneuver
 acceleration.  Everything is deterministic for a fixed (config, seed).
+
+The state is integrated on Python floats with the operations, in their order,
+of the numpy 3-vector form kept in ``tests/trajectory_oracle.py``, so the
+points are that form's bytes.  Two steps stay in numpy because ``math`` does
+not reproduce their last bit: the speed is the square root of the BLAS dot
+product, as ``np.linalg.norm`` takes it, and the air density uses ``np.exp``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -91,6 +98,7 @@ class TruthPoint:
 
 
 _MAX_STEPS = 200_000
+Vec3 = tuple[float, float, float]
 
 
 def _launch_direction(config: TrajectoryConfig) -> np.ndarray:
@@ -101,65 +109,91 @@ def _launch_direction(config: TrajectoryConfig) -> np.ndarray:
 
 
 def _air_density(altitude: float, config: TrajectoryConfig) -> float:
-    return config.sea_level_density * np.exp(
+    return float(config.sea_level_density * np.exp(
         -max(altitude, 0.0) / config.atmosphere_scale_height
-    )
+    ))
+
+
+def _norm(vector: Vec3) -> float:
+    """|vector| as ``np.linalg.norm`` takes it: the square root of the BLAS
+    dot product, whose last bit can differ from a sum of squares in floats."""
+    array = np.array(vector)
+    return math.sqrt(array.dot(array))
+
+
+def _cross(a: Vec3, b: Vec3) -> Vec3:
+    """``np.cross`` of two 3-vectors, component by component as it computes them."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _axpy(x: Vec3, h: float, k: Vec3) -> Vec3:
+    """x + h * k."""
+    return (x[0] + h * k[0], x[1] + h * k[1], x[2] + h * k[2])
 
 
 def _acceleration(
-    position: np.ndarray,
-    velocity: np.ndarray,
+    position: Vec3,
+    velocity: Vec3,
     config: TrajectoryConfig,
     thrusting: bool,
-    thrust_direction: np.ndarray,
-    maneuver_accel: np.ndarray,
-) -> np.ndarray:
-    accel = np.array([0.0, 0.0, -config.gravity])
-    speed = np.linalg.norm(velocity)
+    thrust_direction: Vec3,
+    maneuver_accel: Vec3,
+) -> Vec3:
+    ax, ay, az = 0.0, 0.0, -config.gravity
+    vx, vy, vz = velocity
+    speed = _norm(velocity)
     if config.drag_coeff_times_area_over_mass > 0.0 and speed > 0.0:
-        rho = _air_density(float(position[2]), config)
+        rho = _air_density(position[2], config)
         drag_mag = 0.5 * rho * config.drag_coeff_times_area_over_mass * speed
-        accel = accel - drag_mag * velocity
+        ax, ay, az = ax - drag_mag * vx, ay - drag_mag * vy, az - drag_mag * vz
     if thrusting:
-        direction = velocity / speed if speed > 1e-9 else thrust_direction
-        accel = accel + config.thrust_accel * direction
-    return accel + maneuver_accel
+        dx, dy, dz = (vx / speed, vy / speed, vz / speed) if speed > 1e-9 else thrust_direction
+        thrust = config.thrust_accel
+        ax, ay, az = ax + thrust * dx, ay + thrust * dy, az + thrust * dz
+    mx, my, mz = maneuver_accel
+    return ax + mx, ay + my, az + mz
 
 
 def _rk4_step(
-    position: np.ndarray,
-    velocity: np.ndarray,
+    position: Vec3,
+    velocity: Vec3,
     dt: float,
     config: TrajectoryConfig,
     thrusting: bool,
-    thrust_direction: np.ndarray,
-    maneuver_accel: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    def deriv(p, v):
-        return v, _acceleration(p, v, config, thrusting, thrust_direction, maneuver_accel)
+    thrust_direction: Vec3,
+    maneuver_accel: Vec3,
+) -> tuple[Vec3, Vec3]:
+    def accel(p, v):
+        return _acceleration(p, v, config, thrusting, thrust_direction, maneuver_accel)
 
-    k1p, k1v = deriv(position, velocity)
-    k2p, k2v = deriv(position + 0.5 * dt * k1p, velocity + 0.5 * dt * k1v)
-    k3p, k3v = deriv(position + 0.5 * dt * k2p, velocity + 0.5 * dt * k2v)
-    k4p, k4v = deriv(position + dt * k3p, velocity + dt * k3v)
-    new_p = position + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    new_v = velocity + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return new_p, new_v
+    half = 0.5 * dt
+    k1p, k1v = velocity, accel(position, velocity)
+    k2p = _axpy(velocity, half, k1v)
+    k2v = accel(_axpy(position, half, k1p), k2p)
+    k3p = _axpy(velocity, half, k2v)
+    k3v = accel(_axpy(position, half, k2p), k3p)
+    k4p = _axpy(velocity, dt, k3v)
+    k4v = accel(_axpy(position, dt, k3p), k4p)
+    sixth = dt / 6.0
+
+    def combine(x, k1, k2, k3, k4):
+        return tuple(x_i + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for x_i, a, b, c, d in zip(x, k1, k2, k3, k4))
+
+    return combine(position, k1p, k2p, k3p, k4p), combine(velocity, k1v, k2v, k3v, k4v)
 
 
-def _lateral_basis(velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lateral_basis(velocity: Vec3) -> tuple[Vec3, Vec3]:
     """Two unit vectors spanning the plane perpendicular to ``velocity``."""
-    speed = np.linalg.norm(velocity)
+    speed = _norm(velocity)
     if speed < 1e-9:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    v_hat = velocity / speed
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(v_hat[2]) > 0.99:
-        ref = np.array([1.0, 0.0, 0.0])
-    u1 = np.cross(v_hat, ref)
-    u1 /= np.linalg.norm(u1)
-    u2 = np.cross(v_hat, u1)
-    return u1, u2
+        return (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+    v_hat = tuple(c / speed for c in velocity)
+    ref = (1.0, 0.0, 0.0) if abs(v_hat[2]) > 0.99 else (0.0, 0.0, 1.0)
+    u1 = _cross(v_hat, ref)
+    norm = _norm(u1)
+    u1 = tuple(c / norm for c in u1)
+    return u1, _cross(v_hat, u1)
 
 
 def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]:
@@ -172,16 +206,16 @@ def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]
     ground, and ValueError if the state becomes non-finite.
     """
     rng = np.random.default_rng(seed)
-    direction = _launch_direction(config)
-    position = np.asarray(config.launch_position, dtype=float).copy()
-    velocity = config.launch_speed * direction
+    direction = tuple(_launch_direction(config).tolist())
+    position = tuple(float(c) for c in config.launch_position)
+    velocity = tuple(config.launch_speed * c for c in direction)
 
     climb_rate = velocity[2]
     thrust_vertical = config.thrust_accel * direction[2]
     if climb_rate <= 0.0 and thrust_vertical - config.gravity <= 0.0:
         raise DegenerateTrajectoryError("degenerate trajectory")
 
-    points = [TruthPoint(0.0, position.copy(), velocity.copy(), Phase.BOOST)]
+    points = [TruthPoint(0.0, np.array(position), np.array(velocity), Phase.BOOST)]
     crossed_reentry = False
     terminal = False
     step = 0
@@ -193,18 +227,19 @@ def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]
         t_end = step * config.dt
         thrusting = t_start < config.boost_duration
         phase_start = points[-1].phase
-        maneuver = np.zeros(3)
+        maneuver = (0.0, 0.0, 0.0)
         if phase_start is Phase.TERMINAL and config.terminal_maneuver_accel_std > 0.0:
             u1, u2 = _lateral_basis(velocity)
-            n1, n2 = rng.standard_normal(2)
-            maneuver = config.terminal_maneuver_accel_std * (n1 * u1 + n2 * u2)
+            n1, n2 = rng.standard_normal(2).tolist()
+            std = config.terminal_maneuver_accel_std
+            maneuver = tuple(std * (n1 * a + n2 * b) for a, b in zip(u1, u2))
         position, velocity = _rk4_step(
             position, velocity, config.dt, config, thrusting, direction, maneuver
         )
-        if not (np.all(np.isfinite(position)) and np.all(np.isfinite(velocity))):
+        if not all(map(math.isfinite, position + velocity)):
             raise ValueError("non-finite state during integration")
 
-        altitude = float(position[2])
+        altitude = position[2]
         if altitude >= config.reentry_altitude:
             crossed_reentry = True
         if crossed_reentry and altitude < config.reentry_altitude:
@@ -215,7 +250,7 @@ def generate_trajectory(config: TrajectoryConfig, seed: int) -> list[TruthPoint]
             phase = Phase.BOOST
         else:
             phase = Phase.MID_COURSE
-        points.append(TruthPoint(t_end, position.copy(), velocity.copy(), phase))
+        points.append(TruthPoint(t_end, np.array(position), np.array(velocity), phase))
         if altitude <= 0.0:
             break
     return points

@@ -2,7 +2,8 @@
 byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
 and ``eigvalsh``, and the campaign's ``radar.TruthSide`` against what a
 measurement computes per call.  Both kernels (the scalar loop and the lockstep lanes) read these,
-so a difference here would move every output."""
+so a difference here would move every output.  Also the lanes' geometry
+against the scalar ``observe``, ``observe_jacobian`` and range error."""
 
 import warnings
 from types import SimpleNamespace
@@ -20,11 +21,13 @@ from cogradar.radar import (
     measure,
     measurement_noise_var,
     observe,
+    observe_jacobian,
     snr_at_range,
 )
 from cogradar.tracker import DegenerateInnovationError, kalman_gain, update
 from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
-from test_ekf_oracle import GOLDEN_DIR
+from test_ekf_oracle import GOLDEN_DIR, RADAR_POSITIONS
+from test_radar import random_states
 
 
 def random_gain_inputs(rng, m):
@@ -76,6 +79,36 @@ def test_singular_innovation_raises_before_the_solve():
         with pytest.raises(DegenerateInnovationError):
             lockstep._lane_update(*(np.stack(pair) for pair in
                                     ((x, x), (np.eye(6), P), (r, r), (H, H), (nu, nu))))
+
+
+@pytest.mark.parametrize("position", RADAR_POSITIONS)
+def test_lane_geometry_matches_scalar(position):
+    """``lockstep._lane_observe`` on a stack of one and of many states: each
+    row's h and H are the scalar ``observe`` and ``observe_jacobian`` bytes,
+    and ``_lane_range`` is the scalar loop's range to the radar."""
+    states = random_states(200, seed=31)
+    states[:, :3] += position
+    radar = np.asarray(position, dtype=float)
+    for stack in [states[i : i + 1] for i in range(len(states))] + [states]:
+        h, H = lockstep._lane_observe(stack, radar)
+        distance = lockstep._lane_range(stack, radar)[2]
+        assert h.shape == (len(stack), 4) and H.shape == (len(stack), 4, 6)
+        for j, state in enumerate(stack):
+            assert h[j].tobytes() == observe(state, position).tobytes(), j
+            assert H[j].tobytes() == observe_jacobian(state, position).tobytes(), j
+            assert distance[j, 0] == experiment._distance(state[:3].tolist(), position), j
+
+
+def test_lane_at_radar_raises_before_dividing():
+    """A lane at the radar fails with ``observe_jacobian``'s message and no
+    division-by-zero warning, also as the second lane of a stack."""
+    radar = np.array(RADAR_POSITIONS[1])
+    states = random_states(2, seed=32)
+    states[1, :3] = radar
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target at radar"):
+            lockstep._lane_observe(states, radar)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,10 @@
 """The lockstep lanes against the scalar loop, their oracle.
 
-The pooled samples of a lockstep ``calibrate`` against ``seeded_run``: the
-same gate decisions, losses and measurement variances, prediction variances
-within 1e-9 relative and range errors within 1e-9 m.  The frozen roster's
-lanes are checked run by run in ``test_ekf_oracle.py``, beside the oracle
-loop, so each scalar run is made once.
+The pooled samples of a lockstep ``calibrate`` against ``seeded_run``: each
+lane's records are its scalar run's byte for byte, every ``RECORD_DTYPE``
+field, and the losses are the same.  The frozen roster's lanes are checked
+run by run in ``test_ekf_oracle.py``, beside the oracle loop, so each scalar
+run is made once.
 
 The benchmark counts dwells by wrapping ``experiment.run_episode`` and summing
 ``len(result.records)`` over its returns, so every command must return each
@@ -65,11 +65,10 @@ def hard_trajectory(scenario):
 
 
 def assert_same_run(lane, scalar, label):
+    """The lane's records are its scalar run's, byte for byte in all nine fields."""
     assert lane.lost_at == scalar.lost_at, label
-    for field in ("correlated", "state_index", "action_index", "bandwidth"):
-        assert lane.records[field].tolist() == scalar.records[field].tolist(), (label, field)
-    np.testing.assert_allclose(lane.records.range_error_true,
-                               scalar.records.range_error_true, rtol=0.0, atol=1e-9)
+    assert lane.records.dtype == scalar.records.dtype, label
+    assert lane.records.tobytes() == scalar.records.tobytes(), label
 
 
 def test_calibrate_pools_the_scalar_samples(scenario, hard_trajectory):

@@ -1,8 +1,11 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import trajectory_oracle as oracle
+from cogradar.config import default_scenario
 from cogradar.trajectory import (
     DegenerateTrajectoryError,
     Phase,
@@ -136,6 +139,39 @@ class TestGenerate:
         codes = [order[p.phase] for p in traj]
         assert codes == sorted(codes)
         assert set(codes) == {0, 1, 2}
+
+
+_DEFAULT = default_scenario().trajectory
+ORACLE_CASES = {
+    "default-seed0": (_DEFAULT, 0),
+    "default-seed7": (_DEFAULT, 7),
+    "default-seed1000": (_DEFAULT, 1000),
+    "no-drag": (replace(_DEFAULT, drag_coeff_times_area_over_mass=0.0), 5),
+    "no-maneuver": (replace(_DEFAULT, terminal_maneuver_accel_std=0.0), 5),
+    "launch-speed-0": (replace(_DEFAULT, launch_speed=0.0), 5),
+    "near-vertical": (replace(_DEFAULT, launch_elevation_angle=1.5707), 5),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_matches_numpy_oracle(case):
+    """The float RK4 against the numpy 3-vector RK4 it replaced, in
+    ``trajectory_oracle``: every point's time, phase, position and velocity
+    byte for byte."""
+    config, seed = ORACLE_CASES[case]
+    got = generate_trajectory(config, seed)
+    want = oracle.generate_trajectory(config, seed)
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.t == b.t and a.phase is b.phase, k
+        assert a.position.dtype == a.velocity.dtype == np.float64, k
+        assert a.position.tobytes() == b.position.tobytes(), k
+        assert a.velocity.tobytes() == b.velocity.tobytes(), k
+    if case == "launch-speed-0":  # the first thrust step takes the launch direction
+        assert not want[0].velocity.any()
+    if case == "near-vertical":  # the lateral basis switches its reference vector
+        unit_vz = [abs(p.velocity[2]) / p.speed for p in want if p.phase is Phase.TERMINAL]
+        assert max(unit_vz[:-1]) > 0.99
 
 
 class TestPhaseBoundaries:
