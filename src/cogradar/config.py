@@ -42,9 +42,6 @@ class ScenarioConfig:
         bws = self.actions.bandwidths
         if bws[0] < self.radar.min_bw or bws[-1] > self.radar.max_bw:
             raise ValueError("action bandwidths must lie within radar [min_bw, max_bw]")
-        init_bw = self.episode.initial_bandwidth
-        if init_bw is not None and not self.radar.min_bw <= init_bw <= self.radar.max_bw:
-            raise ValueError("episode.initial_bandwidth must lie within radar [min_bw, max_bw]")
 
     def new_table(self, discretizer: Discretizer, lookahead: bool = False) -> QTable:
         """Fresh all-zero Q-table wired to this scenario's hyperparameters."""
@@ -87,6 +84,10 @@ class ScenarioConfig:
             if name not in {phase.value for phase in Phase}:
                 raise ValueError(f"process.accel_noise_std: unknown phase {name!r}")
         noise = {Phase(name): std for name, std in process["accel_noise_std"].items()}
+        episode = dict(data["episode"])
+        if episode.pop("initial_bandwidth", None) is not None:  # dropped; older files hold null
+            raise ValueError("episode.initial_bandwidth: dropped field, only null loads; "
+                             "a track starts at its policy's initial bandwidth")
         hyper = data["hyperparams"]
         names = [f.name for f in dataclasses.fields(Hyperparams)]
         unknown = sorted(set(hyper) - set(names))
@@ -97,7 +98,7 @@ class ScenarioConfig:
             trajectory=TrajectoryConfig(**traj),
             radar=RadarConfig(**radar),
             process=ProcessModel(dt=process["dt"], accel_noise_std=noise),
-            episode=EpisodeConfig(**_section("episode", data["episode"], EpisodeConfig)),
+            episode=EpisodeConfig(**_section("episode", episode, EpisodeConfig)),
             actions=ActionSet(data["actions_hz"]),
             hyperparams=Hyperparams(**hyper),
         )

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .fileio import require_float, require_int, write_csv
+from .fileio import require_int, write_csv
 from .lockstep import Lockstep, require_frozen
 from .policy import (
     ActionSet,
@@ -72,16 +72,11 @@ FULL_TRACK_LABEL = "full_track"
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Per-episode protocol: how many dwells, when a track counts as lost.
-
-    ``initial_bandwidth`` None defers the track-initiation waveform to the
-    policy.
-    """
+    """Per-episode protocol: how many dwells, when a track counts as lost."""
 
     n_transmissions: int = DEFAULT_N_TRANSMISSIONS
     miss_limit: int = 5
     seed: int = 0
-    initial_bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("n_transmissions", "miss_limit", "seed"):
@@ -92,10 +87,6 @@ class EpisodeConfig:
             raise ValueError("miss_limit must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.initial_bandwidth is not None:
-            require_float("initial_bandwidth", self.initial_bandwidth)
-            if self.initial_bandwidth <= 0.0:
-                raise ValueError("initial_bandwidth must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +100,7 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def run_episode(
-    trajectory: Union[Sequence[TruthPoint], TruthSide],
+    truth: TruthSide,
     policy: Union[Policy, Sequence[Policy]],
     radar: RadarConfig,
     process: ProcessModel,
@@ -117,28 +108,28 @@ def run_episode(
     rng: Union[np.random.Generator, Sequence[int]],
     learning: bool = False,
 ) -> Union[RunResult, Runs]:
-    """Run one tracking episode; returns a record per transmission.
+    """Run one tracking episode on the truth side of a trajectory; returns a
+    record per transmission.
 
-    Sample 0 initializes the track; samples 1..n_transmissions are the
-    decision loop.  The policy sees only quantities computable before its
-    transmission: the range-projected prior variance, the previous waveform's
-    range noise variance, the previous gate outcome, and the previous
-    bandwidth and streak of gate hits, which the loop carries.  When
-    ``learning``, the policy learns from each dwell's range error and loss.
-    A campaign passes its trajectory's ``TruthSide`` for ``radar``, built once.
+    Truth row 0 initializes the track at the policy's initial bandwidth; rows
+    1..n_transmissions are the decision loop.  The policy sees only
+    quantities computable before its transmission: the range-projected prior
+    variance, the previous waveform's range noise variance, the previous gate
+    outcome, and the previous bandwidth and streak of gate hits, which the
+    loop carries.  When ``learning``, the policy learns from each dwell's
+    range error and loss.  A campaign builds its ``TruthSide`` once and
+    passes it to every call.
 
     Lockstep, the path of every frozen run: given a sequence of frozen
     policies and of seeds, lane j runs ``policy[j]`` on ``default_rng(rng[j])``
     and the lanes step together; returns their ``Runs``.  A failed lane raises
     the scalar loop's error for its run, without the run's index or seed.
     """
-    if len(trajectory) < episode.n_transmissions + 1:
+    if len(truth) < episode.n_transmissions + 1:
         raise ValueError(
             "trajectory too short: need n_transmissions + 1 = "
-            f"{episode.n_transmissions + 1} samples, have {len(trajectory)}"
+            f"{episode.n_transmissions + 1} samples, have {len(truth)}"
         )
-    truth = (trajectory if isinstance(trajectory, TruthSide)
-             else TruthSide(trajectory[: episode.n_transmissions + 1], radar))
     if not isinstance(policy, Policy):
         if learning:
             raise ValueError("lockstep lanes are frozen: they cannot learn")
@@ -146,8 +137,7 @@ def run_episode(
     policy.reset()
 
     bandwidth = policy.initial_bandwidth()  # as a lane's, before the first choice
-    init_bw = bandwidth if episode.initial_bandwidth is None else episode.initial_bandwidth
-    z, r = measure(truth, 0, init_bw, rng)
+    z, r = measure(truth, 0, bandwidth, rng)
     x, P = initialize_track(z, radar)
     meas_var = float(r[0])
     correlated = True
@@ -228,25 +218,26 @@ def seeded_runs(
     bisected with lockstep calls on the first half of its lanes, down to the
     first failed lane in lane order, which replays alone so that the error
     names its run; should that replay pass, the call's own error is raised:
-    there are no replayed results to fall back on."""
+    there are no replayed results to fall back on.  Every call reads one
+    ``TruthSide``, built here."""
     require_frozen(policies)
     seeds = [base_seed + i for i in runs]
+    truth = TruthSide(trajectory[: episode.n_transmissions + 1], radar)
     try:
-        return run_episode(trajectory, policies, radar, process, episode, seeds)
+        return run_episode(truth, policies, radar, process, episode, seeds)
     except ValueError:
         lo, hi = 0, len(seeds)  # the first failed lane is in [lo, hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                run_episode(trajectory, policies[lo:mid], radar, process, episode,
-                            seeds[lo:mid])
+                run_episode(truth, policies[lo:mid], radar, process, episode, seeds[lo:mid])
             except ValueError:
                 hi = mid
             else:
                 lo = mid
         if hi > lo:
-            _run_named(runs[lo], seeds[lo], trajectory, policies[lo:hi], radar,
-                       process, episode, seeds[lo:hi])
+            _run_named(runs[lo], seeds[lo], truth, policies[lo:hi], radar, process,
+                       episode, seeds[lo:hi])
         raise
 
 

@@ -5,10 +5,11 @@ A lane is one (policy, run) pair: lane j runs a frozen policy on the noise of
 ``default_rng(seed_j)``.  A frozen run draws four normals per transmission
 and nothing else, so each lane draws its whole block of normals up front.
 The truth side of every dwell (true measurement, true range, SNR and each
-bandwidth's noise variances) is the scalar loop's ``TruthSide``.  The
-estimate side of every lane is stepped together over a leading lane axis,
-operation for operation as the scalar loop computes it, so each lane's
-records are its scalar run's.  Lanes drop out as they lose the track.
+bandwidth's noise variances) is the campaign's ``TruthSide``, which the
+scalar loop reads too: one noise table serves both.  The estimate side of
+every lane is stepped together over a leading lane axis, operation for
+operation as the scalar loop computes it, so each lane's records are its
+scalar run's.  Lanes drop out as they lose the track.
 
 A lane that fails one of the scalar loop's checks stops the call at once
 with that check's plain error.  The lane that trips it is the first in dwell
@@ -131,12 +132,6 @@ class Lockstep:
         self.truth, self.radar, self.process = truth, radar, process
         self.episode, self.seeds = episode, seeds
         self.position = radar.position_array
-        self.initial = [policy.initial_bandwidth() if episode.initial_bandwidth is None
-                        else episode.initial_bandwidth for policy in self.policies]
-
-        # r and sqrt(r) of every truth row, one column per bandwidth in use
-        self.noise_table = np.empty((2, len(truth.z_true), 0, 4))
-        self.noise_column: dict[float, int] = {}
         n = episode.n_transmissions
         rows: dict = {}  # one noise block per distinct seed
         for seed in seeds:
@@ -190,23 +185,13 @@ class Lockstep:
         in_order = np.array_equal(lanes.ids, np.arange(len(self.seeds)))
         return parts, slice(None) if in_order else lanes.ids
 
-    def _noise_columns(self, bandwidth: np.ndarray) -> list:
-        """Each lane's column of ``noise_table``; a bandwidth gets its column
-        from the truth side on first use."""
-        bandwidths = bandwidth.tolist()
-        for new in set(bandwidths).difference(self.noise_column):
-            block = np.stack(self.truth.noise(new))[:, :, None]
-            self.noise_table = np.concatenate([self.noise_table, block], axis=2)
-            self.noise_column[new] = len(self.noise_column)
-        return [self.noise_column[bw] for bw in bandwidths]
-
     def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""
         truth = self.truth
         if k == len(truth.z_true):  # every lane that gets here fails
             raise truth.failure
-        columns = self._noise_columns(bandwidth)  # may grow the table
-        r, root = self.noise_table[:, k, columns]
+        columns = truth.columns(bandwidth.tolist())  # may grow the table
+        r, root = truth.table[:, k, columns]
         z = truth.z_true[k] + root * self.noise[noise_row, k]
         if np.count_nonzero(z[:, 0] <= 0.0):
             raise ValueError("measured range must be > 0")
@@ -215,8 +200,8 @@ class Lockstep:
         return z, r
 
     def _initiate(self, lanes: _Lanes) -> _Lanes:
-        """Track initiation on truth row 0."""
-        z, r = self._measure(0, np.take(self.initial, lanes.group), lanes.noise_row)
+        """Track initiation on truth row 0, at each policy's initial bandwidth."""
+        z, r = self._measure(0, lanes.bandwidth, lanes.noise_row)
         tracks = [initialize_track(row, self.radar) for row in z]
         m = len(lanes)
         return _Lanes(

@@ -121,11 +121,13 @@ def measurement_noise_var(
 
 class TruthSide:
     """What every transmission on ``trajectory`` computes before it draws,
-    once per campaign: per truth row the noise-free measurement ``z_true``,
-    the SNR and the true ``range``, and per (row, bandwidth) the noise
-    variances r and their square roots (``noise``).  The rows stop before
-    the first whose truth fails (target at radar); ``failure`` holds that
-    error, which measuring the row raises."""
+    once per campaign, for both kernels: per truth row the noise-free
+    measurement ``z_true``, the SNR and the true ``range``, and ``table``,
+    (2, rows, bandwidths, 4), where ``table[0, k, column[b]]`` holds the
+    noise variances r of row k at bandwidth b and ``table[1, k, column[b]]``
+    their square roots; ``columns`` adds a bandwidth's column on first use.
+    The rows stop before the first whose truth fails (target at radar);
+    ``failure`` holds that error, which measuring the row raises."""
 
     def __init__(self, trajectory: Sequence[TruthPoint], config: RadarConfig) -> None:
         self.config = config
@@ -134,7 +136,6 @@ class TruthSide:
         self.snr: list[float] = []
         self.range: list[float] = []  # |truth - radar| = z_true[0]
         self.failure: Optional[ValueError] = None
-        self._noise: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         for point in trajectory:
             try:
                 z = observe(np.concatenate([point.position, point.velocity]), config.position)
@@ -147,18 +148,21 @@ class TruthSide:
             self.z_true.append(z)
             self.snr.append(snr)
             self.range.append(float(z[0]))
+        self.table = np.empty((2, len(self.z_true), 0, 4))
+        self.column: dict[float, int] = {}
 
     def __len__(self) -> int:
         return len(self.phases)
 
-    def noise(self, bandwidth: float) -> tuple[np.ndarray, np.ndarray]:
-        """r and sqrt(r) of every row at ``bandwidth``, (rows, 4) each, made
-        on first use."""
-        if bandwidth not in self._noise:
-            r = np.array([measurement_noise_var(bandwidth, snr, self.config)
+    def columns(self, bandwidths: list[float]) -> list[int]:
+        """The ``table`` column of each bandwidth, adding those not yet in it."""
+        for new in set(bandwidths).difference(self.column):
+            r = np.array([measurement_noise_var(new, snr, self.config)
                           for snr in self.snr]).reshape(-1, 4)
-            self._noise[bandwidth] = r, np.sqrt(r)
-        return self._noise[bandwidth]
+            block = np.stack([r, np.sqrt(r)])[:, :, None]
+            self.table = np.concatenate([self.table, block], axis=2)
+            self.column[new] = len(self.column)
+        return [self.column[bw] for bw in bandwidths]
 
 
 def measure(
@@ -172,9 +176,11 @@ def measure(
     """
     if k >= len(truth.z_true):
         raise truth.failure
-    r, root = truth.noise(bandwidth)
-    r = r[k]
-    z = truth.z_true[k] + root[k] * rng.standard_normal(4)
+    column = truth.column.get(bandwidth)
+    if column is None:
+        [column] = truth.columns([bandwidth])
+    r = truth.table[0, k, column]  # two basic indexes: unpacking would cost more
+    z = truth.z_true[k] + truth.table[1, k, column] * rng.standard_normal(4)
     if z[0] <= 0.0:
         raise ValueError("measured range must be > 0")
     if not -np.pi / 2.0 < z[3] < np.pi / 2.0:

@@ -123,12 +123,7 @@ def run_episode(trajectory, policy, radar, process, episode, rng):
     """
     policy.reset()
     bandwidth, streak = policy.initial_bandwidth(), 0
-    init_bw = (
-        episode.initial_bandwidth
-        if episode.initial_bandwidth is not None
-        else bandwidth
-    )
-    z, r = measure(trajectory[0], init_bw, radar, rng)
+    z, r = measure(trajectory[0], bandwidth, radar, rng)
     x, P = initialize_track(z, radar)
     last_meas_var, last_correlated, misses = float(r[0]), True, 0
     position = radar.position_array

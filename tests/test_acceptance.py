@@ -432,7 +432,7 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajecto
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "gate", always_miss)
         result = run_episode(
-            hard_trajectory,
+            TruthSide(hard_trajectory, scenario.radar),
             FixedPolicy(1.0e6, scenario.radar.min_bw, scenario.radar.max_bw),
             scenario.radar,
             scenario.process,

@@ -311,6 +311,20 @@ class TestSectionKeys:
         assert f"cogradar: error: {message}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_dropped_initial_bandwidth_named(self, capsys, tmp_path):
+        """A scenario that still sets ``episode.initial_bandwidth`` fails at
+        load, naming the field; only null, what older templates hold, loads."""
+        doc = default_scenario().to_json_dict()
+        doc["episode"]["initial_bandwidth"] = 5e6
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        code = run("evaluate", "--policy", "fixed:1e6", "--config", str(path), *FAST,
+                   "--out", out)
+        assert code == 2
+        assert "cogradar: error: episode.initial_bandwidth:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestPolicySpec:
     def test_parse_with_param(self):

@@ -28,7 +28,7 @@ from cogradar.policy import (
     QTable,
     reward,
 )
-from cogradar.radar import measurement_noise_var, observe, observe_jacobian
+from cogradar.radar import TruthSide, measurement_noise_var, observe, observe_jacobian
 from cogradar.tracker import update
 from cogradar.trajectory import generate_trajectory
 from test_acceptance import EVAL_SEED, N_EVAL_RUNS
@@ -112,12 +112,13 @@ def test_run_episode_matches_oracle_loop(hard_trajectory, roster_lanes, name):
     has the scalar run's records byte for byte, every field."""
     sc = default_scenario()
     policy, lanes = roster_lanes[name]
-    args = (hard_trajectory, policy, sc.radar, sc.process, sc.episode)
+    args = (policy, sc.radar, sc.process, sc.episode)
+    truth = TruthSide(hard_trajectory[: sc.episode.n_transmissions + 1], sc.radar)
     assert len(lanes) == N_EVAL_RUNS
     for i, lane in enumerate(lanes):
-        result = seeded_run(i, EVAL_SEED, *args)
+        result = seeded_run(i, EVAL_SEED, truth, *args)
         correlated, range_errors, lost_at = oracle.run_episode(
-            *args, np.random.default_rng(EVAL_SEED + i)
+            hard_trajectory, *args, np.random.default_rng(EVAL_SEED + i)
         )
         assert result.lost_at == lost_at == lane.lost_at, f"run {i}"
         assert result.records.correlated.tolist() == correlated, f"run {i}"
@@ -139,7 +140,8 @@ def test_training_matches_oracle_rules(hard_trajectory, lookahead):
     table = sc.new_table(edges, lookahead=lookahead)
     replay = QTable(table.values.copy(), table.discretizer, table.actions, table.hyperparams)
     policy = QLearningPolicy(table)
-    runs = [seeded_run(i, 0, hard_trajectory, policy, sc.radar, sc.process, sc.episode,
+    truth = TruthSide(hard_trajectory[: sc.episode.n_transmissions + 1], sc.radar)
+    runs = [seeded_run(i, 0, truth, policy, sc.radar, sc.process, sc.episode,
                        learning=True) for i in range(8)]
     assert any(run.lost_at is not None for run in runs)
     C, L = table.hyperparams.C, table.hyperparams.L

@@ -34,7 +34,7 @@ from cogradar.policy import (
     QTable,
     reward,
 )
-from cogradar.radar import RadarConfig
+from cogradar.radar import RadarConfig, TruthSide
 from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel
 from cogradar.trajectory import Phase, TruthPoint
 
@@ -225,7 +225,7 @@ class TestRunEpisode:
         trajectory = stationary_trajectory(161)
         episode = EpisodeConfig(n_transmissions=160)
         result = run_episode(
-            trajectory,
+            TruthSide(trajectory, quiet_radar()),
             FixedPolicy(1e6),
             quiet_radar(),
             quiet_process(),
@@ -243,7 +243,7 @@ class TestRunEpisode:
             161, position=(20_000.0, 5_000.0, 8_000.0), velocity=(-60.0, 20.0, -10.0)
         )
         result = run_episode(
-            trajectory,
+            TruthSide(trajectory, moderate_radar()),
             FixedPolicy(1e6),
             moderate_radar(),
             quiet_process(),
@@ -259,7 +259,7 @@ class TestRunEpisode:
     def test_offset_start_loses_at_miss_limit(self):
         trajectory = teleport_trajectory(161)
         result = run_episode(
-            trajectory,
+            TruthSide(trajectory, quiet_radar()),
             FixedPolicy(0.5e6),
             quiet_radar(),
             quiet_process(),
@@ -272,8 +272,8 @@ class TestRunEpisode:
         assert not any(rec.correlated for rec in result.records)
 
     def test_deterministic_given_seed(self):
-        trajectory = stationary_trajectory(161)
-        args = (trajectory, FixedPolicy(2.5e6), moderate_radar(), quiet_process())
+        truth = TruthSide(stationary_trajectory(161), moderate_radar())
+        args = (truth, FixedPolicy(2.5e6), moderate_radar(), quiet_process())
         one = run_episode(*args, EpisodeConfig(), np.random.default_rng(7))
         two = run_episode(*args, EpisodeConfig(), np.random.default_rng(7))
         assert same_run(one, two)
@@ -289,7 +289,7 @@ class TestRunEpisode:
             ),
         ):
             full = run_episode(
-                trajectory,
+                TruthSide(trajectory, moderate_radar()),
                 policy_factory(),
                 moderate_radar(),
                 quiet_process(),
@@ -297,7 +297,7 @@ class TestRunEpisode:
                 np.random.default_rng(5),
             )
             prefix = run_episode(
-                trajectory,
+                TruthSide(trajectory, moderate_radar()),
                 policy_factory(),
                 moderate_radar(),
                 quiet_process(),
@@ -309,7 +309,7 @@ class TestRunEpisode:
     def test_policy_context_fields_flow(self):
         trajectory = stationary_trajectory(161)
         result = run_episode(
-            trajectory,
+            TruthSide(trajectory, moderate_radar()),
             FixedPolicy(1e6),
             moderate_radar(),
             quiet_process(),
@@ -321,24 +321,10 @@ class TestRunEpisode:
         assert all(rec.pred_var > 0.0 for rec in result.records)
         assert all(rec.meas_var > 0.0 for rec in result.records)
 
-    def test_initial_bandwidth_override(self):
-        trajectory = stationary_trajectory(161)
-        episode = EpisodeConfig(initial_bandwidth=7.5e6)
-        result = run_episode(
-            trajectory,
-            FixedPolicy(1e6),
-            quiet_radar(),
-            quiet_process(),
-            episode,
-            np.random.default_rng(0),
-        )
-        # the override affects only the initiation dwell, not the loop
-        assert all(rec.bandwidth == 1e6 for rec in result.records)
-
     def test_trajectory_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             run_episode(
-                stationary_trajectory(100),
+                TruthSide(stationary_trajectory(100), quiet_radar()),
                 FixedPolicy(1e6),
                 quiet_radar(),
                 quiet_process(),
@@ -348,7 +334,7 @@ class TestRunEpisode:
 
     def test_nontabular_records_have_no_indices(self):
         result = run_episode(
-            stationary_trajectory(21),
+            TruthSide(stationary_trajectory(21), moderate_radar()),
             BandwidthScalingPolicy(),
             moderate_radar(),
             quiet_process(),
@@ -359,7 +345,7 @@ class TestRunEpisode:
 
     def test_tabular_records_have_indices(self):
         result = run_episode(
-            stationary_trajectory(21),
+            TruthSide(stationary_trajectory(21), moderate_radar()),
             QLearningPolicy(QTable.zeros(wide_edges()), epsilon=0.0),
             moderate_radar(),
             quiet_process(),
@@ -383,7 +369,7 @@ def run_scripted(hits, miss_limit=5):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "gate", scripted_gate)
         return run_episode(
-            stationary_trajectory(len(hits) + 1),
+            TruthSide(stationary_trajectory(len(hits) + 1), quiet_radar()),
             FixedPolicy(1e6),
             quiet_radar(),
             quiet_process(),
@@ -605,6 +591,41 @@ class TestSeededRuns:
                         EpisodeConfig(n_transmissions=10))
         assert len(calls) <= 8
 
+    def test_one_truth_side_per_campaign(self, monkeypatch):
+        """Every lockstep call of a failing 64-lane campaign, bisection and
+        replay included, reads the one ``TruthSide`` built for it, whose
+        noise table then holds one column per bandwidth the lanes used."""
+        class FailingPolicy(FixedPolicy):
+            def choose_lanes(self, *args):
+                raise ValueError("failed lane")
+
+        built, read = [], set()
+
+        class Counted(TruthSide):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        run_episode = experiment.run_episode
+
+        def recorded(truth, *args, **kwargs):
+            read.add(id(truth))
+            return run_episode(truth, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "TruthSide", Counted)
+        monkeypatch.setattr(experiment, "run_episode", recorded)
+        policies = [FixedPolicy(1e6), BandwidthScalingPolicy()] * 31 + [FailingPolicy(2.5e6)] * 2
+        with pytest.raises(ValueError, match=r"^run 62 \(seed 162\): failed lane$"):
+            seeded_runs(policies, range(64), 100, stationary_trajectory(41),
+                        moderate_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
+        assert len(built) == 1 and read == {id(built[0])}
+        runs = seeded_runs(policies[:4], range(4), 100, teleport_trajectory(41),
+                           quiet_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
+        [truth] = built[1:]
+        used = set(runs.records.bandwidth.tolist()) | {1e6, 10e6}  # initiation included
+        assert len(used) > 2 and sorted(truth.column) == sorted(used)
+        assert truth.table.shape == (2, 41, len(used), 4)
+
 
 class TestCalibrateDiscretizer:
     def test_produces_valid_discretizer(self):
@@ -636,7 +657,7 @@ class TestCalibrateDiscretizer:
 class TestCsvExport:
     def make_result(self):
         return run_episode(
-            stationary_trajectory(41),
+            TruthSide(stationary_trajectory(41), moderate_radar()),
             FixedPolicy(1e6),
             moderate_radar(),
             quiet_process(),
@@ -732,8 +753,6 @@ class TestConfigValidation:
             EpisodeConfig(n_transmissions=0)
         with pytest.raises(ValueError):
             EpisodeConfig(miss_limit=0)
-        with pytest.raises(ValueError):
-            EpisodeConfig(initial_bandwidth=0.0)
 
     def test_episode_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):

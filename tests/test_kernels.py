@@ -1,9 +1,10 @@
 """The shared kernels of the dwell against the calls they replace, byte for
 byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
-and ``eigvalsh``, and the campaign's ``radar.TruthSide`` against what a
-measurement computes per call.  Both kernels (the scalar loop and the lockstep lanes) read these,
-so a difference here would move every output.  Also the lanes' geometry
-against the scalar ``observe``, ``observe_jacobian`` and range error."""
+and ``eigvalsh``, and the campaign's ``radar.TruthSide``, noise table
+included, against what a measurement computes per call.  Both kernels (the
+scalar loop and the lockstep lanes) read these, so a difference here would
+move every output.  Also the lanes' geometry against the scalar
+``observe``, ``observe_jacobian`` and range error."""
 
 import warnings
 from types import SimpleNamespace
@@ -119,24 +120,34 @@ def hard():
 
 def test_truth_side_matches_per_call(hard):
     """Every row's z_true, SNR and true range, and every action's r and
-    sqrt(r), equal what ``measure`` computed per call before the truth side
-    was shared; the true range is also the scalar loop's old distance."""
+    sqrt(r) in the shared table, equal what ``measure`` computed per call
+    before the truth side was shared; the true range is also the scalar
+    loop's old distance.  The table gains one column per new bandwidth, in
+    any order of first use, and what ``measure`` returns is its row."""
     scenario, trajectory = hard
     radar = scenario.radar
     rows = trajectory[: scenario.episode.n_transmissions + 1]
     truth = TruthSide(rows, radar)
     assert truth.failure is None and len(truth) == len(truth.z_true) == len(rows)
+    bandwidths = scenario.actions.bandwidths
+    measure(truth, 3, bandwidths[2], np.random.default_rng(0))  # scalar first use
+    columns = truth.columns([*bandwidths[::-1], bandwidths[0]])  # the lanes' first use
+    assert truth.table.shape == (2, len(rows), len(bandwidths), 4)
+    assert sorted(columns[:-1]) == list(range(len(bandwidths)))
+    assert columns[-1] == columns[-2] and truth.column[bandwidths[2]] == 0
     for k, point in enumerate(rows):
         z_true = observe(np.concatenate([point.position, point.velocity]), radar.position)
         snr = snr_at_range(float(z_true[0]), radar)
         assert truth.z_true[k].tobytes() == z_true.tobytes()
         assert truth.snr[k] == snr and truth.phases[k] is point.phase
         assert truth.range[k] == experiment._distance(point.position.tolist(), radar.position)
-        for bandwidth in scenario.actions.bandwidths:
+        for bandwidth in bandwidths:
             r = measurement_noise_var(bandwidth, snr, radar)
-            got_r, got_root = truth.noise(bandwidth)
-            assert got_r[k].tobytes() == r.tobytes()
-            assert got_root[k].tobytes() == np.sqrt(r).tobytes()
+            got_r, got_root = truth.table[:, k, truth.column[bandwidth]]
+            assert got_r.tobytes() == r.tobytes()
+            assert got_root.tobytes() == np.sqrt(r).tobytes()
+            _, measured_r = measure(truth, k, bandwidth, np.random.default_rng(k))
+            assert measured_r.tobytes() == r.tobytes()
 
 
 def test_truth_failure_is_raised_at_its_row():
@@ -154,9 +165,11 @@ def test_truth_failure_is_raised_at_its_row():
 
 def test_campaign_truth_side_changes_no_bit(hard):
     """``train_qlearning`` hands one truth side to every episode; the table
-    equals the one trained run by run on the plain trajectory, each episode
-    building its own, and a frozen run replays alike either way."""
+    equals the one trained run by run with a fresh truth side per episode,
+    and a frozen run replays alike on a shared truth side, whose table an
+    earlier run filled, and on a fresh one."""
     sc, trajectory = hard
+    rows = trajectory[: sc.episode.n_transmissions + 1]
     edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
     shared = sc.new_table(edges, lookahead=True)
     train_qlearning(trajectory, shared, sc.radar, sc.process, sc.episode, n_runs=4,
@@ -164,11 +177,13 @@ def test_campaign_truth_side_changes_no_bit(hard):
     alone = sc.new_table(edges, lookahead=True)
     policy = QLearningPolicy(alone)
     for i in range(4):
-        seeded_run(i, 9, trajectory, policy, sc.radar, sc.process, sc.episode,
-                   learning=True)
+        seeded_run(i, 9, TruthSide(rows, sc.radar), policy, sc.radar, sc.process,
+                   sc.episode, learning=True)
     assert shared.values.tobytes() == alone.values.tobytes()
-    truth = TruthSide(trajectory[: sc.episode.n_transmissions + 1], sc.radar)
+    truth = TruthSide(rows, sc.radar)
     scaling = BandwidthScalingPolicy(sc.radar.min_bw, sc.radar.max_bw)
+    seeded_run(0, 50, truth, scaling, sc.radar, sc.process, sc.episode)
+    assert len(truth.column) > 1
     a, b = (seeded_run(3, 50, side, scaling, sc.radar, sc.process, sc.episode)
-            for side in (trajectory, truth))
+            for side in (truth, TruthSide(rows, sc.radar)))
     assert a.records.tobytes() == b.records.tobytes() and a.lost_at == b.lost_at

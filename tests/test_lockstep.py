@@ -35,6 +35,7 @@ from cogradar.policy import (
     QTable,
     bandwidth_scaling_step,
 )
+from cogradar.radar import TruthSide
 from cogradar.tracker import DegenerateInnovationError, update
 from cogradar.trajectory import generate_trajectory
 
@@ -64,6 +65,11 @@ def hard_trajectory(scenario):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
+def truth_side(trajectory, radar, episode):
+    """The ``TruthSide`` a campaign builds on ``trajectory``."""
+    return TruthSide(trajectory[: episode.n_transmissions + 1], radar)
+
+
 def assert_same_run(lane, scalar, label):
     """The lane's records are its scalar run's, byte for byte in all nine fields."""
     assert lane.lost_at == scalar.lost_at, label
@@ -76,7 +82,8 @@ def test_calibrate_pools_the_scalar_samples(scenario, hard_trajectory):
     runs pool, so the edges agree."""
     sc, n_runs, base_seed = scenario, 100, 500
     policies = [FixedPolicy(bw, sc.radar.min_bw, sc.radar.max_bw) for bw in sc.actions.bandwidths]
-    scalar = [seeded_run(i, base_seed, hard_trajectory, policies[i % len(policies)],
+    truth = truth_side(hard_trajectory, sc.radar, sc.episode)
+    scalar = [seeded_run(i, base_seed, truth, policies[i % len(policies)],
                          sc.radar, sc.process, sc.episode) for i in range(n_runs)]
     lanes = seeded_runs([policies[i % len(policies)] for i in range(n_runs)], range(n_runs),
                         base_seed, hard_trajectory, sc.radar, sc.process, sc.episode)
@@ -97,8 +104,8 @@ class TestRuns:
     def test_lanes_are_their_records_back_to_back(self, scenario, hard_trajectory):
         sc = scenario
         policies = [FixedPolicy(bw, sc.radar.min_bw, sc.radar.max_bw) for bw in (1e6, 1e7)]
-        runs = run_episode(hard_trajectory, policies * 3, sc.radar, sc.process, sc.episode,
-                           [7, 7, 8, 8, 9, 9])
+        runs = run_episode(truth_side(hard_trajectory, sc.radar, sc.episode), policies * 3,
+                           sc.radar, sc.process, sc.episode, [7, 7, 8, 8, 9, 9])
         assert len(runs) == 6
         assert np.array_equal(np.concatenate([lane.records for lane in runs]), runs.records)
         assert runs.ends.tolist() == np.cumsum([len(lane.records) for lane in runs]).tolist()
@@ -109,7 +116,8 @@ class TestRuns:
 
     def test_lanes_are_frozen(self, scenario, hard_trajectory):
         sc = scenario
-        args = (hard_trajectory, sc.radar, sc.process, sc.episode)
+        args = (truth_side(hard_trajectory, sc.radar, sc.episode), sc.radar, sc.process,
+                sc.episode)
         exploring = QLearningPolicy(QTable.load(Q_TABLES["q"]))
         assert not exploring.lockstep
         with pytest.raises(ValueError, match="draw nothing"):
@@ -210,7 +218,7 @@ def scalar_dwells(argv, scenario, trajectory):
     episode = replace(sc.episode, n_transmissions=int(
         option.get("--transmissions", sc.episode.n_transmissions)))
     n_runs, seed = int(option["--runs"]), int(option["--seed"])
-    args = (trajectory,)
+    args = (truth_side(trajectory, radar, episode),)
 
     def runs(policy_at, n, base):
         return sum(len(seeded_run(i, base, *args, policy_at(i), radar, sc.process,

@@ -25,6 +25,7 @@ from cogradar.policy import (
     reward,
     select_action,
 )
+from cogradar.radar import TruthSide
 from cogradar.trajectory import generate_trajectory
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -686,8 +687,8 @@ class TestValidation:
         """A variance that is not positive fails the dwell before the policy
         chooses, with the same message from the scalar loop and from a lane."""
         sc = default_scenario()
-        trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
         episode = EpisodeConfig(n_transmissions=3)
+        truth = TruthSide(generate_trajectory(sc.trajectory, seed=sc.episode.seed)[:4], sc.radar)
         policy = FixedPolicy(1e6)
         observe_lanes = lockstep._lane_observe
 
@@ -713,10 +714,10 @@ class TestValidation:
                 for owner, name, fake in patches:
                     patched.setattr(owner, name, fake)
                 with pytest.raises(ValueError, match=message):
-                    run_episode(trajectory, policy, sc.radar, sc.process, episode,
+                    run_episode(truth, policy, sc.radar, sc.process, episode,
                                 np.random.default_rng(0))
                 with pytest.raises(ValueError, match=message):
-                    run_episode(trajectory, [policy], sc.radar, sc.process, episode, [0])
+                    run_episode(truth, [policy], sc.radar, sc.process, episode, [0])
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import trajectory_oracle as oracle
+from cogradar import trajectory
 from cogradar.config import default_scenario
 from cogradar.trajectory import (
     DegenerateTrajectoryError,
@@ -172,6 +174,20 @@ def test_matches_numpy_oracle(case):
     if case == "near-vertical":  # the lateral basis switches its reference vector
         unit_vz = [abs(p.velocity[2]) / p.speed for p in want if p.phase is Phase.TERMINAL]
         assert max(unit_vz[:-1]) > 0.99
+
+
+def test_air_density_matches_numpy_oracle():
+    """The density against ``trajectory_oracle``'s byte for byte, at
+    altitudes where ``np.exp`` and ``math.exp`` round their argument apart,
+    so the drag term cannot absorb an exp that moved the last bit."""
+    altitudes = np.random.default_rng(61).uniform(0.0, 60_000.0, 2000).tolist()
+    scale = _DEFAULT.atmosphere_scale_height
+    apart = [h for h in altitudes if math.exp(-h / scale) != float(np.exp(-h / scale))]
+    assert len(apart) > 20
+    for altitude in apart + [-5.0, 0.0]:  # below sea level clamps to 0
+        got = trajectory._air_density(altitude, _DEFAULT)
+        want = oracle._air_density(altitude, _DEFAULT)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), altitude
 
 
 class TestPhaseBoundaries:
