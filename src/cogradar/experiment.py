@@ -47,6 +47,8 @@ from .tracker import (
     initialize_track,
     innovation,
     predict,
+    range_variance,
+    require_finite,
     update,
 )
 from .trajectory import TruthPoint
@@ -144,12 +146,12 @@ def run_episode(
     streak = misses = 0  # gate hits counted by the policy, consecutive gate misses
     lost_at = None
 
-    records = np.zeros(episode.n_transmissions, dtype=RECORD_DTYPE)
+    rows = []  # RECORD_DTYPE tuples, packed once the run ends
     radar_position = radar.position
     for k in range(episode.n_transmissions):
         x, P = predict(x, P, process, truth.phases[k + 1])
         H = observe_jacobian(x, radar_position)
-        pred_var = float(H[0] @ P @ H[0])
+        pred_var = range_variance(H, P)
         if pred_var <= 0.0:
             raise ValueError("predicted_range_variance must be > 0")
         if meas_var <= 0.0:
@@ -167,19 +169,20 @@ def run_episode(
             misses += 1
         lost = misses >= episode.miss_limit
 
-        range_error = abs(_distance(x[:3].tolist(), radar_position) - truth.range[k + 1])
+        range_error = abs(_distance(x.tolist(), radar_position) - truth.range[k + 1])
         if learning:
             policy.learn(range_error, lost)
 
         meas_var = float(r[0])
-        records[k] = (bandwidth, range_error, decision.range_innovation,
-                      decision.range_window, correlated, state, action,
-                      pred_var, meas_var)
+        rows.append((bandwidth, range_error, decision.range_innovation,
+                     decision.range_window, correlated, state, action, pred_var, meas_var))
         if lost:
             lost_at = k + 1
             break
+    require_finite(x, P)  # the last posterior, which no predict checks
 
-    return RunResult(records=records[: k + 1].view(np.recarray), lost_at=lost_at)
+    records = np.array(rows, dtype=RECORD_DTYPE).view(np.recarray)
+    return RunResult(records=records, lost_at=lost_at)
 
 
 # ---------------------------------------------------------------------------

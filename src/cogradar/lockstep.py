@@ -28,7 +28,8 @@ import numpy as np
 from .policy import Policy
 from .radar import RadarConfig, TruthSide
 from .records import RECORD_DTYPE, Runs
-from .tracker import _EYE6, ProcessModel, initialize_track, kalman_gain, wrap_angle
+from .tracker import _EYE6, ProcessModel, initialize_track, kalman_gain, require_finite, wrap_angle
+from .trajectory import Phase
 
 if TYPE_CHECKING:  # experiment imports this module
     from .experiment import EpisodeConfig
@@ -93,6 +94,19 @@ def _lane_observe(x: np.ndarray, radar_position: np.ndarray) -> tuple[np.ndarray
     H[:, 3, :2] = -d[:, 2:] * d[:, :2] / (r2 * rho)
     H[:, 3, 2:3] = rho / r2
     return h, H
+
+
+def _lane_predict(x: np.ndarray, P: np.ndarray, model: ProcessModel, phase: Phase) -> tuple:
+    """``tracker.predict`` over lanes, product for product, less its check."""
+    F = model.F
+    P = F @ P @ F.T + model.Q[phase]
+    return (F @ x[:, :, None])[:, :, 0], 0.5 * (P + P.transpose(0, 2, 1))
+
+
+def _lane_range_variance(H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``tracker.range_variance`` over lanes, product for product."""
+    h0 = H[:, 0]
+    return ((h0[:, None, :] @ P) @ h0[:, :, None])[:, 0, 0]
 
 
 def _lane_update(
@@ -161,11 +175,14 @@ class Lockstep:
                 column[name][at] = getattr(lanes, name)
             lost = lanes.misses >= self.episode.miss_limit
             if np.count_nonzero(lost):
+                require_finite(lanes.x[lost], lanes.P[lost])  # their last posteriors
                 lost_at[lanes.ids[lost]] = k + 1
                 lanes = lanes.take(~lost)
                 if not len(lanes):
                     break
                 parts, at = self._layout(lanes)
+        if len(lanes):  # the last posteriors of the lanes that kept their track
+            require_finite(lanes.x, lanes.P)
         lengths = np.where(lost_at > 0, lost_at, n)
         ends = np.cumsum(lengths)
         rows = records.reshape(-1)  # lane j's rows start at j * n
@@ -232,17 +249,11 @@ class Lockstep:
         new state, whose fields named as in ``RECORD_DTYPE`` are the dwell's
         record.  The checks are the scalar loop's, in its order."""
         x, P = lanes.x, lanes.P
-        if (np.count_nonzero(np.isfinite(x)) < x.size
-                or np.count_nonzero(np.isfinite(P)) < P.size):
-            raise ValueError("non-finite track state")
+        require_finite(x, P)
         row = k + 1
-        F = self.process.F
-        x = (F @ x[:, :, None])[:, :, 0]
-        P = F @ P @ F.T + self.process.Q[self.truth.phases[row]]
-        P = 0.5 * (P + P.transpose(0, 2, 1))
+        x, P = _lane_predict(x, P, self.process, self.truth.phases[row])
         h, H = _lane_observe(x, self.position)
-        h0 = H[:, 0]
-        pred_var = ((h0[:, None, :] @ P) @ h0[:, :, None])[:, 0, 0]
+        pred_var = _lane_range_variance(H, P)
         if np.count_nonzero(pred_var <= 0.0):
             raise ValueError("predicted_range_variance must be > 0")
         if np.count_nonzero(lanes.meas_var <= 0.0):

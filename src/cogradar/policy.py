@@ -22,6 +22,7 @@ newest first, against the evolving table.
 from __future__ import annotations
 
 import bisect
+import math
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -256,6 +257,8 @@ def reward(range_error: float, lost: bool, C: float) -> float:
     """Negative range error in km, clipped at C; loss is always worst (-C)."""
     if range_error < 0.0:
         raise ValueError("range_error must be >= 0")
+    if not math.isfinite(range_error):
+        raise ValueError(f"range_error must be finite, got {range_error}")
     if lost:
         return -C
     return -min(range_error / 1000.0, C)
@@ -446,8 +449,10 @@ class QLearningPolicy(Policy):
             self.epsilon = table.hyperparams.epsilon
         else:  # an override, checked as a hyperparameter
             self.epsilon = replace(table.hyperparams, epsilon=float(epsilon)).epsilon
-        # the lanes' bin edges and bandwidths as arrays, built once
+        # bin edges and bandwidths, built once: tuples for choose, arrays for the lanes
         d = table.discretizer
+        self._edges = d.pred_var_edges, d.meas_var_edges, d.n_meas_bins
+        self._bandwidths = table.actions.bandwidths
         self._lane_edges = np.asarray(d.pred_var_edges), np.asarray(d.meas_var_edges)
         self._lane_bandwidths = np.asarray(table.actions.bandwidths)
         # last L (state, action) pairs, newest first
@@ -462,10 +467,12 @@ class QLearningPolicy(Policy):
         return self.table.actions[len(self.table.actions) - 1]
 
     def choose(self, pred_var, meas_var, correlated, bandwidth, streak, rng):
-        s = self.table.discretizer.state_index(pred_var, meas_var)
+        pred_edges, meas_edges, n_meas_bins = self._edges  # Discretizer.state_index
+        s = (bisect.bisect_right(pred_edges, pred_var) * n_meas_bins
+             + bisect.bisect_right(meas_edges, meas_var))
         a = select_action(self.table, s, self.epsilon, rng)
         self._pending = (s, a)
-        return self.table.actions[a], streak, s, a
+        return self._bandwidths[a], streak, s, a
 
     @property
     def lockstep(self) -> bool:

@@ -81,13 +81,14 @@ def observe_jacobian(state: np.ndarray, radar_position: tuple | np.ndarray) -> n
     rho_sq = dx * dx + dy * dy
     rho = math.sqrt(rho_sq)
     dv = dx * vx + dy * vy + dz * vz
-    return np.array([
-        [dx / r, dy / r, dz / r, 0.0, 0.0, 0.0],
-        [vx / r - dv * dx / r3, vy / r - dv * dy / r3, vz / r - dv * dz / r3,
-         dx / r, dy / r, dz / r],
-        [-dy / rho_sq, dx / rho_sq, 0.0, 0.0, 0.0, 0.0],
-        [-dz * dx / (r2 * rho), -dz * dy / (r2 * rho), rho / r2, 0.0, 0.0, 0.0],
-    ])
+    ux, uy, uz = dx / r, dy / r, dz / r
+    r2_rho = r2 * rho
+    return np.array([  # one flat list converts faster than nested rows
+        ux, uy, uz, 0.0, 0.0, 0.0,
+        vx / r - dv * dx / r3, vy / r - dv * dy / r3, vz / r - dv * dz / r3, ux, uy, uz,
+        -dy / rho_sq, dx / rho_sq, 0.0, 0.0, 0.0, 0.0,
+        -dz * dx / r2_rho, -dz * dy / r2_rho, rho / r2, 0.0, 0.0, 0.0,
+    ]).reshape(4, 6)
 
 
 def snr_at_range(range_m: float, config: RadarConfig) -> float:

@@ -76,7 +76,7 @@ class ProcessModel:
         object.__setattr__(self, "Q", Q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateResult:
     correlated: bool
     range_window: float  # m, 95% CI half-width from the range noise entry
@@ -92,18 +92,31 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time update of the mean ``x`` (6,) and covariance ``P`` (6, 6):
     x = F x, P = F P F' + Q(phase), symmetrized."""
-    if not (np.isfinite(x).all() and np.isfinite(P).all()):
-        raise ValueError("non-finite track state")
+    require_finite(x, P)
     F = model.F
-    P = F @ P @ F.T + model.Q[phase]
-    return F @ x, 0.5 * (P + P.T)
+    P = np.dot(np.dot(F, P), F.T) + model.Q[phase]
+    return np.dot(F, x), 0.5 * (P + P.T)
+
+
+def require_finite(x: np.ndarray, P: np.ndarray) -> None:
+    """Raise unless every entry of a track, or of a stack of tracks, is finite."""
+    if (np.count_nonzero(np.isfinite(x)) < x.size
+            or np.count_nonzero(np.isfinite(P)) < P.size):
+        raise ValueError("non-finite track state")
+
+
+def range_variance(H: np.ndarray, P: np.ndarray) -> float:
+    """(H P H')_rr: the covariance ``P`` projected on the range row of ``H``."""
+    h = H[0]
+    return float(np.dot(np.dot(h, P), h))
 
 
 def innovation(x: np.ndarray, z: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
     """Measurement residual at the predicted state, angles wrapped to (-pi, pi]."""
     nu = z - observe(x, radar_position)
-    nu[2] = wrap_angle(nu[2])
-    nu[3] = wrap_angle(nu[3])
+    _, _, azimuth, elevation = nu.tolist()  # Python floats wrap faster
+    nu[2] = wrap_angle(azimuth)
+    nu[3] = wrap_angle(elevation)
     return nu
 
 
@@ -115,12 +128,8 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
     windows on either side.
     """
     window = 1.96 * math.sqrt(r[0])
-    nu_range = float(nu[0])
-    return GateResult(
-        correlated=bool(abs(nu_range) <= 3.0 * window),
-        range_window=float(window),
-        range_innovation=nu_range,
-    )
+    nu_range = nu.item(0)
+    return GateResult(abs(nu_range) <= 3.0 * window, window, nu_range)
 
 
 def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
@@ -143,15 +152,15 @@ def update(
     """Joseph-form EKF measurement update of the prior ``(x, P)`` with noise
     variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
     predicted state."""
-    PHt = P @ H.T
-    S = H @ PHt
+    PHt = np.dot(P, H.T)
+    S = np.dot(H, PHt)
     S = 0.5 * (S + S.T)
-    S.flat[::5] += r  # the diagonal of the 4x4 S: S = H P H' + diag(r)
+    S.reshape(16)[::5] += r  # a view of the diagonal: S = H P H' + diag(r)
     K = kalman_gain(S, PHt)
 
-    I_KH = _EYE6 - K @ H
-    P = I_KH @ P @ I_KH.T + (K * r) @ K.T  # K R K' with R = diag(r)
-    return x + K @ nu, 0.5 * (P + P.T)
+    I_KH = _EYE6 - np.dot(K, H)
+    P = np.dot(np.dot(I_KH, P), I_KH.T) + np.dot(K * r, K.T)  # K R K' with R = diag(r)
+    return x + np.dot(K, nu), 0.5 * (P + P.T)
 
 
 def initialize_track(z: np.ndarray, radar: RadarConfig) -> tuple[np.ndarray, np.ndarray]:

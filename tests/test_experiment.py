@@ -19,6 +19,7 @@ from cogradar.experiment import (
     save_histogram_csv,
     save_metrics_csv,
     save_run_csv,
+    seeded_run,
     seeded_runs,
     success_histogram,
     train_qlearning,
@@ -35,7 +36,7 @@ from cogradar.policy import (
     reward,
 )
 from cogradar.radar import RadarConfig, TruthSide
-from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel
+from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel, update
 from cogradar.trajectory import Phase, TruthPoint
 
 QUIET_SIGMA = {Phase.BOOST: 1e-3, Phase.MID_COURSE: 1e-3, Phase.TERMINAL: 1e-3}
@@ -540,6 +541,69 @@ class TestEvaluate:
         second_results, second_per_step = once()
         assert all(map(same_run, first_results, second_results))
         assert first_per_step == pytest.approx(second_per_step, abs=0.0)
+
+
+class TestLastPosterior:
+    """The posterior of a run's last dwell has no next predict to check it;
+    each kernel checks it once the run ends, and the error names the run."""
+
+    N = 10
+
+    def campaign(self):
+        radar = quiet_radar()
+        return (TruthSide(stationary_trajectory(self.N + 1), radar), radar, quiet_process(),
+                EpisodeConfig(n_transmissions=self.N))
+
+    @pytest.fixture
+    def nan_last_update(self, monkeypatch):
+        """The scalar loop's update, with a NaN posterior mean on dwell N."""
+        calls = []
+
+        def last_is_nan(*args):
+            calls.append(None)
+            x, P = update(*args)
+            return (np.full(6, np.nan) if len(calls) == self.N else x), P
+
+        monkeypatch.setattr(experiment, "update", last_is_nan)
+        return calls
+
+    def test_scalar_run(self, nan_last_update):
+        truth, radar, process, episode = self.campaign()
+        with pytest.raises(ValueError, match=r"^run 3 \(seed 103\): non-finite track state$"):
+            seeded_run(3, 100, truth, FixedPolicy(1e6), radar, process, episode)
+        assert len(nan_last_update) == self.N  # a hit on every dwell
+
+    def test_scalar_training_run(self, nan_last_update):
+        """A learner's reward rejects the NaN range error first."""
+        truth, radar, process, episode = self.campaign()
+        table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(L=5))
+        with pytest.raises(ValueError, match=r"^run 3 \(seed 103\): range_error must be "
+                                             r"finite, got nan$"):
+            seeded_run(3, 100, truth, QLearningPolicy(table), radar, process, episode,
+                       learning=True)
+        assert np.count_nonzero(np.isfinite(table.values)) == table.values.size
+
+    @pytest.mark.parametrize("lost", [False, True], ids=["tracking", "lost"])
+    def test_lanes(self, monkeypatch, lost):
+        """Lane by lane: the run of seed 102 turns NaN on its last dwell, or
+        on dwell 4 where it is made to lose its track."""
+        truth, radar, process, episode = self.campaign()
+        last = 4 if lost else self.N - 1
+        dwell = lockstep.Lockstep._dwell
+
+        def nan_dwell(self, lanes, k, parts):
+            lanes = dwell(self, lanes, k, parts)
+            if k == last:
+                bad = [self.seeds[i] == 102 for i in lanes.ids.tolist()]
+                lanes.x[bad] = np.nan
+                if lost:
+                    lanes.misses[bad] = episode.miss_limit
+            return lanes
+
+        monkeypatch.setattr(lockstep.Lockstep, "_dwell", nan_dwell)
+        with pytest.raises(ValueError, match=r"^run 2 \(seed 102\): non-finite track state$"):
+            seeded_runs([FixedPolicy(1e6)] * 4, range(4), 100, stationary_trajectory(self.N + 1),
+                        radar, process, episode)
 
 
 class TestSeededRuns:

@@ -100,6 +100,35 @@ def test_lane_geometry_matches_scalar(position):
             assert distance[j, 0] == experiment._distance(state[:3].tolist(), position), j
 
 
+def test_products_match_the_lanes():
+    """The scalar ``predict``, ``range_variance`` and ``update``, whose
+    products go through ``np.dot``, against the lanes' stacked ``@``: byte
+    for byte on 200 random (x, P, H, r, nu), as 200 one-lane stacks and as
+    one 200-lane stack."""
+    rng = np.random.default_rng(33)
+    scenario = default_scenario()
+    x = random_states(200, seed=34)
+    A = rng.standard_normal((200, 6, 6)) * np.array([300.0] * 3 + [30.0] * 3)
+    P = A @ A.transpose(0, 2, 1) + np.diag([1.0] * 3 + [0.1] * 3)
+    H = np.array([observe_jacobian(state, (0.0, 0.0, 0.0)) for state in x])
+    r = np.array([measurement_noise_var(rng.uniform(0.5e6, 10e6), rng.uniform(1.0, 1e4),
+                                        scenario.radar) for _ in x])
+    nu = np.sqrt(r) * rng.standard_normal((200, 4)) * 3.0
+    phases = list(Phase)
+    for stack in [slice(j, j + 1) for j in range(len(x))] + [slice(None)]:
+        lanes = [array[stack] for array in (x, P, r, H, nu)]
+        phase = phases[(stack.start or 0) % 3]
+        x_pred, P_pred = lockstep._lane_predict(*lanes[:2], scenario.process, phase)
+        variance = lockstep._lane_range_variance(lanes[3], lanes[1])
+        x_post, P_post = lockstep._lane_update(*lanes)
+        for j, one in enumerate(zip(*lanes)):
+            want = (*tracker.predict(*one[:2], scenario.process, phase),
+                    tracker.range_variance(one[3], one[1]), *update(*one))
+            got = x_pred[j], P_pred[j], variance[j], x_post[j], P_post[j]
+            for name, a, b in zip(("x-", "P-", "pred_var", "x+", "P+"), got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, stack, j)
+
+
 def test_lane_at_radar_raises_before_dividing():
     """A lane at the radar fails with ``observe_jacobian``'s message and no
     division-by-zero warning, also as the second lane of a stack."""

@@ -179,6 +179,14 @@ class TestReward:
         with pytest.raises(ValueError):
             reward(-1.0, lost=False, C=2.0)
 
+    @pytest.mark.parametrize("error", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("lost", [False, True])
+    def test_non_finite_error_rejected(self, error, lost):
+        """min(nan, C) is nan, which would reach q_update; a loss does not
+        excuse it either."""
+        with pytest.raises(ValueError, match=r"^range_error must be finite, got (nan|inf)$"):
+            reward(error, lost=lost, C=2.0)
+
 
 class TestQUpdate:
     def test_hand_value(self):
