@@ -34,7 +34,6 @@ from .trajectory import Phase
 if TYPE_CHECKING:  # experiment imports this module
     from .experiment import EpisodeConfig
 
-_DIAG4 = np.arange(4)
 _AZIMUTH_SIGNS = np.array([-1.0, 1.0])
 # The checks count flags with np.count_nonzero, a C call, where .any() and
 # .all() would each go through a Python-level wrapper.
@@ -118,7 +117,7 @@ def _lane_update(
     PHt = P @ H.transpose(0, 2, 1)
     S = H @ PHt
     S = 0.5 * (S + S.transpose(0, 2, 1))
-    S[:, _DIAG4, _DIAG4] += r
+    S.reshape(-1, 16)[:, ::5] += r  # a view of the diagonals: S = H P H' + diag(r)
     K = kalman_gain(S, PHt)
     I_KH = _EYE6 - K @ H
     P = I_KH @ P @ I_KH.transpose(0, 2, 1) + (K * r[:, None, :]) @ K.transpose(0, 2, 1)

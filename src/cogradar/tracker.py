@@ -22,6 +22,12 @@ from .radar import RadarConfig, observe
 from .trajectory import Phase
 
 _MAX_CONDITION = 1e12
+# kalman_gain certifies a stack of at least this many S instead of taking
+# its eigenvalues: the break-even lane count on a 2-core Xeon (numpy 2.4.6,
+# OpenBLAS 0.3.31), where a one-S call took 10 us by eigenvalues, 25 certified.
+_CERTIFY_MIN_LANES = 12
+_CERTIFY_SHIFT = 1e-11  # mu = 1e-11 tr(S), 10x inside the condition bound
+_NORMAL_MIN = np.finfo(float).tiny  # the smallest normal double, 2^-1022
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
 INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
@@ -135,15 +141,37 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
 def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
     """K = P H' S^-1 for one 4x4 S and its P H', or a stack, from the LAPACK
     gufuncs behind ``np.linalg``'s ``eigvalsh`` and ``solve``: the same bits
-    at a third of the cost.  The eigenvalues come first, so a degenerate S
-    raises before the solve, which would warn on a singular one."""
-    lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
-    # every S must be positive definite with a 2-norm condition number
-    # <= 1e12; a NaN eigenvalue fails the first test
-    for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
-        if not low > 0.0 or high / low > _MAX_CONDITION:
-            raise DegenerateInnovationError("degenerate innovation covariance")
+    at a third of the cost.  Every S must be positive definite with a 2-norm
+    condition number <= 1e12, checked before the solve, which would warn on
+    a singular S.
+
+    A stack of at least ``_CERTIFY_MIN_LANES`` (12) S is first certified
+    whole by ``_certified``: one Cholesky factor per S, shifted by
+    1e-11 tr(S).  A certified S has cond2 < 1.0003e11, so its eigenvalue
+    test would pass (the rounding argument is in CHANGES.md, "Certified
+    innovation covariances").  A stack with any lane uncertified, and every
+    smaller stack, is tested by its eigenvalues: each rejection is theirs,
+    with the same message, in the same order."""
+    if not (S.ndim == 3 and len(S) >= _CERTIFY_MIN_LANES and _certified(S)):
+        lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
+        # a NaN eigenvalue fails the first test
+        for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
+            if not low > 0.0 or high / low > _MAX_CONDITION:
+                raise DegenerateInnovationError("degenerate innovation covariance")
     return _umath_linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _certified(S: np.ndarray) -> bool:
+    """True when every S[j] - mu_j I, mu_j = 1e-11 tr(S[j]) a normal double,
+    has a Cholesky factor with a positive last pivot.  numpy NaN-fills a
+    factor that LAPACK rejects, and a NaN pivot that OpenBLAS passes on
+    reaches the last one, so one test on L[:, 3, 3] covers every pivot."""
+    with np.errstate(all="ignore"):  # a rejected factor flags invalid; inf - inf too
+        shift = _CERTIFY_SHIFT * S.trace(axis1=1, axis2=2)
+        A = S.copy()
+        A.reshape(-1, 16)[:, ::5] -= shift[:, None]
+        L = _umath_linalg.cholesky_lo(A)
+    return np.count_nonzero((shift >= _NORMAL_MIN) & (L[:, 3, 3] > 0.0)) == len(S)
 
 
 def update(

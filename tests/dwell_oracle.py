@@ -9,6 +9,11 @@ and 1-D float64 arrays both call cblas ``dgemm``/``dgemv``/``ddot``; the
 angle wrap on Python floats and on numpy scalars are both ``fmod`` with the
 same sign fix; and the diagonal of S gets the same four additions through
 a view as through ``S.flat``.
+
+``kalman_gain`` is the gain as it was before a stack of S could be
+certified by a shifted Cholesky factor: every S, one or a stack, is
+decided by its eigenvalues.  The package must raise where it raises, with
+the same error, and return the same K bytes where it returns.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from cogradar.experiment import _distance
 from cogradar.policy import QLearningPolicy, select_action
@@ -23,9 +29,10 @@ from cogradar.radar import _geometry, measure, observe
 from cogradar.records import RECORD_DTYPE, RunResult
 from cogradar.tracker import (
     _EYE6,
+    _MAX_CONDITION,
+    DegenerateInnovationError,
     GateResult,
     initialize_track,
-    kalman_gain,
     wrap_angle,
 )
 
@@ -57,6 +64,20 @@ def gate(nu, r):
         range_window=float(window),
         range_innovation=nu_range,
     )
+
+
+def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
+    """K = P H' S^-1 for one 4x4 S and its P H', or a stack, from the LAPACK
+    gufuncs behind ``np.linalg``'s ``eigvalsh`` and ``solve``: the same bits
+    at a third of the cost.  The eigenvalues come first, so a degenerate S
+    raises before the solve, which would warn on a singular one."""
+    lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
+    # every S must be positive definite with a 2-norm condition number
+    # <= 1e12; a NaN eigenvalue fails the first test
+    for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
+        if not low > 0.0 or high / low > _MAX_CONDITION:
+            raise DegenerateInnovationError("degenerate innovation covariance")
+    return _umath_linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def update(x, P, r, H, nu):

@@ -48,6 +48,7 @@ from cogradar.tracker import (
     update,
 )
 from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
+from golden_platform import load_record, on_recorded_platform, trained_digests
 
 EVAL_SEED = 1000
 TRAIN_SEEDS = (0, 10_000, 20_000)
@@ -76,8 +77,7 @@ def hard_trajectory(scenario):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
-@pytest.fixture(scope="module")
-def discretizer(scenario, hard_trajectory):
+def calibrate(scenario, hard_trajectory):
     return calibrate_discretizer(
         hard_trajectory,
         scenario.radar,
@@ -89,8 +89,7 @@ def discretizer(scenario, hard_trajectory):
     )
 
 
-@pytest.fixture(scope="module")
-def trained(scenario, hard_trajectory, discretizer):
+def train_tables(scenario, hard_trajectory, discretizer):
     """{(train_seed, lookahead): table} plus wall-clock seconds per training."""
     tables, seconds = {}, {}
     for base_seed in TRAIN_SEEDS:
@@ -109,6 +108,16 @@ def trained(scenario, hard_trajectory, discretizer):
             seconds[(base_seed, lookahead)] = time.perf_counter() - start
             tables[(base_seed, lookahead)] = table
     return tables, seconds
+
+
+@pytest.fixture(scope="module")
+def discretizer(scenario, hard_trajectory):
+    return calibrate(scenario, hard_trajectory)
+
+
+@pytest.fixture(scope="module")
+def trained(scenario, hard_trajectory, discretizer):
+    return train_tables(scenario, hard_trajectory, discretizer)
 
 
 def _eval(trajectory, policy, scenario):
@@ -471,3 +480,17 @@ def test_09_evaluate_determinism(capsys, trained, tmp_path):
     _report(capsys, 9, "end-to-end determinism", [
         ("repeated evaluate runs yield byte-identical CSVs", identical),
     ])
+
+
+def test_trained_table_bytes_on_recorded_platform(capsys, trained):
+    """The six trained tables' ``values.tobytes()`` against the SHA-256 in
+    ``golden_platform.json``, on the platform recorded there: training bytes
+    guarded at no extra training cost.  Elsewhere the last bits may move,
+    and tests 03 and 06 judge the tables."""
+    if not on_recorded_platform():
+        pytest.skip("not the platform recorded in tests/golden_platform.json")
+    tables, _ = trained
+    digests = trained_digests(tables)
+    with capsys.disabled():
+        print("\ntrained tables: exact bytes (recorded platform)", file=sys.stderr)
+    assert digests == load_record()["trained"]

@@ -1,13 +1,18 @@
 """Golden outputs: small versions of the README quick-start commands, run
 through ``cli_main`` and compared with the files under ``tests/golden/``.
 
-Text outside numbers, integers and strings must match exactly; floats must
-agree within 1e-9 relative, so a BLAS that moves the last bits still passes.
+On the platform recorded in ``golden_platform.json`` (Python, numpy, BLAS
+and CPU model) every file must have the recorded SHA-256, that is, the
+committed bytes exactly.  Elsewhere text outside numbers, integers and
+strings must match exactly and floats must agree within 1e-9 relative, so a
+BLAS that moves the last bits still passes.  The test prints which mode ran.
 ``fixed:1e7 --seed 3`` loses its track, so the trace covers the gate-miss and
 lost-track path as well as the full-track one.
 
 After an intended change to the outputs, regenerate with
-``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, then rewrite the record with
+``PYTHONPATH=src python tests/golden_platform.py``, and say why in
+CHANGES.md.  Regenerating on another platform records that platform.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import shutil
 import sys
 
 from cogradar.cli import cli_main
+from golden_platform import GOLDEN_DIR, golden_digests, load_record, on_recorded_platform, sha256
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 REL_TOL = 1e-9
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -72,10 +77,19 @@ def assert_matches(expected: str, actual: str, name: str) -> None:
         assert _same_number(want, got), f"{name}: {got} != {want}"
 
 
-def test_quickstart_outputs_match_golden(tmp_path):
+def test_quickstart_outputs_match_golden(tmp_path, capsys):
     run_quickstart(str(tmp_path))
     names = output_files(GOLDEN_DIR)
     assert output_files(str(tmp_path)) == names
+    exact = on_recorded_platform()
+    with capsys.disabled():
+        print("\ngolden: " + ("exact bytes (recorded platform)" if exact else
+                              f"within {REL_TOL:g} relative (not the recorded platform)"),
+              file=sys.stderr)
+    if exact:
+        digests = load_record()["golden"]
+        for name in names:
+            assert sha256((tmp_path / name).read_bytes()) == digests[name], name
     for name in names:
         with open(os.path.join(GOLDEN_DIR, name), newline="") as handle:
             expected = handle.read()
@@ -91,6 +105,11 @@ def test_quickstart_outputs_match_golden(tmp_path):
     with open(tmp_path / "eval" / "histogram.csv", newline="") as handle:
         histogram = {row["bin_lo"]: row["count"] for row in csv.DictReader(handle)}
     assert summary["qlearn:q/qtable.json"]["successful_runs"] == histogram["full_track"]
+
+
+def test_record_holds_the_golden_digests():
+    """The record's SHA-256 are those of the committed files, one per file."""
+    assert load_record()["golden"] == golden_digests()
 
 
 def test_number_comparison():

@@ -1,10 +1,12 @@
 """The shared kernels of the dwell against the calls they replace, byte for
 byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
-and ``eigvalsh``, and the campaign's ``radar.TruthSide``, noise table
-included, against what a measurement computes per call.  Both kernels (the
-scalar loop and the lockstep lanes) read these, so a difference here would
-move every output.  Also the lanes' geometry against the scalar
-``observe``, ``observe_jacobian`` and range error."""
+and ``eigvalsh``, its decisions on stacks it certifies against the
+eigenvalue-only gain kept in ``dwell_oracle``, and the campaign's
+``radar.TruthSide``, noise table included, against what a measurement
+computes per call.  Both kernels (the scalar loop and the lockstep lanes)
+read these, so a difference here would move every output.  Also the lanes'
+geometry against the scalar ``observe``, ``observe_jacobian`` and range
+error."""
 
 import warnings
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from cogradar import experiment, lockstep, tracker
+from cogradar.cli import cli_main
 from cogradar.config import default_scenario
 from cogradar.experiment import seeded_run, train_qlearning
 from cogradar.policy import BandwidthScalingPolicy, Discretizer, QLearningPolicy
@@ -27,8 +30,11 @@ from cogradar.radar import (
 )
 from cogradar.tracker import DegenerateInnovationError, kalman_gain, update
 from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
+from dwell_oracle import kalman_gain as oracle_gain
 from test_ekf_oracle import GOLDEN_DIR, RADAR_POSITIONS
 from test_radar import random_states
+
+LANES = 2 * tracker._CERTIFY_MIN_LANES  # a stack the gain certifies first
 
 
 def random_gain_inputs(rng, m):
@@ -56,15 +62,26 @@ def test_gain_matches_linalg():
 
 def test_nan_eigenvalue_is_degenerate(monkeypatch):
     """LAPACK's gufunc returns NaN where the np.linalg wrapper raised; both
-    kernels must count such an S as degenerate."""
-    monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
-        eigvalsh_lo=lambda S: np.full(S.shape[:-1], np.nan), solve=tracker._umath_linalg.solve))
+    kernels must count such an S as degenerate, also in a stack the gain
+    certifies first: S = diag(2, 2, 2, 5e-12) has cond 4e11, inside the
+    bound, but its shifted Cholesky factor fails, so the stack goes to its
+    eigenvalues, and NaN ones raise there."""
     H = np.hstack([np.eye(4), np.zeros((4, 2))])
     x, P, r, nu = np.zeros(6), np.eye(6), np.ones(4), np.zeros(4)
+    P_wide, r_wide = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 5e-12])
+    lanes = [np.repeat(array[None], LANES, axis=0) for array in (x, P_wide, r_wide, H, nu)]
+    assert not tracker._certified(np.repeat(np.diag([2.0, 2.0, 2.0, 5e-12])[None], LANES, axis=0))
+    lockstep._lane_update(*lanes)  # the real eigenvalues pass it
+    linalg = tracker._umath_linalg
+    monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
+        eigvalsh_lo=lambda S: np.full(S.shape[:-1], np.nan), cholesky_lo=linalg.cholesky_lo,
+        solve=linalg.solve))
     with pytest.raises(DegenerateInnovationError):
         update(x, P, r, H, nu)
     with pytest.raises(DegenerateInnovationError):
         lockstep._lane_update(x[None], P[None], r[None], H[None], nu[None])
+    with pytest.raises(DegenerateInnovationError):
+        lockstep._lane_update(*lanes)
 
 
 def test_singular_innovation_raises_before_the_solve():
@@ -80,6 +97,203 @@ def test_singular_innovation_raises_before_the_solve():
         with pytest.raises(DegenerateInnovationError):
             lockstep._lane_update(*(np.stack(pair) for pair in
                                     ((x, x), (np.eye(6), P), (r, r), (H, H), (nu, nu))))
+
+
+def _orthogonal(rng, tilt=None):
+    """A random 4x4 rotation: Haar-distributed, or with ``tilt`` one that
+    turns range and range rate into each other and the two angles into each
+    other, and mixes the two pairs by about ``tilt`` radians, as the
+    eigenvectors of a real S do."""
+    if tilt is None:
+        Q, R = np.linalg.qr(rng.standard_normal((4, 4)))
+        return Q * np.sign(np.diag(R))
+    Q = np.zeros((4, 4))
+    for block in (slice(0, 2), slice(2, 4)):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        Q[block, block] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    mix, _ = np.linalg.qr(np.eye(4) + tilt * rng.standard_normal((4, 4)))
+    return mix @ Q
+
+
+def _covariance(rng, condition, tilt=None):
+    """Symmetric S with eigenvalues scale * [1, ..., 1/condition], scale
+    random over 1e-2..1e6: random orientations, or with ``tilt`` the
+    range-against-angle spread of a real S, whose range and range-rate
+    variances (about 10..1e6) sit 1e7 and more above its angle variances
+    (about 5e-6)."""
+    scale = 10.0 ** rng.uniform(-2.0, 6.0)
+    if tilt is None:
+        spread = condition ** -rng.uniform(0.0, 1.0, 2)
+    else:
+        spread = [10.0 ** -rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(0.0, 1.0) / condition]
+    lam = scale * np.array([1.0, spread[0], spread[1], 1.0 / condition])
+    Q = _orthogonal(rng, tilt)
+    S = (Q * lam) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def _decision(gain, S, PHt):
+    """K's bytes, or the type and message of what ``gain`` raised with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return gain(S, PHt).tobytes()
+        except Exception as error:  # a raise, or a warning made an error
+            return type(error), str(error)
+
+
+def _assert_decides_as_oracle(bad, rng):
+    """Each ``bad`` S first, in the middle and last of a stack of real-like S:
+    the gain raises what the eigenvalue-only oracle raises, with the same
+    message, and returns the same K bytes where the oracle returns.  Under
+    warnings as errors, the gain warns only where the oracle's own
+    ``eigvalsh_lo`` warns.  Returns how each stack was decided."""
+    good = np.array([_covariance(rng, 4e7, tilt=1e-3) for _ in range(LANES)])
+    PHt = rng.standard_normal((LANES, 6, 4)) * 1e3
+    assert tracker._certified(good) and _decision(kalman_gain, good, PHt) == _decision(
+        oracle_gain, good, PHt)
+    paths = []
+    for one in bad:
+        for at in (0, LANES // 2, LANES - 1):
+            S = good.copy()
+            S[at] = one
+            want = _decision(oracle_gain, S, PHt)
+            assert _decision(kalman_gain, S, PHt) == want, (one, at, want)
+            paths.append("certified" if tracker._certified(S) else
+                         "rejected" if isinstance(want, tuple) else "passed by eigenvalues")
+    return paths
+
+
+@pytest.mark.parametrize("tilt", [None, 1e-3], ids=["random", "real-spread"])
+def test_certificate_decides_as_the_eigenvalues_near_the_bound(tilt):
+    """S whose condition number is swept log-uniformly over 1e9..1e13, in
+    random orientations and with a real S's range-against-angle spread: the
+    sweep reaches all three paths, a certified stack, a stack the
+    eigenvalues pass and one they reject, and each decides as the oracle."""
+    rng = np.random.default_rng(51)
+    conditions = 10.0 ** rng.uniform(9.0, 13.0, 60)
+    paths = _assert_decides_as_oracle([_covariance(rng, c, tilt) for c in conditions], rng)
+    assert {"certified", "passed by eigenvalues", "rejected"} <= set(paths)
+    stack = np.array([_covariance(rng, c, tilt) for c in conditions[:LANES]])
+    PHt = rng.standard_normal((len(stack), 6, 4))
+    assert _decision(kalman_gain, stack, PHt) == _decision(oracle_gain, stack, PHt)
+
+
+def test_certificate_at_exactly_the_bound():
+    """S = diag(1e12 a, a, ..) is exactly at the bound, which the eigenvalues
+    pass, and the next double above it is rejected; the gain agrees."""
+    rng = np.random.default_rng(52)
+    bad = []
+    for scale in (1.0, 3.5e-6, 2.0e5):
+        for top in (1e12, np.nextafter(1e12, np.inf), np.nextafter(1e12, 0.0)):
+            for middle in ([1.0, 1.0], [7.0, 3.0e4]):
+                bad.append(np.diag(scale * np.array([top, *middle, 1.0])))
+    for S in bad:  # the oracle sees the exact ratio
+        lam = tracker._umath_linalg.eigvalsh_lo(S)
+        assert lam[3] / lam[0] == S[0, 0] / S[3, 3]
+    paths = _assert_decides_as_oracle(bad, rng)
+    assert set(paths) == {"passed by eigenvalues", "rejected"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_certificate_rejects_non_finite_covariance(value):
+    """A NaN or an infinity on the diagonal or off it (in both triangles):
+    the stack goes to its eigenvalues, which decide as the oracle does; a
+    NaN makes the oracle's own ``eigvalsh_lo`` warn, and the gain warns the
+    same and no more."""
+    rng = np.random.default_rng(53)
+    bad = []
+    for i, j in ((0, 0), (2, 2), (3, 3), (1, 0), (3, 2), (2, 0)):
+        S = _covariance(rng, 1e6, tilt=1e-3)
+        S[i, j] = S[j, i] = value
+        bad.append(S)
+    assert set(_assert_decides_as_oracle(bad, rng)) == {"rejected"}
+
+
+def test_certificate_rejects_what_is_not_positive_definite():
+    """Indefinite, zero, negative-trace and exactly singular S, randomly
+    oriented or diagonal: every stack that holds one is rejected, by the
+    eigenvalues, as the oracle rejects it."""
+    rng = np.random.default_rng(54)
+    indefinite = []
+    for negative in (1e-9, 1e-3, 1.0):
+        Q = _orthogonal(rng)
+        indefinite.append((Q * np.array([5.0, 2.0, 1.0, -negative])) @ Q.T)
+    B = rng.standard_normal((4, 3))
+    bad = [
+        *(0.5 * (S + S.T) for S in indefinite),
+        np.zeros((4, 4)),
+        -_covariance(rng, 1e6, tilt=1e-3),
+        np.diag([-1.0, 2.0, 2.0, 2.0]),
+        np.diag([0.0, 1.0, 1.0, 1.0]),
+        np.diag([1e6, 0.0, 1e-6, 1e-6]),
+        B @ B.T,  # rank 3
+    ]
+    assert set(_assert_decides_as_oracle(bad, rng)) == {"rejected"}
+
+
+# A rank-3 S of subnormal entries (its lower triangle, row by row) whose
+# shift 1e-11 tr(S) rounds to the smallest subnormal, 5e-324, and whose
+# shifted Cholesky factor OpenBLAS 0.3.31 finds.
+_SUBNORMAL_SHIFT_S = (
+    "0x0.0000831ca84a3p-1022", "0x0.0000167178bbdp-1022", "0x0.00005bdd72a8dp-1022",
+    "0x0.0000371070a34p-1022", "-0x0.0000018cbabe5p-1022", "0x0.00003104ada1ap-1022",
+    "-0x0.000064f68f784p-1022", "0x0.00001e1cfaba1p-1022", "-0x0.000055861881bp-1022",
+    "0x0.00009fbb123a2p-1022",
+)
+
+
+def test_certificate_needs_a_normal_shift():
+    """Singular S of subnormal entries that the eigenvalues reject: where the
+    shift 1e-11 tr(S) underflows to zero or to a subnormal, a shifted
+    Cholesky factor of such an S can succeed, because the rounding there is
+    no longer relative.  The certificate asks for a normal shift, so these
+    go to their eigenvalues and are rejected."""
+    rng = np.random.default_rng(55)
+    bad = []
+    for _ in range(20_000):
+        B = rng.standard_normal((4, int(rng.integers(1, 4))))  # rank 1 to 3
+        S = (B @ B.T) * 10.0 ** rng.uniform(-323.0, -310.0)
+        S = 0.5 * (S + S.T)
+        with np.errstate(all="ignore"):
+            factored = tracker._umath_linalg.cholesky_lo(S)[3, 3] > 0.0  # a zero shift
+        if factored and isinstance(_decision(oracle_gain, S, np.zeros((6, 4))), tuple):
+            bad.append(S)
+        if len(bad) == 3:
+            break
+    S = np.zeros((4, 4))
+    S[np.tril_indices(4)] = [float.fromhex(value) for value in _SUBNORMAL_SHIFT_S]
+    S += np.tril(S, -1).T
+    assert 0.0 < tracker._CERTIFY_SHIFT * np.trace(S) < tracker._NORMAL_MIN
+    assert len(bad) == 3 and set(_assert_decides_as_oracle([*bad, S], rng)) == {"rejected"}
+
+
+def test_frozen_compare_certifies_every_large_stack(tmp_path, monkeypatch):
+    """``compare`` on the README roster (default scenario, 100 runs, seed
+    1000) decides no stack of ``_CERTIFY_MIN_LANES`` or more S by its
+    eigenvalues: each one is certified, so the frozen kernel keeps the
+    certificate's gain."""
+    linalg = tracker._umath_linalg
+    by_eigenvalues, certified = [], []
+
+    def eigvalsh_lo(S):
+        by_eigenvalues.append(len(S) if S.ndim == 3 else 1)
+        return linalg.eigvalsh_lo(S)
+
+    def cholesky_lo(A):
+        certified.append(len(A))
+        return linalg.cholesky_lo(A)
+
+    monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
+        eigvalsh_lo=eigvalsh_lo, cholesky_lo=cholesky_lo, solve=linalg.solve))
+    roster = (f"fixed:1e6,fixed:5e6,scaling,qlearn:{GOLDEN_DIR}/q/qtable.json,"
+              f"qlearn-lookahead:{GOLDEN_DIR}/ql/qtable.json")
+    argv = ["compare", "--policy", roster, "--runs", "100", "--seed", "1000",
+            "--out", str(tmp_path / "cmp")]
+    assert cli_main(argv) == 0
+    assert len(certified) >= 100 and min(certified) >= tracker._CERTIFY_MIN_LANES
+    assert [m for m in by_eigenvalues if m >= tracker._CERTIFY_MIN_LANES] == []
 
 
 @pytest.mark.parametrize("position", RADAR_POSITIONS)
@@ -103,8 +317,11 @@ def test_lane_geometry_matches_scalar(position):
 def test_products_match_the_lanes():
     """The scalar ``predict``, ``range_variance`` and ``update``, whose
     products go through ``np.dot``, against the lanes' stacked ``@``: byte
-    for byte on 200 random (x, P, H, r, nu), as 200 one-lane stacks and as
-    one 200-lane stack."""
+    for byte on 200 random (x, P, H, r, nu), as 200 one-lane stacks, as one
+    200-lane stack and as the stack of the lanes whose S is certified.  Both
+    kernels add r to S through a view of its diagonal.  One-lane gains are
+    decided by eigenvalues, and so is the 200-lane one, as some of its S
+    have a condition number above 1e11; the last stack is certified."""
     rng = np.random.default_rng(33)
     scenario = default_scenario()
     x = random_states(200, seed=34)
@@ -114,8 +331,15 @@ def test_products_match_the_lanes():
     r = np.array([measurement_noise_var(rng.uniform(0.5e6, 10e6), rng.uniform(1.0, 1e4),
                                         scenario.radar) for _ in x])
     nu = np.sqrt(r) * rng.standard_normal((200, 4)) * 3.0
+    S = H @ (P @ H.transpose(0, 2, 1))  # as _lane_update forms it
+    S = 0.5 * (S + S.transpose(0, 2, 1)) + r[:, :, None] * np.eye(4)
+    certified = [tracker._certified(one[None]) for one in S]
+    first = np.argsort(np.logical_not(certified), kind="stable")  # certified lanes first
+    x, P, r, H, nu, S = (array[first] for array in (x, P, r, H, nu, S))
+    n_certified = sum(certified)
+    assert tracker._certified(S[:n_certified]) and not tracker._certified(S)
     phases = list(Phase)
-    for stack in [slice(j, j + 1) for j in range(len(x))] + [slice(None)]:
+    for stack in [slice(j, j + 1) for j in range(len(x))] + [slice(None), slice(n_certified)]:
         lanes = [array[stack] for array in (x, P, r, H, nu)]
         phase = phases[(stack.start or 0) % 3]
         x_pred, P_pred = lockstep._lane_predict(*lanes[:2], scenario.process, phase)
