@@ -228,19 +228,18 @@ def _score(args: argparse.Namespace, scenario: ScenarioConfig) -> Iterator[tuple
     policies = [_build_policy(spec, scenario, args.qtable) for spec in args.policy]
     scores = evaluate(_truth(scenario), policies, *_models(scenario), n_runs=args.runs,
                       base_seed=_base_seed(args, scenario))
-    for spec, (results, per_step) in zip(args.policy, scores):
-        full_tracks = sum(result.successful for result in results)
-        row = (str(spec), args.runs, full_tracks, overall_windowed_mse(results))
-        yield results, per_step, row
+    for spec, (runs, per_step) in zip(args.policy, scores):
+        full_tracks = runs.lost_at.count(None)
+        yield runs, per_step, (str(spec), args.runs, full_tracks, overall_windowed_mse(runs))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    [(results, per_step, row)] = _score(args, scenario)
+    [(runs, per_step, row)] = _score(args, scenario)
     metrics_path = _out_path(args, "metrics.csv")
     histogram_path = _out_path(args, "histogram.csv")
     save_metrics_csv(per_step, metrics_path)
-    save_histogram_csv(results, scenario.episode.n_transmissions, histogram_path)
+    save_histogram_csv(runs, scenario.episode.n_transmissions, histogram_path)
     print(f"wrote {metrics_path} and {histogram_path}")
     print(SUMMARY_LINE.format(*row))
     return 0

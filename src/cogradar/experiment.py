@@ -271,16 +271,16 @@ def evaluate(
     episode: EpisodeConfig,
     n_runs: int,
     base_seed: int,
-) -> list[tuple[tuple[RunResult, ...], np.ndarray]]:
+) -> list[tuple[Runs, np.ndarray]]:
     """Run n_runs frozen episodes of every policy on the same seeds; returns,
-    per policy, its runs and their per-step mean windowed-min MSE."""
+    per policy, its block of lanes and their per-step mean windowed-min MSE."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     lanes = [policy for policy in policies for _ in range(n_runs)]
-    results = tuple(seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
-                                trajectory, radar, process, episode))
-    per_policy = [results[j : j + n_runs] for j in range(0, len(results), n_runs)]
-    return [(runs, mean_windowed_mse(runs)) for runs in per_policy]
+    runs = seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
+                       trajectory, radar, process, episode)
+    blocks = [runs.block(j, j + n_runs) for j in range(0, len(runs), n_runs)]
+    return [(block, mean_windowed_mse(block)) for block in blocks]
 
 
 def calibrate_discretizer(
@@ -319,41 +319,45 @@ def windowed_min(series: Sequence[float], window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(arr, window).min(axis=1)
 
 
-def mean_windowed_mse(results: Sequence[RunResult]) -> np.ndarray:
+def _lane_windows(runs: Runs) -> tuple[np.ndarray, np.ndarray]:
+    """Every lane's windowed-min squared range errors from one sliding window
+    over the block's records: (lanes, most windows) arrays of the values and
+    of which are full windows inside their lane, lane j in row j."""
+    windows = windowed_min(runs.records.range_error_true**2, MSE_WINDOW)
+    lengths = np.diff(runs.ends, prepend=0)
+    starts = runs.ends - lengths
+    counts = lengths - (MSE_WINDOW - 1)
+    steps = np.arange(max(counts.max(initial=0), 0))
+    return windows.take(starts[:, None] + steps, mode="clip"), steps < counts[:, None]
+
+
+def mean_windowed_mse(runs: Runs) -> np.ndarray:
     """Per-step mean of the windowed-min squared range error, averaging only
     over runs still alive at each step."""
-    if len(results) == 0:
+    if len(runs) == 0:
         raise ValueError("need at least one run")
-    series = [windowed_min(result.squared_errors(), MSE_WINDOW) for result in results]
-    max_len = max(len(s) for s in series)
-    if max_len == 0:
-        return np.empty(0)
-    total = np.zeros(max_len)
-    alive = np.zeros(max_len, dtype=int)
-    for s in series:
-        total[: len(s)] += s
-        alive[: len(s)] += 1
-    return total / alive
+    series, full = _lane_windows(runs)
+    # a column sum of the zero-filled rows adds the lanes one by one, in lane order
+    return np.where(full, series, 0.0).sum(axis=0) / full.sum(axis=0)
 
 
-def overall_windowed_mse(results: Sequence[RunResult]) -> float:
+def overall_windowed_mse(runs: Runs) -> float:
     """Scalar summary: mean over every windowed-min value of every run."""
-    pooled = np.concatenate(
-        [windowed_min(result.squared_errors(), MSE_WINDOW) for result in results]
-    )
+    series, full = _lane_windows(runs)
+    pooled = series[full]  # row by row: lane order, as one array of every lane's windows
     if pooled.size == 0:
         raise ValueError("no full windows to aggregate")
     return float(pooled.mean())
 
 
-def success_histogram(results: Sequence[RunResult], n_transmissions: int) -> list[int]:
+def success_histogram(runs: Runs, n_transmissions: int) -> list[int]:
     """Lost runs per bin of beams-before-loss, ``HISTOGRAM_BIN_WIDTH`` dwells
     wide; a loss on the final transmission counts in the last bin."""
     n_bins = n_transmissions // HISTOGRAM_BIN_WIDTH + 1
     counts = [0] * n_bins
-    for result in results:
-        if result.lost_at is not None:
-            counts[min(result.lost_at // HISTOGRAM_BIN_WIDTH, n_bins - 1)] += 1
+    for lost_at in runs.lost_at:
+        if lost_at is not None:
+            counts[min(lost_at // HISTOGRAM_BIN_WIDTH, n_bins - 1)] += 1
     return counts
 
 
@@ -376,12 +380,10 @@ def save_metrics_csv(per_step: np.ndarray, path: str) -> None:
     write_csv(path, METRICS_CSV_HEADER, enumerate(per_step))
 
 
-def save_histogram_csv(
-    results: Sequence[RunResult], n_transmissions: int, path: str
-) -> None:
+def save_histogram_csv(runs: Runs, n_transmissions: int, path: str) -> None:
     """The loss histogram, then the full tracks in a final labelled row."""
-    counts = success_histogram(results, n_transmissions)
+    counts = success_histogram(runs, n_transmissions)
     rows = [[i * HISTOGRAM_BIN_WIDTH, (i + 1) * HISTOGRAM_BIN_WIDTH, count]
             for i, count in enumerate(counts)]
-    rows.append([FULL_TRACK_LABEL, "", sum(result.successful for result in results)])
+    rows.append([FULL_TRACK_LABEL, "", runs.lost_at.count(None)])
     write_csv(path, HISTOGRAM_CSV_HEADER, rows)

@@ -146,17 +146,17 @@ class Lockstep:
         self.episode, self.seeds = episode, seeds
         self.position = radar.position_array
         n = episode.n_transmissions
-        rows: dict = {}  # one noise block per distinct seed
+        blocks: dict = {}  # one noise block per distinct seed
         for seed in seeds:
-            rows.setdefault(seed, len(rows))
-        self.noise = np.array(
-            [np.random.default_rng(seed).standard_normal((n + 1, 4)) for seed in rows]
-        )
+            blocks.setdefault(seed, len(blocks))
+        self.noise = np.empty((n + 1, len(blocks), 4))  # by dwell: noise[k] is row k's
+        for seed, block in blocks.items():
+            self.noise[:, block] = np.random.default_rng(seed).standard_normal((n + 1, 4))
         group = {policy: g for g, policy in enumerate(self.policies)}
         groups = np.array([group[policy] for policy in policies], dtype=int)
         self.start = _Lanes(
             ids=np.arange(len(policies)),
-            noise_row=np.array([rows[seed] for seed in seeds], dtype=int),
+            noise_block=np.array([blocks[seed] for seed in seeds], dtype=int),
             group=groups,
             bandwidth=np.array([p.initial_bandwidth() for p in self.policies])[groups],
         ).take(sorted(range(len(groups)), key=groups.__getitem__))  # by policy
@@ -201,14 +201,14 @@ class Lockstep:
         in_order = np.array_equal(lanes.ids, np.arange(len(self.seeds)))
         return parts, slice(None) if in_order else lanes.ids
 
-    def _measure(self, k: int, bandwidth: np.ndarray, noise_row: np.ndarray):
+    def _measure(self, k: int, bandwidth: np.ndarray, noise_block: np.ndarray):
         """``measure`` of truth row k at each lane's bandwidth: z and r."""
         truth = self.truth
         if k == len(truth.z_true):  # every lane that gets here fails
             raise truth.failure
         columns = truth.columns(bandwidth.tolist())  # may grow the table
-        r, root = truth.table[:, k, columns]
-        z = truth.z_true[k] + root * self.noise[noise_row, k]
+        r, root = truth.table[:, k].take(columns, axis=1)
+        z = truth.z_true[k] + root * self.noise[k].take(noise_block, axis=0)
         if np.count_nonzero(z[:, 0] <= 0.0):
             raise ValueError("measured range must be > 0")
         if np.count_nonzero(np.abs(z[:, 3]) < np.pi / 2.0) < len(z):
@@ -217,13 +217,13 @@ class Lockstep:
 
     def _initiate(self, lanes: _Lanes) -> _Lanes:
         """Track initiation on truth row 0, at each policy's initial bandwidth."""
-        z, r = self._measure(0, lanes.bandwidth, lanes.noise_row)
-        tracks = [initialize_track(row, self.radar) for row in z]
+        z, r = self._measure(0, lanes.bandwidth, lanes.noise_block)
+        x, P = initialize_track(z, self.radar)
         m = len(lanes)
         return _Lanes(
             **vars(lanes),
-            x=np.array([x for x, _ in tracks]),
-            P=np.array([P for _, P in tracks]),
+            x=x,
+            P=P,
             meas_var=r[:, 0],
             correlated=np.ones(m, dtype=bool),
             streak=np.zeros(m, dtype=int),
@@ -258,7 +258,7 @@ class Lockstep:
         if np.count_nonzero(lanes.meas_var <= 0.0):
             raise ValueError("last_measurement_range_variance must be > 0")
         bandwidth, streak, state, action = self._choose(lanes, pred_var, parts)
-        z, r = self._measure(row, bandwidth, lanes.noise_row)
+        z, r = self._measure(row, bandwidth, lanes.noise_block)
         nu = z - h
         nu[:, 2:] = wrap_angle(nu[:, 2:])
         window = 1.96 * np.sqrt(r[:, 0])
@@ -272,7 +272,7 @@ class Lockstep:
         distance = _lane_range(x, self.position)[2][:, 0]
         return _Lanes(
             ids=lanes.ids,
-            noise_row=lanes.noise_row,
+            noise_block=lanes.noise_block,
             group=lanes.group,
             x=x,
             P=P,

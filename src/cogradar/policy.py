@@ -233,8 +233,12 @@ class QTable:
         values = np.asarray(doc["values"], dtype=object)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array")
-        for (i, j), value in np.ndenumerate(values):
-            require_float(f"values[{i}][{j}]", value)
+        cells = values.ravel().tolist()
+        # require_float in bulk: exact types exclude bools; only a failed
+        # check walks the cells, to name the first bad one
+        if not ({float, int}.issuperset(map(type, cells)) and all(map(math.isfinite, cells))):
+            for (i, j), value in np.ndenumerate(values):
+                require_float(f"values[{i}][{j}]", value)
         return cls(
             values=values,
             discretizer=Discretizer(doc["pred_var_edges"], doc["meas_var_edges"]),
@@ -264,11 +268,14 @@ def reward(range_error: float, lost: bool, C: float) -> float:
     return -min(range_error / 1000.0, C)
 
 
-def q_update(table: QTable, s_prev: int, a_prev: int, r: float, s_now: int) -> QTable:
+def q_update(table: QTable, s_prev: int, a_prev: int, r: float, s_now: int,
+             bootstrap: Optional[float] = None) -> QTable:
     """One temporal-difference backup on Python floats; mutates and returns
-    the table."""
+    the table.  ``bootstrap``, when given, is max Q[s_now, :] as it stands."""
     values, hyper = table.values, table.hyperparams
-    td_target = r + hyper.gamma * max(values[s_now].tolist())
+    if bootstrap is None:
+        bootstrap = max(values[s_now].tolist())
+    td_target = r + hyper.gamma * bootstrap
     q = values.item(s_prev, a_prev)
     values[s_prev, a_prev] = q + hyper.alpha * (td_target - q)
     return table
@@ -280,13 +287,18 @@ def lookahead_update(
     """Back up the same reward to every (state, action) pair, given newest
     first.
 
-    Each sub-update re-reads the bootstrap term from the table as it stands,
-    so earlier sub-updates feed later ones.
+    Each sub-update bootstraps from the table as it stands, so earlier
+    sub-updates feed later ones: max Q[s_now, :] is read once, and again
+    after each pair in state s_now, the only updates that can move it.
     """
     if len(pairs) == 0:
         raise ValueError("empty pair list")
+    row = table.values[s_now]
+    bootstrap = max(row.tolist())
     for s_prev, a_prev in pairs:
-        q_update(table, s_prev, a_prev, r, s_now)
+        q_update(table, s_prev, a_prev, r, s_now, bootstrap)
+        if s_prev == s_now:
+            bootstrap = max(row.tolist())
     return table
 
 
@@ -420,6 +432,7 @@ class BandwidthScalingPolicy(Policy):
             raise ValueError("need 0 < min_bw <= max_bw")
         self.min_bw = float(min_bw)
         self.max_bw = float(max_bw)
+        self._steps = np.array([0.5, 1.0, 2.0])  # bandwidth scale on a miss, a hit, a doubling
 
     def initial_bandwidth(self) -> float:
         return self.max_bw
@@ -429,13 +442,12 @@ class BandwidthScalingPolicy(Policy):
                                         self.min_bw, self.max_bw), -1, -1)
 
     def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
-        streak = np.where(correlated, streak + 1, 0)
-        doubled = streak >= 5
-        bandwidth = np.where(
-            correlated,
-            np.where(doubled, np.minimum(2.0 * bandwidth, self.max_bw), bandwidth),
-            np.maximum(bandwidth / 2.0, self.min_bw),
-        )
+        """``choose``'s values for bandwidths in [min_bw, max_bw], as every
+        lane's is: a scale of 1/2, 1 or 2 (exact), then both bounds."""
+        streak = (streak + 1) * correlated  # 0 on a miss
+        doubled = streak >= 5  # on hits only
+        scale = self._steps.take(np.add(correlated, doubled, dtype=np.intp))
+        bandwidth = np.minimum(np.maximum(bandwidth * scale, self.min_bw), self.max_bw)
         return bandwidth, np.where(doubled, 0, streak), -1, -1
 
 

@@ -111,13 +111,20 @@ def measurement_noise_var(
         raise ValueError("bandwidth must be > 0")
     if snr <= 0.0:
         raise ValueError("snr must be > 0")
+    return np.array(_noise_var(bandwidth, snr, config))
+
+
+def _noise_var(bandwidth: float, snr: float, config: RadarConfig) -> tuple[float, ...]:
+    """``measurement_noise_var``'s four variances as Python floats, unchecked.
+    Each square is a float power, libm's pow(x, 2.0), which does not always
+    round as x * x does."""
     root = math.sqrt(2.0 * snr)
     sigma_range = SPEED_OF_LIGHT / (2.0 * bandwidth * root)
     sigma_rate = SPEED_OF_LIGHT / (
         2.0 * config.carrier_freq * config.pulse_duration * root
     )
     angle_var = config.angle_noise_std**2
-    return np.array([sigma_range**2, sigma_rate**2, angle_var, angle_var])
+    return sigma_range**2, sigma_rate**2, angle_var, angle_var
 
 
 class TruthSide:
@@ -155,15 +162,18 @@ class TruthSide:
     def __len__(self) -> int:
         return len(self.phases)
 
-    def columns(self, bandwidths: list[float]) -> list[int]:
-        """The ``table`` column of each bandwidth, adding those not yet in it."""
+    def columns(self, bandwidths: list[float]) -> np.ndarray:
+        """The ``table`` column of each bandwidth, as an int array, adding
+        those not yet in it: a new bandwidth's block is one array of its rows'
+        variances."""
         for new in set(bandwidths).difference(self.column):
-            r = np.array([measurement_noise_var(new, snr, self.config)
-                          for snr in self.snr]).reshape(-1, 4)
+            if self.snr and new <= 0.0:  # measurement_noise_var's check
+                raise ValueError("bandwidth must be > 0")
+            r = np.array([_noise_var(new, snr, self.config) for snr in self.snr]).reshape(-1, 4)
             block = np.stack([r, np.sqrt(r)])[:, :, None]
             self.table = np.concatenate([self.table, block], axis=2)
             self.column[new] = len(self.column)
-        return [self.column[bw] for bw in bandwidths]
+        return np.fromiter(map(self.column.__getitem__, bandwidths), np.intp, len(bandwidths))
 
 
 def measure(

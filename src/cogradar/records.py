@@ -41,9 +41,6 @@ class RunResult:
     def successful(self) -> bool:
         return self.lost_at is None
 
-    def squared_errors(self) -> np.ndarray:
-        return self.records.range_error_true**2
-
 
 @dataclass(frozen=True, eq=False)
 class Runs:
@@ -60,6 +57,12 @@ class Runs:
     def successful(self) -> bool:
         """No lane lost its track."""
         return all(lost is None for lost in self.lost_at)
+
+    def block(self, start: int, stop: int) -> "Runs":
+        """Lanes start to stop - 1, 0 <= start < stop, as ``Runs`` of their own."""
+        first = self.ends[start - 1] if start else 0
+        return Runs(self.records[first : self.ends[stop - 1]], self.ends[start:stop] - first,
+                    self.lost_at[start:stop])
 
     def __len__(self) -> int:
         return len(self.lost_at)

@@ -192,15 +192,13 @@ def update(
 
 
 def initialize_track(z: np.ndarray, radar: RadarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start a track from one measurement: invert geometry, zero velocity."""
-    range_m, _, azimuth, elevation = z
-    direction = np.array(
-        [
-            np.cos(elevation) * np.cos(azimuth),
-            np.cos(elevation) * np.sin(azimuth),
-            np.sin(elevation),
-        ]
-    )
-    position = radar.position_array + range_m * direction
+    """Start a track from one measurement (4,), or a stack of tracks from a
+    stack of them (m, 4): invert geometry, zero velocity."""
+    range_m, _, azimuth, elevation = z.T
+    cos_elevation = np.cos(elevation)
+    direction = np.stack([cos_elevation * np.cos(azimuth), cos_elevation * np.sin(azimuth),
+                          np.sin(elevation)], axis=-1)
+    position = radar.position_array + range_m[..., None] * direction
     P = np.diag([INIT_POSITION_STD**2] * 3 + [INIT_VELOCITY_STD**2] * 3)
-    return np.concatenate([position, np.zeros(3)]), P
+    return (np.concatenate([position, np.zeros_like(position)], axis=-1),
+            np.broadcast_to(P, z.shape[:-1] + P.shape).copy())

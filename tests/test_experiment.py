@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cogradar import experiment, lockstep
+from cogradar.config import default_scenario
 from cogradar.experiment import (
+    MSE_WINDOW,
     RECORD_DTYPE,
     EpisodeConfig,
     RunResult,
@@ -37,7 +39,9 @@ from cogradar.policy import (
 )
 from cogradar.radar import RadarConfig, TruthSide
 from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel, update
-from cogradar.trajectory import Phase, TruthPoint
+from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
+import scoring_oracle
+from scoring_oracle import pack
 
 QUIET_SIGMA = {Phase.BOOST: 1e-3, Phase.MID_COURSE: 1e-3, Phase.TERMINAL: 1e-3}
 
@@ -168,43 +172,93 @@ class TestMeanWindowedMse:
     def test_single_run_equals_own_series(self):
         run = fake_run([3.0, 1.0, 2.0, 5.0])
         expected = windowed_min(np.array([3.0, 1.0, 2.0, 5.0]) ** 2, 3)
-        assert mean_windowed_mse([run]) == pytest.approx(expected)
+        assert mean_windowed_mse(pack([run])) == pytest.approx(expected)
 
     def test_zero_error_run(self):
-        assert mean_windowed_mse([fake_run([0.0] * 10)]) == pytest.approx([0.0] * 8)
+        assert mean_windowed_mse(pack([fake_run([0.0] * 10)])) == pytest.approx([0.0] * 8)
 
     def test_two_constant_runs_average(self):
         runs = [fake_run([2.0] * 6), fake_run([4.0] * 6)]
         expected = (4.0 + 16.0) / 2.0
-        assert mean_windowed_mse(runs) == pytest.approx([expected] * 4)
+        assert mean_windowed_mse(pack(runs)) == pytest.approx([expected] * 4)
 
     def test_alive_counting_after_loss(self):
         # second run dies early: later steps average over the survivor only
         runs = [fake_run([2.0] * 8), fake_run([4.0] * 5, lost=True)]
-        out = mean_windowed_mse(runs)
+        out = mean_windowed_mse(pack(runs))
         assert len(out) == 6
         assert out[:3] == pytest.approx([(4.0 + 16.0) / 2.0] * 3)
         assert out[3:] == pytest.approx([4.0] * 3)
 
     def test_overall_scalar(self):
         runs = [fake_run([2.0] * 6), fake_run([4.0] * 6)]
-        assert overall_windowed_mse(runs) == pytest.approx(10.0)
+        assert overall_windowed_mse(pack(runs)) == pytest.approx(10.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_windowed_mse([])
+            mean_windowed_mse(pack([]))
+
+
+class TestBlockScoring:
+    """The block scoring against the per-run oracle in ``scoring_oracle``:
+    equal ``per_step`` bytes and an equal overall mean, or the same error."""
+
+    @staticmethod
+    def runs(lengths, seed):
+        rng = np.random.default_rng(seed)
+        return [fake_run(rng.lognormal(0.0, 2.0, n), lost=n < 160) for n in lengths]
+
+    def assert_scores_match(self, results):
+        got, want = mean_windowed_mse(pack(results)), scoring_oracle.mean_windowed_mse(results)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert overall_windowed_mse(pack(results)) == scoring_oracle.overall_windowed_mse(results)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ragged_lanes(self, seed):
+        """Lanes lost at different dwells, among full tracks, in any order."""
+        lengths = np.random.default_rng(seed).integers(3, 161, 40)
+        lengths[::3] = 160
+        self.assert_scores_match(self.runs(lengths.tolist(), seed))
+
+    def test_lanes_shorter_than_the_window(self):
+        lengths = [0, 160, 1, 2, 3, 5, 2, 0, 77, 1]
+        assert min(lengths) < MSE_WINDOW
+        self.assert_scores_match(self.runs(lengths, 5))
+        self.assert_scores_match(self.runs([2, 40, 1], 6))  # the longest lane in the middle
+
+    def test_every_lane_too_short(self):
+        results = self.runs([0, 2, 1, 2], 7)
+        got, want = mean_windowed_mse(pack(results)), scoring_oracle.mean_windowed_mse(results)
+        assert got.size == want.size == 0 and got.dtype == want.dtype
+        for score in (overall_windowed_mse, scoring_oracle.overall_windowed_mse):
+            packed = pack(results) if score is overall_windowed_mse else results
+            with pytest.raises(ValueError, match="no full windows to aggregate"):
+                score(packed)
+
+    def test_campaign_blocks(self):
+        """A lockstep campaign's blocks, lost lanes among them, scored whole
+        and run by run."""
+        sc = default_scenario()
+        truth = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+        policies = [FixedPolicy(5e6), BandwidthScalingPolicy(), FixedPolicy(1e6)]
+        scores = evaluate(truth, policies, sc.radar, sc.process, sc.episode, n_runs=12,
+                          base_seed=100)
+        assert any(not runs.successful for runs, _ in scores)
+        for runs, per_step in scores:
+            assert per_step.tobytes() == scoring_oracle.mean_windowed_mse(list(runs)).tobytes()
+            self.assert_scores_match(list(runs))
 
 
 class TestSuccessHistogram:
     def test_all_successful(self):
         runs = [fake_run([1.0] * 160) for _ in range(10)]
-        counts = success_histogram(runs, n_transmissions=160)
+        counts = success_histogram(pack(runs), n_transmissions=160)
         assert len(counts) == 9
         assert sum(counts) == 0
 
     def test_lost_at_twelve(self):
         runs = [fake_run([1.0] * 12, lost=True)]
-        counts = success_histogram(runs, n_transmissions=160)
+        counts = success_histogram(pack(runs), n_transmissions=160)
         assert counts[0] == 1
         assert sum(counts) == 1
 
@@ -215,7 +269,7 @@ class TestSuccessHistogram:
             fake_run([1.0] * 160),
             fake_run([1.0] * 160, lost=True),
         ]
-        counts = success_histogram(runs, n_transmissions=160)
+        counts = success_histogram(pack(runs), n_transmissions=160)
         assert sum(counts) + sum(run.successful for run in runs) == 4
         assert counts[77 // 20] >= 1
         assert counts[-1] == 1  # loss on the final transmission
@@ -506,7 +560,7 @@ class TestEvaluate:
             base_seed=3,
         )
         assert per_step == pytest.approx(
-            windowed_min(results[0].squared_errors(), 3)
+            windowed_min(results[0].records.range_error_true**2, 3)
         )
 
     def test_never_mutates_qtable(self):
@@ -797,12 +851,12 @@ class TestCsvExport:
     def test_histogram_csv_final_row_labeled(self, tmp_path):
         runs = [fake_run([1.0] * 12, lost=True), fake_run([1.0] * 160)]
         path = tmp_path / "hist.csv"
-        save_histogram_csv(runs, 160, str(path))
+        save_histogram_csv(pack(runs), 160, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert lines[1] == "0,20,1"
         assert lines[-1] == "full_track,,1"
-        assert len(lines) == 2 + len(success_histogram(runs, 160))
+        assert len(lines) == 2 + len(success_histogram(pack(runs), 160))
 
     def test_no_stray_tmp_files(self, tmp_path):
         path = tmp_path / "run.csv"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogradar import experiment, lockstep
+from cogradar import policy as policy_module
 from cogradar.config import default_scenario
 from cogradar.experiment import EpisodeConfig, run_episode
 from cogradar.policy import (
@@ -284,6 +286,41 @@ class TestLookaheadUpdate:
         assert table.values[7, 3] == pytest.approx(
             0.1 * (-1.0 + 0.9 * -0.5), abs=1e-12
         )
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "twice", "absent"])
+    def test_bootstrap_read_once_matches_per_pair_loop(self, monkeypatch, where):
+        """max Q[s_now, :], read once and again only after a pair in s_now,
+        against the loop that reads it for every pair: equal table bytes,
+        with one ``q_update`` call per pair."""
+        rng = np.random.default_rng(["first", "middle", "last", "twice", "absent"].index(where))
+        calls = []
+        counted = policy_module.q_update
+
+        def counting(*args):
+            calls.append(args)
+            return counted(*args)
+
+        monkeypatch.setattr(policy_module, "q_update", counting)
+        for _ in range(200):
+            table = make_table(L=5)
+            table.values[:] = -2.0 * rng.random((80, 6))
+            s_now = int(rng.integers(80))
+            others = [int(s) for s in rng.choice(np.delete(np.arange(80), s_now), 5)]
+            slots = {"first": [0], "middle": [2], "last": [4], "twice": [1, 3], "absent": []}[where]
+            pairs = []
+            for slot, s in enumerate(others):
+                # in s_now, the pair takes the row's best action, so its update moves the max
+                pairs.append((s_now, int(table.values[s_now].argmax())) if slot in slots
+                             else (s, int(rng.integers(6))))
+            r = float(-2.0 * rng.random())
+            want = make_table(L=5)
+            want.values[:] = table.values
+            for s_prev, a_prev in pairs:
+                counted(want, s_prev, a_prev, r, s_now)
+            calls.clear()
+            lookahead_update(table, pairs, r, s_now)
+            assert table.values.tobytes() == want.values.tobytes()
+            assert len(calls) == len(pairs)
 
     def test_buffer_shorter_than_l(self):
         table = make_table(L=5)
@@ -652,6 +689,47 @@ class TestQTablePersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             QTable.load(str(path))
+
+    BAD_CELLS = [(True, TypeError, "must be a number, got True"),
+                 ("0.5", TypeError, "must be a number, got '0.5'"),
+                 (None, TypeError, "must be a number, got None"),
+                 (float("nan"), ValueError, "must be finite, got nan"),
+                 (float("inf"), ValueError, "must be finite, got inf"),
+                 (float("-inf"), ValueError, "must be finite, got -inf")]
+
+    @pytest.mark.parametrize("cell", [(0, 0), (40, 3), (79, 5)], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad, error, message", BAD_CELLS,
+                             ids=["bool", "string", "null", "NaN", "Infinity", "-Infinity"])
+    def test_load_names_the_bad_cell(self, tmp_path, cell, bad, error, message):
+        """One bad cell of ``values`` fails the load with ``require_float``'s
+        error, naming that cell."""
+        i, j = cell
+        doc = make_table().to_json_dict()
+        doc["values"][i][j] = bad
+        path = tmp_path / "qtable.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=rf"^values\[{i}\]\[{j}\] {re.escape(message)}$"):
+            QTable.load(str(path))
+
+    @pytest.mark.parametrize("first, later", [((1, 5), (2, 0)), ((40, 3), (40, 4)),
+                                              ((0, 1), (79, 0))])
+    def test_load_names_the_first_bad_cell_in_row_major_order(self, tmp_path, first, later):
+        doc = make_table().to_json_dict()
+        doc["values"][later[0]][later[1]] = True  # a type error, checked no earlier
+        doc["values"][first[0]][first[1]] = float("nan")
+        path = tmp_path / "qtable.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^values\[{first[0]}\]\[{first[1]}\] must be finite"):
+            QTable.load(str(path))
+
+    def test_load_accepts_integer_cells(self, tmp_path):
+        doc = make_table().to_json_dict()
+        doc["values"][0][0], doc["values"][40][3], doc["values"][79][5] = -1, 0, -3
+        path = tmp_path / "qtable.json"
+        path.write_text(json.dumps(doc))
+        values = QTable.load(str(path)).values
+        assert values.dtype == np.float64
+        assert (values[0, 0], values[40, 3], values[79, 5]) == (-1.0, 0.0, -3.0)
 
     def test_save_is_atomic_no_stray_tmp(self, tmp_path):
         path = tmp_path / "qtable.json"

@@ -389,6 +389,20 @@ class TestInitializeTrack:
         assert np.diag(P)[3:] == pytest.approx([250_000.0] * 3)
         assert P == pytest.approx(np.diag(np.diag(P)))
 
+    def test_stack_is_each_row_alone(self):
+        """A stack of measurements starts the tracks each row starts alone,
+        byte for byte: np.cos and np.sin round an array's angles as they
+        round one angle's."""
+        radar = RadarConfig()
+        rng = np.random.default_rng(9)
+        z = np.column_stack([rng.uniform(1e3, 9e4, 500), rng.standard_normal(500),
+                             rng.uniform(-np.pi, np.pi, 500), rng.uniform(-1.5, 1.5, 500)])
+        x, P = initialize_track(z, radar)
+        assert x.shape == (500, 6) and P.shape == (500, 6, 6)
+        for k, row in enumerate(z):
+            x_k, P_k = initialize_track(row, radar)
+            assert x[k].tobytes() == x_k.tobytes() and P[k].tobytes() == P_k.tobytes(), k
+
 
 class TestCovarianceInvariants:
     def test_symmetric_psd_through_random_cycles(self):

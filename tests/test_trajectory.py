@@ -190,6 +190,36 @@ def test_air_density_matches_numpy_oracle():
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), altitude
 
 
+@pytest.mark.parametrize("near_vertical", [False, True], ids=["random", "near-vertical"])
+def test_lateral_basis_matches_numpy_oracle(near_vertical):
+    """The float lateral basis against ``trajectory_oracle``'s byte for byte,
+    on velocities whose u1 norm a sum of squares in floats would round apart
+    from the BLAS dot product under ``np.linalg.norm``."""
+    rng = np.random.default_rng(62 + near_vertical)
+    n = 5000
+    if near_vertical:  # |v_hat[2]| > 0.99: the reference vector switches to x
+        up = rng.uniform(0.9901, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, n)
+        lateral = np.sqrt(1.0 - up * up)
+        directions = np.stack([lateral * np.cos(azimuth), lateral * np.sin(azimuth), up], 1)
+    else:
+        directions = rng.standard_normal((n, 3))
+    velocities = directions * rng.lognormal(0.0, 3.0, (n, 1))
+    apart = 0
+    for velocity in [*velocities, np.zeros(3)]:
+        got = trajectory._lateral_basis(tuple(velocity.tolist()))
+        want = oracle._lateral_basis(velocity)
+        for a, b in zip(got, want):
+            assert np.array(a).tobytes() == b.tobytes(), velocity
+        speed = np.linalg.norm(velocity)
+        if speed > 0.0:
+            ref = [1.0, 0.0, 0.0] if near_vertical else [0.0, 0.0, 1.0]
+            u1 = np.cross(velocity / speed, ref)
+            x, y, z = u1.tolist()
+            apart += math.sqrt(x * x + y * y + z * z) != np.linalg.norm(u1)
+    assert apart >= (5 if near_vertical else 100)
+
+
 class TestPhaseBoundaries:
     def test_boost_end_by_construction(self):
         cfg = TrajectoryConfig(boost_duration=30.0, thrust_accel=40.0)
