@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .policy import Policy
+from .policy import FixedPolicy, Policy
 from .radar import RadarConfig, TruthSide
 from .records import RECORD_DTYPE, Runs
 from .tracker import _EYE6, ProcessModel, initialize_track, kalman_gain, require_finite, wrap_angle
@@ -191,13 +191,15 @@ class Lockstep:
                     lost_at=tuple(int(k) if k else None for k in lost_at))
 
     def _layout(self, lanes: _Lanes) -> tuple[list, slice | np.ndarray]:
-        """What a set of active lanes keeps until a lane drops out: each
-        policy's slice of the lanes, as (policy, slice) for every policy with
-        active lanes, and where the lanes' records go in a dwell's column,
-        a slice while they are every lane in lane order."""
+        """What a set of active lanes keeps until a lane drops out: the slice
+        of the lanes of each policy whose choice can change, as (policy,
+        slice) for every such policy with active lanes, and where the lanes'
+        records go in a dwell's column, a slice while they are every lane in
+        lane order."""
         ends = np.searchsorted(lanes.group, np.arange(1, len(self.policies) + 1)).tolist()
         parts = [(policy, slice(start, end))
-                 for policy, start, end in zip(self.policies, [0, *ends], ends) if end > start]
+                 for policy, start, end in zip(self.policies, [0, *ends], ends)
+                 if end > start and not isinstance(policy, FixedPolicy)]
         in_order = np.array_equal(lanes.ids, np.arange(len(self.seeds)))
         return parts, slice(None) if in_order else lanes.ids
 
@@ -206,7 +208,7 @@ class Lockstep:
         truth = self.truth
         if k == len(truth.z_true):  # every lane that gets here fails
             raise truth.failure
-        columns = truth.columns(bandwidth.tolist())  # may grow the table
+        columns = truth.columns(bandwidth)  # may grow the table
         r, root = truth.table[:, k].take(columns, axis=1)
         z = truth.z_true[k] + root * self.noise[k].take(noise_block, axis=0)
         if np.count_nonzero(z[:, 0] <= 0.0):
@@ -231,10 +233,13 @@ class Lockstep:
         )
 
     def _choose(self, lanes: _Lanes, pred_var: np.ndarray, parts: list) -> tuple:
-        """Every policy's ``choose_lanes`` on its own slice of the lanes."""
-        m = len(lanes)
-        chosen = (np.empty(m), np.empty(m, dtype=int), np.empty(m, dtype=int),
-                  np.empty(m, dtype=int))
+        """The lanes' bandwidth, streak, state and action for the next dwell:
+        a fixed lane keeps its bandwidth and streak, with state and action
+        -1, and every other policy's ``choose_lanes`` fills its own slice."""
+        unset = np.full(len(lanes), -1)
+        if not parts:
+            return lanes.bandwidth, lanes.streak, unset, unset
+        chosen = lanes.bandwidth.copy(), lanes.streak.copy(), unset, unset.copy()
         for policy, part in parts:
             values = policy.choose_lanes(pred_var[part], lanes.meas_var[part],
                                          lanes.correlated[part], lanes.bandwidth[part],

@@ -10,7 +10,8 @@ Every policy chooses from the same feedback (the predicted range variance,
 the previous waveform's range variance and the previous gate outcome) plus
 the previous bandwidth and streak of gate hits, which the caller carries:
 ``choose`` for one run on floats, ``choose_lanes`` for frozen lanes on
-arrays.  A learner's buffer of state-action pairs is its only per-run state.
+arrays (a fixed lane needs no choice).  A learner's buffer of state-action
+pairs is its only per-run state.
 
 The Q-learning convention: the reward observed at transmission t updates the
 previous pair, Q[s_{t-1}, a_{t-1}] += alpha * (r_t + gamma * max Q[s_t, :]
@@ -345,8 +346,8 @@ class Policy(ABC):
     """Per-dwell bandwidth selection; the caller carries each run's decision
     state, so one policy serves every run and every lane."""
 
-    # whether choose_lanes stands in for choose: the choice draws nothing
-    # from the rng, so frozen lanes of the policy can run in lockstep
+    # whether the choice draws nothing from the rng, so frozen lanes of the
+    # policy can run in lockstep
     lockstep = False
 
     def reset(self) -> None:
@@ -390,7 +391,9 @@ class Policy(ABC):
         """``choose`` for many frozen lanes of this policy at once.
 
         Takes ``choose``'s inputs but the rng as per-lane arrays, and returns
-        its four outputs, each an array or one value for every lane.
+        its four outputs, each an array or one value for every lane.  Fixed
+        lanes need none: their choice never changes, so the lockstep kernel
+        keeps their bandwidth and streak without a call.
         """
         raise NotImplementedError
 
@@ -414,9 +417,6 @@ class FixedPolicy(Policy):
         return self.bandwidth
 
     def choose(self, pred_var, meas_var, correlated, bandwidth, streak, rng):
-        return self.bandwidth, streak, -1, -1
-
-    def choose_lanes(self, pred_var, meas_var, correlated, bandwidth, streak):
         return self.bandwidth, streak, -1, -1
 
 
@@ -495,7 +495,7 @@ class QLearningPolicy(Policy):
         pred_edges, meas_edges = self._lane_edges
         s = (pred_edges.searchsorted(pred_var, side="right") * self.table.discretizer.n_meas_bins
              + meas_edges.searchsorted(meas_var, side="right"))
-        a = self.table.values[s].argmax(axis=1)  # ties break to the lowest index
+        a = self.table.values.argmax(axis=1).take(s)  # ties break to the lowest index
         return self._lane_bandwidths[a], streak, s, a
 
     def learn(self, range_error: float, lost: bool) -> None:

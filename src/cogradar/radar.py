@@ -111,20 +111,32 @@ def measurement_noise_var(
         raise ValueError("bandwidth must be > 0")
     if snr <= 0.0:
         raise ValueError("snr must be > 0")
-    return np.array(_noise_var(bandwidth, snr, config))
+    return _noise_var(bandwidth, *_noise_parts([snr], config))[0]
 
 
-def _noise_var(bandwidth: float, snr: float, config: RadarConfig) -> tuple[float, ...]:
-    """``measurement_noise_var``'s four variances as Python floats, unchecked.
-    Each square is a float power, libm's pow(x, 2.0), which does not always
-    round as x * x does."""
-    root = math.sqrt(2.0 * snr)
-    sigma_range = SPEED_OF_LIGHT / (2.0 * bandwidth * root)
-    sigma_rate = SPEED_OF_LIGHT / (
-        2.0 * config.carrier_freq * config.pulse_duration * root
-    )
-    angle_var = config.angle_noise_std**2
-    return sigma_range**2, sigma_rate**2, angle_var, angle_var
+def _squares(values: np.ndarray) -> list[float]:
+    """Each value squared as a Python float power, libm's pow(x, 2.0), which
+    does not always round as x * x (or ``np.square``) does."""
+    return [value**2 for value in values.tolist()]
+
+
+def _noise_parts(snr: Sequence[float], config: RadarConfig) -> tuple:
+    """What ``_noise_var`` needs of each row but the bandwidth: sqrt(2 SNR),
+    the range-rate variance and the angle variance."""
+    root = np.sqrt(2.0 * np.asarray(snr, dtype=float))
+    sigma_rate = SPEED_OF_LIGHT / (2.0 * config.carrier_freq * config.pulse_duration * root)
+    return root, _squares(sigma_rate), config.angle_noise_std**2
+
+
+def _noise_var(bandwidth: float, root: np.ndarray, rate_var: list[float],
+               angle_var: float) -> np.ndarray:
+    """``measurement_noise_var``'s four variances of every row, (rows, 4),
+    unchecked, from the rows' ``_noise_parts``."""
+    r = np.empty((len(root), 4))
+    r[:, 0] = _squares(SPEED_OF_LIGHT / (2.0 * bandwidth * root))
+    r[:, 1] = rate_var
+    r[:, 2:] = angle_var
+    return r
 
 
 class TruthSide:
@@ -156,23 +168,35 @@ class TruthSide:
             self.z_true.append(z)
             self.snr.append(snr)
             self.range.append(float(z[0]))
+        self._parts = _noise_parts(self.snr, config)
         self.table = np.empty((2, len(self.z_true), 0, 4))
         self.column: dict[float, int] = {}
+        # the known bandwidths sorted, then NaN, which no bandwidth equals,
+        # and beside them their columns
+        self._known = np.array([np.nan])
+        self._known_columns = np.zeros(1, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.phases)
 
-    def columns(self, bandwidths: list[float]) -> np.ndarray:
+    def columns(self, bandwidths: np.ndarray) -> np.ndarray:
         """The ``table`` column of each bandwidth, as an int array, adding
-        those not yet in it: a new bandwidth's block is one array of its rows'
-        variances."""
-        for new in set(bandwidths).difference(self.column):
+        those not yet in it in order of first use: a new bandwidth's block is
+        one array of its rows' variances."""
+        at = self._known.searchsorted(bandwidths)  # NaN sorts last
+        if np.count_nonzero(self._known.take(at) == bandwidths) == len(bandwidths):
+            return self._known_columns.take(at)
+        bandwidths = np.asarray(bandwidths, dtype=float).tolist()
+        for new in [b for b in dict.fromkeys(bandwidths) if b not in self.column]:
             if self.snr and new <= 0.0:  # measurement_noise_var's check
                 raise ValueError("bandwidth must be > 0")
-            r = np.array([_noise_var(new, snr, self.config) for snr in self.snr]).reshape(-1, 4)
+            r = _noise_var(new, *self._parts)
             block = np.stack([r, np.sqrt(r)])[:, :, None]
             self.table = np.concatenate([self.table, block], axis=2)
             self.column[new] = len(self.column)
+        known = sorted(self.column)
+        self._known = np.array([*known, np.nan])
+        self._known_columns = np.array([*map(self.column.__getitem__, known), 0], dtype=np.intp)
         return np.fromiter(map(self.column.__getitem__, bandwidths), np.intp, len(bandwidths))
 
 

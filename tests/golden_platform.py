@@ -1,7 +1,8 @@
 """The platform that wrote the golden files, and the SHA-256 of their bytes.
 
 ``golden_platform.json``, beside ``golden/``, records the Python, numpy and
-BLAS versions and the CPU model of the machine that wrote the files under
+BLAS versions, the C library (whose libm ``pow`` squares the noise model's
+sigmas) and the CPU model of the machine that wrote the files under
 ``golden/``.  With them it keeps the SHA-256 of each of those files and of
 the six Q-tables (``values.tobytes()``) that ``test_acceptance.py`` trains.
 On that platform the tests require these exact bytes.  Elsewhere another
@@ -51,7 +52,8 @@ def blas() -> tuple[str, str]:
 def this_platform() -> dict:
     name, version = blas()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": name, "blas_version": version, "cpu_model": cpu_model()}
+            "blas": name, "blas_version": version, "libc": " ".join(platform.libc_ver()),
+            "cpu_model": cpu_model()}
 
 
 def sha256(data: bytes) -> str:

@@ -691,7 +691,7 @@ class TestSeededRuns:
     def test_replay_bisects_to_the_failed_lane(self, monkeypatch):
         """When the last of 64 lanes fails, the replay halves the lanes down
         to it: eight calls in all, not one per lane, naming that run."""
-        class FailingPolicy(FixedPolicy):
+        class FailingPolicy(BandwidthScalingPolicy):  # fixed lanes make no choice
             def choose_lanes(self, *args):
                 raise ValueError("failed lane")
 
@@ -704,7 +704,7 @@ class TestSeededRuns:
 
         monkeypatch.setattr(experiment, "run_episode", counted)
         with pytest.raises(ValueError, match=r"^run 63 \(seed 163\): failed lane$"):
-            seeded_runs([FixedPolicy(1e6)] * 63 + [FailingPolicy(1e6)], range(64), 100,
+            seeded_runs([FixedPolicy(1e6)] * 63 + [FailingPolicy()], range(64), 100,
                         stationary_trajectory(11), moderate_radar(), quiet_process(),
                         EpisodeConfig(n_transmissions=10))
         assert len(calls) <= 8
@@ -713,7 +713,7 @@ class TestSeededRuns:
         """Every lockstep call of a failing 64-lane campaign, bisection and
         replay included, reads the one ``TruthSide`` built for it, whose
         noise table then holds one column per bandwidth the lanes used."""
-        class FailingPolicy(FixedPolicy):
+        class FailingPolicy(BandwidthScalingPolicy):  # fixed lanes make no choice
             def choose_lanes(self, *args):
                 raise ValueError("failed lane")
 
@@ -732,7 +732,7 @@ class TestSeededRuns:
 
         monkeypatch.setattr(experiment, "TruthSide", Counted)
         monkeypatch.setattr(experiment, "run_episode", recorded)
-        policies = [FixedPolicy(1e6), BandwidthScalingPolicy()] * 31 + [FailingPolicy(2.5e6)] * 2
+        policies = [FixedPolicy(1e6), BandwidthScalingPolicy()] * 31 + [FailingPolicy()] * 2
         with pytest.raises(ValueError, match=r"^run 62 \(seed 162\): failed lane$"):
             seeded_runs(policies, range(64), 100, stationary_trajectory(41),
                         moderate_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))

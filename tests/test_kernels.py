@@ -8,6 +8,7 @@ read these, so a difference here would move every output.  Also the lanes'
 geometry against the scalar ``observe``, ``observe_jacobian`` and range
 error."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from cogradar.config import default_scenario
 from cogradar.experiment import seeded_run, train_qlearning
 from cogradar.policy import BandwidthScalingPolicy, Discretizer, QLearningPolicy
 from cogradar.radar import (
+    SPEED_OF_LIGHT,
     RadarConfig,
     TruthSide,
     measure,
@@ -401,6 +403,64 @@ def test_truth_side_matches_per_call(hard):
             assert got_root.tobytes() == np.sqrt(r).tobytes()
             _, measured_r = measure(truth, k, bandwidth, np.random.default_rng(k))
             assert measured_r.tobytes() == r.tobytes()
+
+
+def python_noise_var(bandwidth, snr, radar):
+    """The four noise variances on Python floats, every square a float power,
+    libm's pow(x, 2.0): the formula as one measurement computed it before the
+    table was filled from row arrays."""
+    root = math.sqrt(2.0 * snr)
+    sigma_range = SPEED_OF_LIGHT / (2.0 * bandwidth * root)
+    sigma_rate = SPEED_OF_LIGHT / (2.0 * radar.carrier_freq * radar.pulse_duration * root)
+    angle_var = radar.angle_noise_std**2
+    return [sigma_range**2, sigma_rate**2, angle_var, angle_var]
+
+
+def test_noise_squares_are_float_powers(hard):
+    """A sweep of 400 bandwidths over [min_bw, max_bw], new columns of one
+    call: each column has the bytes of per-row ``measurement_noise_var`` and
+    of the Python-float formula.  The sweep reaches rows whose range sigma s
+    has s**2 != s*s (42 of the 400 bandwidths on glibc 2.36), so a table
+    squared with x * x or ``np.square`` fails here on any platform whose pow
+    rounds as that one's does."""
+    scenario, trajectory = hard
+    radar = scenario.radar
+    truth = TruthSide(trajectory[: scenario.episode.n_transmissions + 1], radar)
+    bandwidths = np.linspace(radar.min_bw, radar.max_bw, 400).tolist()
+    columns = truth.columns(np.array(bandwidths))
+    assert columns.tolist() == list(range(400))
+    apart = 0
+    for bandwidth in bandwidths:
+        want = np.array([python_noise_var(bandwidth, snr, radar) for snr in truth.snr])
+        per_row = np.array([measurement_noise_var(bandwidth, snr, radar) for snr in truth.snr])
+        r, root = truth.table[:, :, truth.column[bandwidth]]
+        assert r.tobytes() == want.tobytes() == per_row.tobytes(), bandwidth
+        assert root.tobytes() == np.sqrt(want).tobytes(), bandwidth
+        sigmas = [SPEED_OF_LIGHT / (2.0 * bandwidth * math.sqrt(2.0 * snr)) for snr in truth.snr]
+        apart += any(s**2 != s * s for s in sigmas)
+    assert apart > 0
+
+
+def test_columns_of_arrays_are_columns_one_at_a_time(hard):
+    """Known, repeated and new bandwidths in one call, and then new ones
+    mid-campaign, give the columns and table bytes of adding the bandwidths
+    one at a time; columns go to new bandwidths in order of first use, and
+    a bandwidth that is not > 0 raises ``measurement_noise_var``'s error."""
+    scenario, trajectory = hard
+    rows = trajectory[:41]
+    truth, alone = TruthSide(rows, scenario.radar), TruthSide(rows, scenario.radar)
+    calls = [[5e6], [1e6, 5e6, 3.3e6, 1e6, 0.7e6, 3.3e6], [0.7e6, 5e6], [1e7, 1e6, 2.2e6]]
+    for call in calls:
+        got = truth.columns(np.array(call))
+        one_at_a_time = [alone.columns([bandwidth])[0] for bandwidth in call]
+        assert got.dtype == np.intp and got.tolist() == one_at_a_time
+        assert truth.table.tobytes() == alone.table.tobytes()
+    assert list(truth.column.items()) == list(alone.column.items())
+    assert list(truth.column) == [5e6, 1e6, 3.3e6, 0.7e6, 1e7, 2.2e6]
+    assert truth.columns(np.array([2.2e6, 5e6, 2.2e6])).tolist() == [5, 0, 5]
+    for bad in (0.0, -0.0, -1e6):
+        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+            truth.columns(np.array([1e6, bad]))
 
 
 def test_truth_failure_is_raised_at_its_row():

@@ -147,8 +147,9 @@ class TestRuns:
 def test_choose_lanes_is_choose_lane_by_lane():
     """Each policy's ``choose_lanes`` against its scalar ``choose``, all four
     outputs lane by lane: Q-table variances on the bin edges and between
-    them; scaling and fixed from every bandwidth scaling reaches with every
-    streak and gate outcome."""
+    them; scaling from every bandwidth it reaches with every streak and gate
+    outcome.  Fixed lanes make no choice; ``test_mixed_lanes_are_their_scalar_runs``
+    checks them against their scalar runs."""
     rng = np.random.default_rng(3)
     edges = Discretizer(tuple(np.geomspace(1.0, 1e4, 9)), tuple(np.geomspace(0.1, 1e3, 7)))
     pred_var = np.r_[edges.pred_var_edges, rng.uniform(0.5, 2e4, 40)]
@@ -164,7 +165,6 @@ def test_choose_lanes_is_choose_lane_by_lane():
         (QLearningPolicy(table, epsilon=0.0),
          pred_var, meas_var, np.ones(m, bool), np.zeros(m), np.zeros(m, int)),
         (scaling, ones, ones, hit, bw, streak),
-        (FixedPolicy(1e6, 0.5e6, 10e6), ones, ones, hit, bw, streak),
     ]
     for policy, *lanes in cases:
         n = len(lanes[0])
@@ -176,6 +176,38 @@ def test_choose_lanes_is_choose_lane_by_lane():
     new_bw, new_streak, _, _ = scaling.choose_lanes(None, None, hit, bw, streak)
     want = [bandwidth_scaling_step(b, h, st, 0.5e6, 10e6) for b, st, h in grid]
     assert list(zip(new_bw.tolist(), new_streak.tolist())) == want
+
+
+def other_edges_table():
+    """A greedy Q-table on a discretizer of its own, unlike the golden ones."""
+    rng = np.random.default_rng(11)
+    edges = Discretizer(tuple(np.geomspace(1e-2, 1e3, 9)), tuple(np.geomspace(1e-2, 1e2, 7)))
+    return QLearningPolicy(QTable(rng.standard_normal((80, 6)), edges), epsilon=0.0)
+
+
+@pytest.mark.parametrize("roster", [
+    ("fixed:1e6", "fixed:3.3e6", "scaling", "qlearn", "other-edges"),
+    ("fixed:5e5", "fixed:1e6", "fixed:2.5e6", "fixed:5e6", "fixed:7.5e6", "fixed:1e7"),
+    ("scaling", "fixed:1e7", "qlearn-lookahead"),
+], ids=["mixed", "fixed-only", "one-fixed-group"])
+def test_mixed_lanes_are_their_scalar_runs(scenario, hard_trajectory, roster):
+    """Fixed lanes on and off the action menu, which make no choice, beside
+    scaling lanes and Q-tables on two discretizers, cycled over the lanes of
+    one lockstep call on the hard trajectory: each lane's records and loss
+    are its scalar run's, byte for byte, while lanes drop out at different
+    dwells.  Also a call of fixed lanes only, as ``calibrate`` makes, and
+    one fixed group beside adaptive ones."""
+    sc, n_runs, base_seed = scenario, 4 * len(roster), 500
+    policies = [other_edges_table() if spec == "other-edges" else build(spec, sc.radar)
+                for spec in roster]
+    lane_policies = [policies[i % len(policies)] for i in range(n_runs)]
+    lanes = seeded_runs(lane_policies, range(n_runs), base_seed, hard_trajectory, sc.radar,
+                        sc.process, sc.episode)
+    truth = truth_side(hard_trajectory, sc.radar, sc.episode)
+    for i, (lane, policy) in enumerate(zip(lanes, lane_policies)):
+        scalar = seeded_run(i, base_seed, truth, policy, sc.radar, sc.process, sc.episode)
+        assert_same_run(lane, scalar, f"{roster[i % len(roster)]} run {i}")
+    assert len(set(lanes.lost_at)) > 2  # full tracks and losses at two dwells or more
 
 
 @pytest.mark.parametrize("range_var, prior_var, degenerate", [
