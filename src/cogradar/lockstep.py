@@ -96,9 +96,14 @@ def _lane_observe(x: np.ndarray, radar_position: np.ndarray) -> tuple[np.ndarray
 
 
 def _lane_predict(x: np.ndarray, P: np.ndarray, model: ProcessModel, phase: Phase) -> tuple:
-    """``tracker.predict`` over lanes, product for product, less its check."""
+    """``tracker.predict`` over lanes, product for product, less its check.
+    The stacked product takes F' as a contiguous copy, which broadcasts
+    faster than the transposed view that the scalar ``predict`` uses.  That
+    the two layouts give the same bits is BLAS behaviour, not a guarantee:
+    it held for OpenBLAS 0.3.31 on one x86-64 Xeon, and the lane-vs-scalar
+    byte tests in tests/test_lockstep.py check it on each machine they run on."""
     F = model.F
-    P = F @ P @ F.T + model.Q[phase]
+    P = F @ P @ model.F_T + model.Q[phase]
     return (F @ x[:, :, None])[:, :, 0], 0.5 * (P + P.transpose(0, 2, 1))
 
 
@@ -121,6 +126,9 @@ def _lane_update(
     K = kalman_gain(S, PHt)
     I_KH = _EYE6 - K @ H
     P = I_KH @ P @ I_KH.transpose(0, 2, 1) + (K * r[:, None, :]) @ K.transpose(0, 2, 1)
+    # K is a transposed view, and K @ nu stays on it: unlike the products of
+    # matrices, a contiguous copy here moves output bits, since numpy's
+    # matrix-vector kernels for the two layouts sum in different orders
     x = x + (K @ nu[:, :, None])[:, :, 0]
     return x, 0.5 * (P + P.transpose(0, 2, 1))
 
@@ -230,16 +238,19 @@ class Lockstep:
             correlated=np.ones(m, dtype=bool),
             streak=np.zeros(m, dtype=int),
             misses=np.zeros(m, dtype=int),
+            state_index=np.full(m, -1),  # a fixed lane's, at every dwell
+            action_index=np.full(m, -1),
         )
 
     def _choose(self, lanes: _Lanes, pred_var: np.ndarray, parts: list) -> tuple:
         """The lanes' bandwidth, streak, state and action for the next dwell:
-        a fixed lane keeps its bandwidth and streak, with state and action
-        -1, and every other policy's ``choose_lanes`` fills its own slice."""
-        unset = np.full(len(lanes), -1)
+        a fixed lane keeps all four, state and action -1 from initiation on,
+        and every other policy's ``choose_lanes`` fills its own slice of
+        copies.  With fixed lanes only, nothing is allocated."""
+        chosen = lanes.bandwidth, lanes.streak, lanes.state_index, lanes.action_index
         if not parts:
-            return lanes.bandwidth, lanes.streak, unset, unset
-        chosen = lanes.bandwidth.copy(), lanes.streak.copy(), unset, unset.copy()
+            return chosen
+        chosen = tuple(array.copy() for array in chosen)
         for policy, part in parts:
             values = policy.choose_lanes(pred_var[part], lanes.meas_var[part],
                                          lanes.correlated[part], lanes.bandwidth[part],

@@ -99,6 +99,27 @@ class ActionSet:
         return self.bandwidths[index]
 
 
+def _percentiles(samples: np.ndarray, percents: Sequence[float]) -> list[float]:
+    """``np.percentile(samples, percents)`` of a float array with at least
+    two values, bit for bit: numpy's default (linear) method, operation for
+    operation, on the order statistics of a partitioned copy.  numpy 2.x's
+    ``np.percentile`` goes through ``np.unique``, which imports ``numpy.ma``
+    on first use; this imports nothing."""
+    n = samples.size
+    virtual = [(n - 1) * (p / 100) for p in percents]
+    lower = [math.floor(v) for v in virtual]
+    upper = [min(i + 1, n - 1) for i in lower]  # numpy's clip, for p = 100
+    ordered = np.partition(samples, sorted({n - 1, *lower, *upper}), axis=None)
+    if math.isnan(ordered[-1]):  # NaN sorts last, and numpy then returns NaN
+        return [math.nan] * len(percents)
+    values = []
+    for v, i, j in zip(virtual, lower, upper):
+        a, b, gamma = float(ordered[i]), float(ordered[j]), v - i
+        # numpy's _lerp: from the nearer end, so gamma = 1 gives b exactly
+        values.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return values
+
+
 @dataclass(frozen=True)
 class Discretizer:
     """Maps the two variances a policy chooses from to one of 80 states.
@@ -153,12 +174,15 @@ class Discretizer:
     def from_samples(
         cls, pred_vars: Sequence[float], meas_vars: Sequence[float]
     ) -> "Discretizer":
-        """Log-spaced edges between the 1st and 99th sample percentiles."""
+        """Log-spaced edges between the 1st and 99th sample percentiles,
+        numpy's default (linear) percentiles computed by ``_percentiles``
+        rather than ``np.percentile``, so that calibrating imports no
+        ``numpy.ma``."""
         def edges(samples, n_edges):
             samples = np.asarray(samples, dtype=float)
             if samples.size < 2:
                 raise ValueError("need at least two calibration samples")
-            lo, hi = np.percentile(samples, [1.0, 99.0])
+            lo, hi = _percentiles(samples, (1.0, 99.0))
             if not 0.0 < lo < hi:
                 raise ValueError("calibration samples must spread over positives")
             return tuple(np.geomspace(lo, hi, n_edges))

@@ -47,9 +47,10 @@ def wrap_angle(angle: float) -> float:
 class ProcessModel:
     """Constant-velocity transition plus per-phase acceleration noise.
 
-    ``F`` and ``Q[phase]``, the discrete white-noise-acceleration covariance
-    for one step, are built once and read-only.  They are plain attributes,
-    not fields, so equality and repr see only ``dt`` and ``accel_noise_std``.
+    ``F``, its transpose ``F_T`` as a contiguous copy, and ``Q[phase]``, the
+    discrete white-noise-acceleration covariance for one step, are built once
+    and read-only.  They are plain attributes, not fields, so equality and
+    repr see only ``dt`` and ``accel_noise_std``.
     """
 
     dt: float
@@ -76,9 +77,11 @@ class ProcessModel:
             q[:3, 3:] = var * dt**3 / 2.0 * np.eye(3)
             q[3:, :3] = var * dt**3 / 2.0 * np.eye(3)
             q[3:, 3:] = var * dt**2 * np.eye(3)
-        for matrix in (F, *Q.values()):
+        F_T = np.ascontiguousarray(F.T)
+        for matrix in (F, F_T, *Q.values()):
             matrix.flags.writeable = False
         object.__setattr__(self, "F", F)
+        object.__setattr__(self, "F_T", F_T)
         object.__setattr__(self, "Q", Q)
 
 

@@ -843,3 +843,40 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "generate-trajectory" in result.stdout
+
+
+NUMPY_LOADS_MA = "import numpy loads numpy.ma"
+NO_MASKED_ARRAYS = f"""
+import os, sys
+import numpy
+if "numpy.ma" in sys.modules:  # numpy 1.x: nothing to check
+    print({NUMPY_LOADS_MA!r})
+    sys.exit()
+out = sys.argv[1]
+from cogradar.cli import cli_main
+assert "numpy.ma" not in sys.modules, "import cogradar.cli"
+table = os.path.join(out, "qtable.json")
+fast = ["--transmissions", "40", "--out", out]
+for argv in (
+    ["generate-trajectory", *fast],
+    ["calibrate", "--runs", "6", *fast],
+    ["train", "--runs", "1", *fast],
+    ["evaluate", "--policy", "qlearn:" + table, "--runs", "2", *fast],
+    ["compare", "--policy", "fixed:1e6,scaling,qlearn:" + table, "--runs", "2", *fast],
+    ["trace", "--policy", "scaling", *fast],
+):
+    assert cli_main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """Neither ``import cogradar.cli`` nor any command, ``train`` with its own
+    pilot calibration included, imports ``numpy.ma`` (``np.percentile`` would,
+    on numpy 2.x), all in one fresh interpreter.  numpy 1.x imports
+    ``numpy.ma`` with ``import numpy``, and there the test is skipped."""
+    result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    if result.stdout.startswith(NUMPY_LOADS_MA):
+        pytest.skip(NUMPY_LOADS_MA)

@@ -10,6 +10,7 @@ error."""
 
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -439,6 +440,48 @@ def test_noise_squares_are_float_powers(hard):
         sigmas = [SPEED_OF_LIGHT / (2.0 * bandwidth * math.sqrt(2.0 * snr)) for snr in truth.snr]
         apart += any(s**2 != s * s for s in sigmas)
     assert apart > 0
+
+
+def test_other_noise_powers_are_float_powers():
+    """The SNR's fourth power and the range-rate and angle variances against
+    Python-float copies of their formulas, every power libm's pow, over
+    sweeps that reach values whose pow does not round as products do (on
+    glibc 2.36: hundreds of the 2000 ranges for the fourth power, one to
+    three rows in each radar's range-rate variances and 4 of the 4000 angle
+    noises), so a formula mutated to products fails here on any platform
+    whose pow rounds as that one's does.  The ranges sweep [2 km, 200 km]
+    from the radar, and with them the SNR; each radar has its own carrier
+    frequency, pulse length and angle noise."""
+    base = RadarConfig()
+    position = np.array(base.position)
+    velocity = np.array([100.0, 50.0, -20.0])
+    points = [TruthPoint(0.0, position + [d, 0.0, 0.0], velocity, Phase.BOOST)
+              for d in np.geomspace(2e3, 2e5, 2000)]
+    bandwidth = 1e6
+    rate_apart = 0
+    for carrier_freq, pulse_duration, angle_noise_std in [
+        (1e10, 1e-4, 0.002), (3e9, 2e-4, 0.003), (3.5e10, 5e-5, 0.0007), (9.4e9, 1.7e-4, 0.005)
+    ]:
+        radar = replace(base, carrier_freq=carrier_freq, pulse_duration=pulse_duration,
+                        angle_noise_std=angle_noise_std)
+        truth = TruthSide(points, radar)
+        ratios = [radar.range_ref / distance for distance in truth.range]
+        assert truth.snr == [radar.snr_ref * ratio**4 for ratio in ratios]
+        column = truth.columns(np.array([bandwidth]))[0]
+        r = truth.table[0, :, column]
+        want = np.array([python_noise_var(bandwidth, snr, radar) for snr in truth.snr])
+        assert r.tobytes() == want.tobytes()
+        sigmas = [SPEED_OF_LIGHT / (2.0 * carrier_freq * pulse_duration * math.sqrt(2.0 * snr))
+                  for snr in truth.snr]
+        rate_apart += any(s**2 != s * s for s in sigmas)
+    assert rate_apart > 0
+    assert any(ratio**4 != ratio * ratio * ratio * ratio for ratio in ratios)
+    assert any(ratio**4 != (ratio * ratio) * (ratio * ratio) for ratio in ratios)
+    angles = np.geomspace(1e-4, 1e-2, 4000).tolist()
+    for angle in angles:
+        r = measurement_noise_var(bandwidth, 100.0, replace(base, angle_noise_std=angle))
+        assert r[2:].tolist() == [angle**2, angle**2], angle
+    assert any(angle**2 != angle * angle for angle in angles)
 
 
 def test_columns_of_arrays_are_columns_one_at_a_time(hard):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,8 +135,11 @@ class TestDiscretizer:
         d = Discretizer.from_samples(pred, meas)
         assert len(d.pred_var_edges) == 9
         assert len(d.meas_var_edges) == 7
-        assert d.pred_var_edges[0] == pytest.approx(np.percentile(pred, 1.0))
-        assert d.pred_var_edges[-1] == pytest.approx(np.percentile(pred, 99.0))
+        # np.geomspace sets its endpoints exactly
+        assert d.pred_var_edges[0] == np.percentile(pred, 1.0)
+        assert d.pred_var_edges[-1] == np.percentile(pred, 99.0)
+        assert d.meas_var_edges[0] == np.percentile(meas, 1.0)
+        assert d.meas_var_edges[-1] == np.percentile(meas, 99.0)
         ratios = np.diff(np.log(d.pred_var_edges))
         assert ratios == pytest.approx(np.full(8, ratios[0]))
 
@@ -157,6 +161,109 @@ class TestDiscretizer:
                 pred_var_edges=tuple(float(e) for e in kwargs["pred_var_edges"]),
                 meas_var_edges=tuple(float(e) for e in kwargs["meas_var_edges"]),
             )
+
+
+class TestPercentiles:
+    """``policy._percentiles`` against ``np.percentile``, its oracle, bit for
+    bit, and ``from_samples`` against the edges ``np.percentile`` gives."""
+
+    @staticmethod
+    def assert_as_numpy(samples, percents=(1.0, 99.0)):
+        samples = np.asarray(samples, dtype=float)
+        before = samples.copy()
+        got = np.array(policy_module._percentiles(samples, percents))
+        want = np.percentile(samples, list(percents))
+        assert got.tobytes() == want.tobytes(), (got, want)
+        assert samples.tobytes() == before.tobytes()  # the input is not modified
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 100, 101, 102, 1000, 1001])
+    def test_small_and_exact_indices(self, n):
+        """n = 101 puts (n - 1) 0.01 on an integer; n = 2 and 3 put both
+        percentiles between the same two values."""
+        rng = np.random.default_rng(n)
+        self.assert_as_numpy(rng.lognormal(3.0, 2.0, n))
+        self.assert_as_numpy(rng.lognormal(3.0, 2.0, n), (0.0, 1.0, 50.0, 99.0, 100.0))
+
+    def test_gamma_one_half(self):
+        """n = 51: (n - 1) 0.01 = 0.5 and (n - 1) 0.99 = 49.5, where numpy's
+        interpolation switches to its upper branch."""
+        n = 51
+        assert (n - 1) * 0.01 == 0.5 and (n - 1) * 0.99 == 49.5
+        self.assert_as_numpy(np.random.default_rng(51).lognormal(0.0, 3.0, n))
+        self.assert_as_numpy(np.geomspace(1e-3, 1e3, n)[::-1])
+
+    def test_ties_and_equal_samples(self):
+        rng = np.random.default_rng(7)
+        self.assert_as_numpy(np.round(rng.lognormal(0.0, 1.0, 997), 1))
+        self.assert_as_numpy(np.repeat([1.0, 2.0, 3.0], [5, 1, 500]))
+        self.assert_as_numpy(np.full(300, 0.1))
+        self.assert_as_numpy([0.0, -0.0, 0.0, -0.0])
+        self.assert_as_numpy([-0.0, -0.0, 1.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 51, 101, 1000])
+    def test_infinities(self, n):
+        rng = np.random.default_rng(n)
+        for bad in ([np.inf], [-np.inf], [np.inf, -np.inf], [np.inf] * n, [-np.inf] * n):
+            samples = rng.lognormal(0.0, 1.0, n)
+            samples[rng.choice(n, len(bad), replace=False)] = bad
+            with np.errstate(invalid="ignore"):  # numpy's own inf - inf warns
+                self.assert_as_numpy(samples)
+
+    @pytest.mark.parametrize("n", [2, 3, 51, 101, 1000])
+    def test_nan_gives_nan_and_the_same_error(self, n):
+        rng = np.random.default_rng(n)
+        for count in (1, n):
+            samples = rng.lognormal(0.0, 1.0, n)
+            samples[rng.choice(n, count, replace=False)] = np.nan
+            self.assert_as_numpy(samples)
+            assert np.isnan(policy_module._percentiles(samples, (1.0, 99.0))).all()
+            for pred, meas in ((samples, rng.lognormal(0.0, 1.0, n)),
+                               (rng.lognormal(0.0, 1.0, n), samples)):
+                with pytest.raises(ValueError, match="calibration samples must spread over positives"):
+                    Discretizer.from_samples(pred, meas)
+
+    def test_random_samples(self):
+        """Lognormal samples of 2 to 20,000 values, every third rounded so
+        that values tie, at the calibration percentiles and at random ones."""
+        rng = np.random.default_rng(25)
+        for i in range(300):
+            n = int(rng.integers(2, 20_001 if i % 10 == 0 else 400))
+            samples = rng.lognormal(rng.normal(0.0, 5.0), rng.uniform(0.1, 3.0), n)
+            if i % 3 == 0:
+                samples = np.round(samples, int(rng.integers(0, 3)))
+            self.assert_as_numpy(samples)
+            self.assert_as_numpy(samples, tuple(rng.uniform(0.0, 100.0, 3).tolist()))
+
+    def test_from_samples_as_numpy(self):
+        """The edges are ``np.geomspace`` between ``np.percentile``'s 1st and
+        99th percentiles, byte for byte."""
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 51, 101, 5000):
+            pred, meas = rng.lognormal(5.0, 2.0, n), rng.lognormal(2.0, 1.0, n)
+            d = Discretizer.from_samples(pred, meas)
+            for got, samples, n_edges in ((d.pred_var_edges, pred, 9), (d.meas_var_edges, meas, 7)):
+                want = np.geomspace(*np.percentile(samples, [1.0, 99.0]), n_edges)
+                assert np.array(got).tobytes() == want.tobytes()
+
+    def test_strided_record_fields(self):
+        """The pooled fields of a campaign's records, strided views as
+        ``calibrate_discretizer`` passes them, give ``np.percentile``'s bits
+        and edges."""
+        sc = default_scenario()
+        policies = [FixedPolicy(bw, sc.radar.min_bw, sc.radar.max_bw)
+                    for bw in sc.actions.bandwidths]
+        trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+        episode = replace(sc.episode, n_transmissions=40)
+        records = experiment.seeded_runs(policies, range(6), 0, trajectory, sc.radar,
+                                         sc.process, episode).records
+        d = Discretizer.from_samples(records["pred_var"], records["meas_var"])
+        for field, got, n_edges in (("pred_var", d.pred_var_edges, 9),
+                                    ("meas_var", d.meas_var_edges, 7)):
+            samples = records[field]
+            assert samples.strides != (samples.itemsize,)
+            self.assert_as_numpy(samples)
+            want = np.geomspace(*np.percentile(samples, [1.0, 99.0]), n_edges)
+            assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestReward:

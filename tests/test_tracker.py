@@ -163,7 +163,8 @@ def process_noise(model, phase):
 
 
 class TestProcessModelMatrices:
-    """F and Q(phase) are built once per model and stay fixed."""
+    """F, its contiguous transpose F_T and Q(phase) are built once per model
+    and stay fixed."""
 
     MODEL = ProcessModel(
         dt=0.5,
@@ -172,6 +173,8 @@ class TestProcessModelMatrices:
 
     def test_match_formulas(self):
         assert np.array_equal(self.MODEL.F, transition_matrix(self.MODEL))
+        assert np.array_equal(self.MODEL.F_T, transition_matrix(self.MODEL).T)
+        assert self.MODEL.F_T.flags.c_contiguous
         for phase in Phase:
             assert np.array_equal(self.MODEL.Q[phase], process_noise(self.MODEL, phase))
 
@@ -183,7 +186,7 @@ class TestProcessModelMatrices:
         self.test_match_formulas()
 
     def test_in_place_writes_refused(self):
-        for matrix in (self.MODEL.F, *self.MODEL.Q.values()):
+        for matrix in (self.MODEL.F, self.MODEL.F_T, *self.MODEL.Q.values()):
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = 1.0
         self.test_match_formulas()
@@ -191,10 +194,31 @@ class TestProcessModelMatrices:
     def test_equality_and_repr_see_fields_only(self):
         twin = ProcessModel(dt=0.5, accel_noise_std=dict(self.MODEL.accel_noise_std))
         assert twin == self.MODEL
-        assert "F" not in [f.name for f in dataclasses.fields(ProcessModel)]
+        assert [f.name for f in dataclasses.fields(ProcessModel)] == ["dt", "accel_noise_std"]
         assert repr(twin) == (
             f"ProcessModel(dt=0.5, accel_noise_std={self.MODEL.accel_noise_std!r})"
         )
+
+    def test_powers_are_float_powers(self):
+        """A sweep of 2000 models over dt in [0.01, 2] and 6000 noise
+        standard deviations in [0.1, 100]: each Q(phase) has the bytes of the
+        oracle, whose std**2 and dt**2, dt**3 and dt**4 are Python-float
+        powers, libm's pow.  The sweep reaches values whose pow does not
+        round as the product of factors does (on glibc 2.36: 6 standard
+        deviations, 2 dt for the square and hundreds for the third and fourth
+        powers), so a model built on products fails here on any platform
+        whose pow rounds as that one's does."""
+        dts = np.geomspace(0.01, 2.0, 2000).tolist()
+        stds = np.geomspace(0.1, 100.0, 3 * len(dts)).tolist()
+        for i, dt in enumerate(dts):
+            model = ProcessModel(dt=dt, accel_noise_std=dict(zip(Phase, stds[3 * i : 3 * i + 3])))
+            for phase in Phase:
+                assert model.Q[phase].tobytes() == process_noise(model, phase).tobytes(), dt
+        assert any(std**2 != std * std for std in stds)
+        assert any(dt**2 != dt * dt for dt in dts)
+        assert any(dt**3 != dt * dt * dt for dt in dts)
+        assert any(dt**4 != (dt * dt) * (dt * dt) for dt in dts)
+        assert any(dt**4 != dt * dt * dt * dt for dt in dts)
 
     @pytest.mark.parametrize(
         "dt, std, field",
