@@ -94,10 +94,11 @@ def write_json(path: str, doc) -> None:
 
 
 def read_json(path: str, keys: Sequence[str], what: str):
-    """Parse a JSON file and check that it has every one of ``keys``; the
-    error names the missing keys and ``what`` kind of file it is."""
+    """Parse a JSON file and check that it is an object with every one of
+    ``keys``; the error names ``what`` kind of file it is."""
     with open(path) as handle:
         doc = json.load(handle)
+    require_object(f"{what} file", doc)
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{what} file missing keys: {missing}")

@@ -97,11 +97,12 @@ def _lane_observe(x: np.ndarray, radar_position: np.ndarray) -> tuple[np.ndarray
 
 def _lane_predict(x: np.ndarray, P: np.ndarray, model: ProcessModel, phase: Phase) -> tuple:
     """``tracker.predict`` over lanes, product for product, less its check.
-    The stacked product takes F' as a contiguous copy, which broadcasts
-    faster than the transposed view that the scalar ``predict`` uses.  That
-    the two layouts give the same bits is BLAS behaviour, not a guarantee:
-    it held for OpenBLAS 0.3.31 on one x86-64 Xeon, and the lane-vs-scalar
-    byte tests in tests/test_lockstep.py check it on each machine they run on."""
+    Both kernels take F' as the contiguous copy ``model.F_T``, which
+    broadcasts faster than the transposed view ``F.T``.  That the two
+    layouts give the same bits, as the package did before it took the copy,
+    is BLAS behaviour, not a guarantee: it held for OpenBLAS 0.3.31 on one
+    x86-64 Xeon, and ``tests/dwell_oracle.predict``, which keeps ``F.T``,
+    and the trained-table digests check it on each machine they run on."""
     F = model.F
     P = F @ P @ model.F_T + model.Q[phase]
     return (F @ x[:, :, None])[:, :, 0], 0.5 * (P + P.transpose(0, 2, 1))

@@ -63,14 +63,19 @@ def _geometry(state: np.ndarray, radar_position: tuple | np.ndarray) -> tuple[fl
     return dx, dy, dz, vx, vy, vz, rng
 
 
+def _observe(state: np.ndarray, radar_position: tuple | np.ndarray) -> tuple[float, ...]:
+    """:func:`observe`'s four values as Python floats."""
+    dx, dy, dz, vx, vy, vz, rng = _geometry(state, radar_position)
+    return (rng, (dx * vx + dy * vy + dz * vz) / rng,
+            math.atan2(dy, dx), math.asin(dz / rng))
+
+
 def observe(state: np.ndarray, radar_position: tuple | np.ndarray) -> np.ndarray:
     """Noise-free measurement (range, range rate, azimuth, elevation).
 
     ``state`` is the 6-vector [position; velocity].
     """
-    dx, dy, dz, vx, vy, vz, rng = _geometry(state, radar_position)
-    return np.array([rng, (dx * vx + dy * vy + dz * vz) / rng,
-                     math.atan2(dy, dx), math.asin(dz / rng)])
+    return np.array(_observe(state, radar_position))
 
 
 def observe_jacobian(state: np.ndarray, radar_position: tuple | np.ndarray) -> np.ndarray:
@@ -216,8 +221,9 @@ def measure(
         [column] = truth.columns([bandwidth])
     r = truth.table[0, k, column]  # two basic indexes: unpacking would cost more
     z = truth.z_true[k] + truth.table[1, k, column] * rng.standard_normal(4)
-    if z[0] <= 0.0:
+    range_m, _, _, elevation = z.tolist()  # Python floats compare faster
+    if range_m <= 0.0:
         raise ValueError("measured range must be > 0")
-    if not -np.pi / 2.0 < z[3] < np.pi / 2.0:
+    if not -np.pi / 2.0 < elevation < np.pi / 2.0:
         raise ValueError("elevation out of (-pi/2, pi/2)")
     return z, r

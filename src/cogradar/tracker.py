@@ -11,6 +11,7 @@ episodes never share state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +19,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .fileio import require_float
-from .radar import RadarConfig, observe
+# observe is not called here, but stays in this namespace: perfbench/hooks.py
+# wraps tracker.observe by name
+from .radar import RadarConfig, _observe, observe
 from .trajectory import Phase
 
 _MAX_CONDITION = 1e12
@@ -27,7 +30,7 @@ _MAX_CONDITION = 1e12
 # OpenBLAS 0.3.31), where a one-S call took 10 us by eigenvalues, 25 certified.
 _CERTIFY_MIN_LANES = 12
 _CERTIFY_SHIFT = 1e-11  # mu = 1e-11 tr(S), 10x inside the condition bound
-_NORMAL_MIN = np.finfo(float).tiny  # the smallest normal double, 2^-1022
+_NORMAL_MIN = sys.float_info.min  # the smallest normal double, 2^-1022
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
 INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
@@ -103,7 +106,7 @@ def predict(
     x = F x, P = F P F' + Q(phase), symmetrized."""
     require_finite(x, P)
     F = model.F
-    P = np.dot(np.dot(F, P), F.T) + model.Q[phase]
+    P = np.dot(np.dot(F, P), model.F_T) + model.Q[phase]
     return np.dot(F, x), 0.5 * (P + P.T)
 
 
@@ -122,11 +125,10 @@ def range_variance(H: np.ndarray, P: np.ndarray) -> float:
 
 def innovation(x: np.ndarray, z: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
     """Measurement residual at the predicted state, angles wrapped to (-pi, pi]."""
-    nu = z - observe(x, radar_position)
-    _, _, azimuth, elevation = nu.tolist()  # Python floats wrap faster
-    nu[2] = wrap_angle(azimuth)
-    nu[3] = wrap_angle(elevation)
-    return nu
+    range_m, rate, azimuth, elevation = z.tolist()  # no h array; floats wrap faster
+    h_range, h_rate, h_azimuth, h_elevation = _observe(x, radar_position)
+    return np.array([range_m - h_range, rate - h_rate, wrap_angle(azimuth - h_azimuth),
+                     wrap_angle(elevation - h_elevation)])
 
 
 def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
@@ -148,14 +150,16 @@ def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
     condition number <= 1e12, checked before the solve, which would warn on
     a singular S.
 
-    A stack of at least ``_CERTIFY_MIN_LANES`` (12) S is first certified
-    whole by ``_certified``: one Cholesky factor per S, shifted by
-    1e-11 tr(S).  A certified S has cond2 < 1.0003e11, so its eigenvalue
-    test would pass (the rounding argument is in CHANGES.md, "Certified
-    innovation covariances").  A stack with any lane uncertified, and every
-    smaller stack, is tested by its eigenvalues: each rejection is theirs,
-    with the same message, in the same order."""
-    if not (S.ndim == 3 and len(S) >= _CERTIFY_MIN_LANES and _certified(S)):
+    S is first certified by a Cholesky factor of S - mu I, mu = 1e-11 tr(S):
+    one S by ``_certified_one`` on Python floats, a stack of at least
+    ``_CERTIFY_MIN_LANES`` (12) S whole by ``_certified``.  A certified S has
+    cond2 < 1.0003e11, so its eigenvalue test would pass (the rounding
+    argument is in CHANGES.md, "Certified innovation covariances").  An
+    uncertified S, a stack with any lane uncertified, and every smaller
+    stack are tested by their eigenvalues: each rejection is theirs, with
+    the same message, in the same order."""
+    if not (_certified_one(S.ravel().tolist()) if S.ndim == 2
+            else len(S) >= _CERTIFY_MIN_LANES and _certified(S)):
         lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
         # a NaN eigenvalue fails the first test
         for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
@@ -177,6 +181,34 @@ def _certified(S: np.ndarray) -> bool:
     return np.count_nonzero((shift >= _NORMAL_MIN) & (L[:, 3, 3] > 0.0)) == len(S)
 
 
+def _certified_one(S: list[float]) -> bool:
+    """``_certified`` for one S, given row by row as 16 floats of which it
+    reads the lower triangle, as ``cholesky_lo`` does: True when
+    mu = 1e-11 tr(S) is a normal double and every pivot of the Cholesky
+    factor of S - mu I is > 0.  A NaN fails these tests, and a non-finite
+    entry of the factor makes a later pivot NaN or -inf, so a certified
+    factor is finite with a positive diagonal."""
+    s00, _, _, _, s10, s11, _, _, s20, s21, s22, _, s30, s31, s32, s33 = S
+    shift = _CERTIFY_SHIFT * (s00 + s11 + s22 + s33)
+    if not shift >= _NORMAL_MIN:
+        return False
+    pivot = s00 - shift
+    if not pivot > 0.0:
+        return False
+    l00 = math.sqrt(pivot)
+    l10, l20, l30 = s10 / l00, s20 / l00, s30 / l00
+    pivot = (s11 - shift) - l10 * l10
+    if not pivot > 0.0:
+        return False
+    l11 = math.sqrt(pivot)
+    l21, l31 = (s21 - l20 * l10) / l11, (s31 - l30 * l10) / l11
+    pivot = (s22 - shift) - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return False
+    l32 = (s32 - l30 * l20 - l31 * l21) / math.sqrt(pivot)
+    return (s33 - shift) - l30 * l30 - l31 * l31 - l32 * l32 > 0.0
+
+
 def update(
     x: np.ndarray, P: np.ndarray, r: np.ndarray, H: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +216,16 @@ def update(
     variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
     predicted state."""
     PHt = np.dot(P, H.T)
-    S = np.dot(H, PHt)
-    S = 0.5 * (S + S.T)
-    S.reshape(16)[::5] += r  # a view of the diagonal: S = H P H' + diag(r)
+    # S = (H P H' + (H P H')')/2 + diag(r), entry for entry on Python floats
+    (s00, s01, s02, s03, s10, s11, s12, s13,
+     s20, s21, s22, s23, s30, s31, s32, s33) = np.dot(H, PHt).ravel().tolist()
+    r0, r1, r2, r3 = r.tolist()
+    s01, s02, s03 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
+    s12, s13, s23 = 0.5 * (s12 + s21), 0.5 * (s13 + s31), 0.5 * (s23 + s32)
+    S = np.array([0.5 * (s00 + s00) + r0, s01, s02, s03,
+                  s01, 0.5 * (s11 + s11) + r1, s12, s13,
+                  s02, s12, 0.5 * (s22 + s22) + r2, s23,
+                  s03, s13, s23, 0.5 * (s33 + s33) + r3]).reshape(4, 4)
     K = kalman_gain(S, PHt)
 
     I_KH = _EYE6 - np.dot(K, H)

@@ -7,12 +7,16 @@ The package must equal these byte for byte.  The trimmed forms reach the
 same library routines with the same operands: ``np.dot`` and ``@`` on 2-D
 and 1-D float64 arrays both call cblas ``dgemm``/``dgemv``/``ddot``; the
 angle wrap on Python floats and on numpy scalars are both ``fmod`` with the
-same sign fix; and the diagonal of S gets the same four additions through
-a view as through ``S.flat``.
+same sign fix; and the residual, S's symmetrization and the four additions
+to its diagonal are the same IEEE operations on Python floats as on numpy
+arrays.  One operand differs in layout: the package's ``predict`` takes F'
+as the contiguous ``model.F_T`` and ``predict`` here the view ``F.T``; that
+the two give the same bits is BLAS behaviour, which the byte tests against
+this module check wherever they run.
 
-``kalman_gain`` is the gain as it was before a stack of S could be
-certified by a shifted Cholesky factor: every S, one or a stack, is
-decided by its eigenvalues.  The package must raise where it raises, with
+``kalman_gain`` is the gain as it was before an S could be certified by a
+shifted Cholesky factor: every S, one or a stack, is decided by its
+eigenvalues.  The package must raise where it raises, with
 the same error, and return the same K bytes where it returns.
 """
 

@@ -213,6 +213,29 @@ class TestShapeFields:
         assert not os.path.exists(out)
 
 
+class TestTopLevelObject:
+    """An edges file, a Q-table or a scenario whose JSON is not an object
+    exits 2, and the message names the kind of file."""
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"pred_var_edges meas_var_edges"'],
+                             ids=["number", "null", "array", "string"])
+    @pytest.mark.parametrize("kind", ["edges", "Q-table", "scenario"])
+    def test_rejected(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        out = str(tmp_path / "out")
+        argv = {
+            "edges": ["train", "--edges", str(path), "--runs", "1", *FAST, "--out", out],
+            "Q-table": ["evaluate", "--policy", f"qlearn:{path}", "--runs", "1", *FAST,
+                        "--out", out],
+            "scenario": ["evaluate", "--policy", "fixed:1e6", "--config", str(path),
+                         "--runs", "1", *FAST, "--out", out],
+        }[kind]
+        assert run(*argv) == 2
+        assert f"cogradar: error: {kind} file must be an object, got " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestPhaseNames:
     def test_unknown_phase_rejected(self, capsys, tmp_path):
         code, out = train_on_rewritten_input(

@@ -68,6 +68,14 @@ class TestReadJson:
             read_json(str(path), ("a", "b", "c"), "Q-table")
         assert str(info.value) == "Q-table file missing keys: ['a', 'c']"
 
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"a b"'])
+    def test_names_file_kind_of_a_non_object(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(TypeError) as info:
+            read_json(str(path), ("a", "b"), "edges")
+        assert str(info.value) == f"edges file must be an object, got {json.loads(text)!r}"
+
     def test_no_keys_checks_nothing(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text("{}")

@@ -1,7 +1,7 @@
 """The shared kernels of the dwell against the calls they replace, byte for
 byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
-and ``eigvalsh``, its decisions on stacks it certifies against the
-eigenvalue-only gain kept in ``dwell_oracle``, and the campaign's
+and ``eigvalsh``, its decisions on the one S and the stacks it certifies
+against the eigenvalue-only gain kept in ``dwell_oracle``, and the campaign's
 ``radar.TruthSide``, noise table included, against what a measurement
 computes per call.  Both kernels (the scalar loop and the lockstep lanes)
 read these, so a difference here would move every output.  Also the lanes'
@@ -65,22 +65,26 @@ def test_gain_matches_linalg():
 
 def test_nan_eigenvalue_is_degenerate(monkeypatch):
     """LAPACK's gufunc returns NaN where the np.linalg wrapper raised; both
-    kernels must count such an S as degenerate, also in a stack the gain
+    kernels must count such an S as degenerate, also where the gain
     certifies first: S = diag(2, 2, 2, 5e-12) has cond 4e11, inside the
-    bound, but its shifted Cholesky factor fails, so the stack goes to its
-    eigenvalues, and NaN ones raise there."""
+    bound, but its shifted Cholesky factor fails, on floats for one S and
+    by LAPACK for a stack, so it goes to its eigenvalues, and NaN ones raise
+    there."""
     H = np.hstack([np.eye(4), np.zeros((4, 2))])
     x, P, r, nu = np.zeros(6), np.eye(6), np.ones(4), np.zeros(4)
     P_wide, r_wide = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 5e-12])
     lanes = [np.repeat(array[None], LANES, axis=0) for array in (x, P_wide, r_wide, H, nu)]
-    assert not tracker._certified(np.repeat(np.diag([2.0, 2.0, 2.0, 5e-12])[None], LANES, axis=0))
-    lockstep._lane_update(*lanes)  # the real eigenvalues pass it
+    S_wide = np.diag([2.0, 2.0, 2.0, 5e-12])
+    assert not tracker._certified_one(S_wide.ravel().tolist())
+    assert not tracker._certified(np.repeat(S_wide[None], LANES, axis=0))
+    update(x, P_wide, r_wide, H, nu)  # the real eigenvalues pass it
+    lockstep._lane_update(*lanes)
     linalg = tracker._umath_linalg
     monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
         eigvalsh_lo=lambda S: np.full(S.shape[:-1], np.nan), cholesky_lo=linalg.cholesky_lo,
         solve=linalg.solve))
     with pytest.raises(DegenerateInnovationError):
-        update(x, P, r, H, nu)
+        update(x, P_wide, r_wide, H, nu)
     with pytest.raises(DegenerateInnovationError):
         lockstep._lane_update(x[None], P[None], r[None], H[None], nu[None])
     with pytest.raises(DegenerateInnovationError):
@@ -252,7 +256,7 @@ def test_certificate_needs_a_normal_shift():
     shift 1e-11 tr(S) underflows to zero or to a subnormal, a shifted
     Cholesky factor of such an S can succeed, because the rounding there is
     no longer relative.  The certificate asks for a normal shift, so these
-    go to their eigenvalues and are rejected."""
+    go to their eigenvalues and are rejected, one S as well as a stack."""
     rng = np.random.default_rng(55)
     bad = []
     for _ in range(20_000):
@@ -270,6 +274,10 @@ def test_certificate_needs_a_normal_shift():
     S += np.tril(S, -1).T
     assert 0.0 < tracker._CERTIFY_SHIFT * np.trace(S) < tracker._NORMAL_MIN
     assert len(bad) == 3 and set(_assert_decides_as_oracle([*bad, S], rng)) == {"rejected"}
+    for one in [*bad, S]:
+        assert not tracker._certified_one(one.ravel().tolist())
+        want = _decision(oracle_gain, one, np.zeros((6, 4)))
+        assert isinstance(want, tuple) and _decision(kalman_gain, one, np.zeros((6, 4))) == want
 
 
 def test_frozen_compare_certifies_every_large_stack(tmp_path, monkeypatch):
@@ -299,6 +307,96 @@ def test_frozen_compare_certifies_every_large_stack(tmp_path, monkeypatch):
     assert [m for m in by_eigenvalues if m >= tracker._CERTIFY_MIN_LANES] == []
 
 
+def _one_s_cases(rng):
+    """Random symmetric 4x4 S of every kind one S can be: positive definite
+    with cond2 log-uniform over 1..1e13, randomly oriented or with a real
+    S's spread; indefinite; singular of rank 0 to 3; with a NaN or an
+    infinity on the diagonal or off it; with a subnormal trace; and with
+    entries so large that the trace or the factor overflows."""
+    cases = [_covariance(rng, c, tilt) for c in 10.0 ** rng.uniform(0.0, 13.0, 300)
+             for tilt in (None, 1e-3)]
+    for negative in 10.0 ** rng.uniform(-12.0, 1.0, 40):
+        Q = _orthogonal(rng)
+        cases.append((Q * np.array([5.0, 2.0, 1.0, -negative])) @ Q.T)
+    for rank in (0, 1, 2, 3) * 10:
+        B = rng.standard_normal((4, rank)) * 10.0 ** rng.uniform(-3.0, 6.0)
+        cases.append(B @ B.T)
+    for value in (np.nan, np.inf, -np.inf) * 20:
+        S = _covariance(rng, 10.0 ** rng.uniform(0.0, 9.0), tilt=1e-3)
+        i, j = rng.integers(0, 4, 2)
+        S[i, j] = S[j, i] = value
+        cases.append(S)
+    for scale in 10.0 ** rng.uniform(-323.0, -300.0, 40):
+        B = rng.standard_normal((4, int(rng.integers(1, 5))))  # rank 1 to 4
+        cases.append((B @ B.T) * scale)
+    for scale in 10.0 ** rng.uniform(150.0, 305.0, 40):
+        cases.append(_covariance(rng, 10.0 ** rng.uniform(0.0, 6.0)) / 1e6 * scale)
+    cases = [0.5 * (S + S.T) for S in cases]
+    for top in 10.0 ** rng.uniform(307.0, 308.2, 10):  # tr(S) overflows from 9.1e307 on
+        cases.append(np.diag([top, top / 3.0, top / 7.0, top / 2.0]))
+    for tiny in 10.0 ** rng.uniform(-320.0, -250.0, 10):  # l10 * l10 overflows
+        S = np.eye(4)
+        S[0, 0], S[1, 0], S[0, 1] = tiny, 1e5, 1e5
+        cases.append(S)
+    return cases
+
+
+def test_one_certificate_decides_as_the_eigenvalues():
+    """One S, as the scalar ``update`` passes it, decided by the certificate
+    on Python floats: the gain raises what the eigenvalue-only oracle
+    raises, with its message and its warnings, and returns the same K bytes
+    where the oracle returns; every S the certificate accepts is one the
+    oracle passes.  The cases reach all three paths, and every positive
+    definite S with cond2 <= 1e9 of normal scale is certified."""
+    rng = np.random.default_rng(56)
+    paths = []
+    for S in _one_s_cases(rng):
+        PHt = rng.standard_normal((6, 4)) * 1e3
+        want = _decision(oracle_gain, S, PHt)
+        assert _decision(kalman_gain, S, PHt) == want, S
+        certified = tracker._certified_one(S.ravel().tolist())
+        assert not (certified and isinstance(want, tuple)), S
+        paths.append("certified" if certified else
+                     "rejected" if isinstance(want, tuple) else "passed by eigenvalues")
+    assert {"certified", "passed by eigenvalues", "rejected"} == set(paths)
+    for c in 10.0 ** rng.uniform(0.0, 9.0, 200):
+        assert tracker._certified_one(_covariance(rng, c).ravel().tolist()), c
+
+
+def test_one_certificate_reads_the_lower_triangle():
+    """The float certificate reads S's lower triangle, as ``cholesky_lo`` and
+    ``eigvalsh_lo`` do: garbage above the diagonal changes no decision."""
+    rng = np.random.default_rng(57)
+    for S in _one_s_cases(rng)[::7]:
+        garbled = S.copy()
+        garbled[np.triu_indices(4, 1)] = rng.choice([np.nan, np.inf, -1e300, 0.0], 6)
+        assert (tracker._certified_one(garbled.ravel().tolist())
+                == tracker._certified_one(S.ravel().tolist()))
+
+
+def test_training_takes_no_eigenvalues(monkeypatch):
+    """20 lookahead training episodes on the default scenario decide every S
+    by the float certificate: with ``eigvalsh_lo`` made to raise, the table
+    trains, and to the bytes it has with the eigenvalues at hand."""
+    sc = default_scenario()
+    trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+    edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
+    tables = [sc.new_table(edges, lookahead=True) for _ in range(2)]
+    train_qlearning(trajectory, tables[0], sc.radar, sc.process, sc.episode, n_runs=20,
+                    base_seed=0)
+    linalg = tracker._umath_linalg
+
+    def eigvalsh_lo(S):
+        raise AssertionError("an S went to its eigenvalues")
+
+    monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
+        eigvalsh_lo=eigvalsh_lo, cholesky_lo=linalg.cholesky_lo, solve=linalg.solve))
+    train_qlearning(trajectory, tables[1], sc.radar, sc.process, sc.episode, n_runs=20,
+                    base_seed=0)
+    assert tables[0].values.tobytes() == tables[1].values.tobytes()
+    assert np.count_nonzero(tables[1].values) > 0
+
+
 @pytest.mark.parametrize("position", RADAR_POSITIONS)
 def test_lane_geometry_matches_scalar(position):
     """``lockstep._lane_observe`` on a stack of one and of many states: each
@@ -322,9 +420,10 @@ def test_products_match_the_lanes():
     products go through ``np.dot``, against the lanes' stacked ``@``: byte
     for byte on 200 random (x, P, H, r, nu), as 200 one-lane stacks, as one
     200-lane stack and as the stack of the lanes whose S is certified.  Both
-    kernels add r to S through a view of its diagonal.  One-lane gains are
-    decided by eigenvalues, and so is the 200-lane one, as some of its S
-    have a condition number above 1e11; the last stack is certified."""
+    kernels add r to S's diagonal.  One-lane gains are decided by
+    eigenvalues, and so is the 200-lane one, as some of its S have a
+    condition number above 1e11; the last stack is certified, and so is
+    the scalar ``update``'s one S where the float certificate accepts it."""
     rng = np.random.default_rng(33)
     scenario = default_scenario()
     x = random_states(200, seed=34)
