@@ -106,8 +106,8 @@ def predict(
     x = F x, P = F P F' + Q(phase), symmetrized."""
     require_finite(x, P)
     F = model.F
-    P = np.dot(np.dot(F, P), model.F_T) + model.Q[phase]
-    return np.dot(F, x), 0.5 * (P + P.T)
+    P = F.dot(P).dot(model.F_T) + model.Q[phase]
+    return F.dot(x), 0.5 * (P + P.T)
 
 
 def require_finite(x: np.ndarray, P: np.ndarray) -> None:
@@ -120,7 +120,7 @@ def require_finite(x: np.ndarray, P: np.ndarray) -> None:
 def range_variance(H: np.ndarray, P: np.ndarray) -> float:
     """(H P H')_rr: the covariance ``P`` projected on the range row of ``H``."""
     h = H[0]
-    return float(np.dot(np.dot(h, P), h))
+    return float(h.dot(P).dot(h))
 
 
 def innovation(x: np.ndarray, z: np.ndarray, radar_position: np.ndarray) -> np.ndarray:
@@ -144,22 +144,34 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
 
 
 def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
-    """K = P H' S^-1 for one 4x4 S and its P H', or a stack, from the LAPACK
+    """K = P H' S^-1 for a stack of 4x4 S and their P H', from the LAPACK
     gufuncs behind ``np.linalg``'s ``eigvalsh`` and ``solve``: the same bits
     at a third of the cost.  Every S must be positive definite with a 2-norm
     condition number <= 1e12, checked before the solve, which would warn on
     a singular S.
 
     S is first certified by a Cholesky factor of S - mu I, mu = 1e-11 tr(S):
-    one S by ``_certified_one`` on Python floats, a stack of at least
-    ``_CERTIFY_MIN_LANES`` (12) S whole by ``_certified``.  A certified S has
+    a stack of at least ``_CERTIFY_MIN_LANES`` (12) S whole by
+    ``_certified``.  A lone S is certified where the scalar ``update``
+    forms it, on its 16 Python floats, by ``_lone_gain``.  A certified S has
     cond2 < 1.0003e11, so its eigenvalue test would pass (the rounding
-    argument is in CHANGES.md, "Certified innovation covariances").  An
-    uncertified S, a stack with any lane uncertified, and every smaller
-    stack are tested by their eigenvalues: each rejection is theirs, with
-    the same message, in the same order."""
-    if not (_certified_one(S.ravel().tolist()) if S.ndim == 2
-            else len(S) >= _CERTIFY_MIN_LANES and _certified(S)):
+    argument is in CHANGES.md, "Certified innovation covariances").  A stack
+    with any lane uncertified, and every smaller stack, is tested by its
+    eigenvalues in ``_gain``: each rejection is theirs, with the same
+    message, in the same order."""
+    return _gain(S, PHt, len(S) >= _CERTIFY_MIN_LANES and _certified(S))
+
+
+def _lone_gain(S: list[float], PHt: np.ndarray) -> np.ndarray:
+    """``kalman_gain`` for one S given row by row as 16 Python floats, which
+    ``_certified_one`` decides as they are, with no trip through the array."""
+    return _gain(np.array(S).reshape(4, 4), PHt, _certified_one(S))
+
+
+def _gain(S: np.ndarray, PHt: np.ndarray, certified: bool) -> np.ndarray:
+    """The solve behind both gains, one S or a stack; S not ``certified``
+    is first tested by its eigenvalues."""
+    if not certified:
         lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
         # a NaN eigenvalue fails the first test
         for low, high in lam.reshape(-1, 4)[:, ::3].tolist():
@@ -215,22 +227,21 @@ def update(
     """Joseph-form EKF measurement update of the prior ``(x, P)`` with noise
     variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
     predicted state."""
-    PHt = np.dot(P, H.T)
+    PHt = P.dot(H.T)
     # S = (H P H' + (H P H')')/2 + diag(r), entry for entry on Python floats
     (s00, s01, s02, s03, s10, s11, s12, s13,
-     s20, s21, s22, s23, s30, s31, s32, s33) = np.dot(H, PHt).ravel().tolist()
+     s20, s21, s22, s23, s30, s31, s32, s33) = H.dot(PHt).ravel().tolist()
     r0, r1, r2, r3 = r.tolist()
     s01, s02, s03 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
     s12, s13, s23 = 0.5 * (s12 + s21), 0.5 * (s13 + s31), 0.5 * (s23 + s32)
-    S = np.array([0.5 * (s00 + s00) + r0, s01, s02, s03,
-                  s01, 0.5 * (s11 + s11) + r1, s12, s13,
-                  s02, s12, 0.5 * (s22 + s22) + r2, s23,
-                  s03, s13, s23, 0.5 * (s33 + s33) + r3]).reshape(4, 4)
-    K = kalman_gain(S, PHt)
+    K = _lone_gain([0.5 * (s00 + s00) + r0, s01, s02, s03,
+                    s01, 0.5 * (s11 + s11) + r1, s12, s13,
+                    s02, s12, 0.5 * (s22 + s22) + r2, s23,
+                    s03, s13, s23, 0.5 * (s33 + s33) + r3], PHt)
 
-    I_KH = _EYE6 - np.dot(K, H)
-    P = np.dot(np.dot(I_KH, P), I_KH.T) + np.dot(K * r, K.T)  # K R K' with R = diag(r)
-    return x + np.dot(K, nu), 0.5 * (P + P.T)
+    I_KH = _EYE6 - K.dot(H)
+    P = I_KH.dot(P).dot(I_KH.T) + (K * r).dot(K.T)  # K R K' with R = diag(r)
+    return x + K.dot(nu), 0.5 * (P + P.T)
 
 
 def initialize_track(z: np.ndarray, radar: RadarConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,10 @@ loop as the package computed them before the dwell was trimmed of
 interpreter work.
 
 The package must equal these byte for byte.  The trimmed forms reach the
-same library routines with the same operands: ``np.dot`` and ``@`` on 2-D
-and 1-D float64 arrays both call cblas ``dgemm``/``dgemv``/``ddot``; the
+same library routines with the same operands: the package's
+``ndarray.dot`` (the same ``PyArray_MatrixProduct2`` entry as ``np.dot``,
+without ``np.dot``'s Python-level dispatch) and ``@`` here, on 2-D and 1-D
+float64 arrays, both call cblas ``dgemm``/``dgemv``/``ddot``; the
 angle wrap on Python floats and on numpy scalars are both ``fmod`` with the
 same sign fix; and the residual, S's symmetrization and the four additions
 to its diagonal are the same IEEE operations on Python floats as on numpy

@@ -1,9 +1,9 @@
 """The scalar dwell against ``dwell_oracle``, the forms it had before its
 interpreter work was trimmed: byte for byte, function by function on random
-inputs, and whole runs, trained lookahead tables and frozen policies, with
-equal records and equal Q-values.  Both sides make the same library calls
-and the same floating-point operations (see ``dwell_oracle``), so no bit
-may differ."""
+inputs, and whole runs, tables trained by both learners and frozen
+policies, with equal records and equal Q-values.  Both sides make the same
+library calls and the same floating-point operations (see
+``dwell_oracle``), so no bit may differ."""
 
 import numpy as np
 import pytest
@@ -78,15 +78,16 @@ def test_choose_matches_the_reference(hard):
                 == reference.choose(pred_var, meas_var, True, 1e6, 0, rng_reference))
 
 
-def test_training_matches_the_reference_loop(hard):
-    """Twelve epsilon-greedy lookahead episodes through ``seeded_run`` and
-    through the reference loop, each on its own copy of a fresh table: every
-    run's records and ``lost_at`` are equal, and so are the trained tables,
-    lost runs' final -C backups included."""
+@pytest.mark.parametrize("lookahead", [False, True], ids=["qlearn", "lookahead"])
+def test_training_matches_the_reference_loop(hard, lookahead):
+    """Twelve epsilon-greedy episodes of each learner through ``seeded_run``
+    and through the reference loop, each on its own copy of a fresh table:
+    every run's records and ``lost_at`` are equal, and so are the trained
+    tables, lost runs' final -C backups included."""
     scenario, truth = hard
     edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
-    lean = QLearningPolicy(scenario.new_table(edges, lookahead=True))
-    reference = oracle.QLearningPolicyOracle(scenario.new_table(edges, lookahead=True))
+    lean = QLearningPolicy(scenario.new_table(edges, lookahead=lookahead))
+    reference = oracle.QLearningPolicyOracle(scenario.new_table(edges, lookahead=lookahead))
     models = (scenario.radar, scenario.process, scenario.episode)
     lost = 0
     for i in range(12):
@@ -97,7 +98,7 @@ def test_training_matches_the_reference_loop(hard):
         assert got.records.dtype == want.records.dtype, i
         assert got.records.tobytes() == want.records.tobytes(), i
         lost += got.lost_at is not None
-    assert lost and lean.table.hyperparams.L == 5
+    assert lost and lean.table.hyperparams.L == (5 if lookahead else 1)
     assert np.count_nonzero(lean.table.values) > 50
     assert lean.table.values.tobytes() == reference.table.values.tobytes()
 

@@ -1,9 +1,9 @@
 """The shared kernels of the dwell against the calls they replace, byte for
 byte: ``tracker.kalman_gain`` and its eigenvalues against ``np.linalg.solve``
-and ``eigvalsh``, its decisions on the one S and the stacks it certifies
-against the eigenvalue-only gain kept in ``dwell_oracle``, and the campaign's
-``radar.TruthSide``, noise table included, against what a measurement
-computes per call.  Both kernels (the scalar loop and the lockstep lanes)
+and ``eigvalsh``, its decisions on the stacks it certifies and those of
+``update``'s gain on its one S against the eigenvalue-only gain kept in
+``dwell_oracle``, and the campaign's ``radar.TruthSide``, noise table
+included, against what a measurement computes per call.  Both kernels (the scalar loop and the lockstep lanes)
 read these, so a difference here would move every output.  Also the lanes'
 geometry against the scalar ``observe``, ``observe_jacobian`` and range
 error."""
@@ -48,14 +48,20 @@ def random_gain_inputs(rng, m):
     return 0.5 * (S + S.transpose(0, 2, 1)), rng.standard_normal((m, 6, 4)) * 1e3
 
 
+def lone_gain(S, PHt):
+    """The gain of one S as the scalar ``update`` takes it, from S's 16 floats."""
+    return tracker._lone_gain(S.ravel().tolist(), PHt)
+
+
 def test_gain_matches_linalg():
     """The gain, and the eigenvalues its condition check reads, are
-    ``np.linalg``'s bits, for one S and for a stack as the lanes pass it."""
+    ``np.linalg``'s bits, for one S as ``update`` passes it and for a stack
+    as the lanes pass it."""
     S, PHt = random_gain_inputs(np.random.default_rng(21), 300)
     for one_S, one_PHt in zip(S, PHt):
         assert (tracker._umath_linalg.eigvalsh_lo(one_S).tobytes()
                 == np.linalg.eigvalsh(one_S).tobytes())
-        K = kalman_gain(one_S, one_PHt)
+        K = lone_gain(one_S, one_PHt)
         assert K.tobytes() == np.linalg.solve(one_S, one_PHt.T).T.tobytes()
     assert tracker._umath_linalg.eigvalsh_lo(S).tobytes() == np.linalg.eigvalsh(S).tobytes()
     K = kalman_gain(S, PHt)
@@ -277,7 +283,7 @@ def test_certificate_needs_a_normal_shift():
     for one in [*bad, S]:
         assert not tracker._certified_one(one.ravel().tolist())
         want = _decision(oracle_gain, one, np.zeros((6, 4)))
-        assert isinstance(want, tuple) and _decision(kalman_gain, one, np.zeros((6, 4))) == want
+        assert isinstance(want, tuple) and _decision(lone_gain, one, np.zeros((6, 4))) == want
 
 
 def test_frozen_compare_certifies_every_large_stack(tmp_path, monkeypatch):
@@ -342,18 +348,18 @@ def _one_s_cases(rng):
 
 
 def test_one_certificate_decides_as_the_eigenvalues():
-    """One S, as the scalar ``update`` passes it, decided by the certificate
-    on Python floats: the gain raises what the eigenvalue-only oracle
-    raises, with its message and its warnings, and returns the same K bytes
-    where the oracle returns; every S the certificate accepts is one the
-    oracle passes.  The cases reach all three paths, and every positive
+    """One S, given as the 16 floats the scalar ``update`` forms, decided by
+    the certificate on those floats: the gain raises what the
+    eigenvalue-only oracle raises, with its message and its warnings, and
+    returns the same K bytes where the oracle returns; every S the
+    certificate accepts is one the oracle passes.  The cases reach all three paths, and every positive
     definite S with cond2 <= 1e9 of normal scale is certified."""
     rng = np.random.default_rng(56)
     paths = []
     for S in _one_s_cases(rng):
         PHt = rng.standard_normal((6, 4)) * 1e3
         want = _decision(oracle_gain, S, PHt)
-        assert _decision(kalman_gain, S, PHt) == want, S
+        assert _decision(lone_gain, S, PHt) == want, S
         certified = tracker._certified_one(S.ravel().tolist())
         assert not (certified and isinstance(want, tuple)), S
         paths.append("certified" if certified else
@@ -376,8 +382,9 @@ def test_one_certificate_reads_the_lower_triangle():
 
 def test_training_takes_no_eigenvalues(monkeypatch):
     """20 lookahead training episodes on the default scenario decide every S
-    by the float certificate: with ``eigvalsh_lo`` made to raise, the table
-    trains, and to the bytes it has with the eigenvalues at hand."""
+    by the float certificate and take every product through ``ndarray.dot``:
+    with ``eigvalsh_lo`` and ``numpy.dot`` made to raise, the table trains,
+    and to the bytes it has with both at hand."""
     sc = default_scenario()
     trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
     edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
@@ -389,8 +396,12 @@ def test_training_takes_no_eigenvalues(monkeypatch):
     def eigvalsh_lo(S):
         raise AssertionError("an S went to its eigenvalues")
 
+    def dot(*args, **kwargs):
+        raise AssertionError("a product went through numpy.dot")
+
     monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
         eigvalsh_lo=eigvalsh_lo, cholesky_lo=linalg.cholesky_lo, solve=linalg.solve))
+    monkeypatch.setattr(np, "dot", dot)
     train_qlearning(trajectory, tables[1], sc.radar, sc.process, sc.episode, n_runs=20,
                     base_seed=0)
     assert tables[0].values.tobytes() == tables[1].values.tobytes()
@@ -417,7 +428,8 @@ def test_lane_geometry_matches_scalar(position):
 
 def test_products_match_the_lanes():
     """The scalar ``predict``, ``range_variance`` and ``update``, whose
-    products go through ``np.dot``, against the lanes' stacked ``@``: byte
+    products go through ``ndarray.dot`` (the same ``PyArray_MatrixProduct2``
+    entry as ``np.dot``), against the lanes' stacked ``@``: byte
     for byte on 200 random (x, P, H, r, nu), as 200 one-lane stacks, as one
     200-lane stack and as the stack of the lanes whose S is certified.  Both
     kernels add r to S's diagonal.  One-lane gains are decided by
