@@ -268,12 +268,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     policy = _build_policy(args.policy[0], scenario, args.qtable)
-    [result] = seeded_runs([policy], [0], _base_seed(args, scenario), _truth(scenario),
-                           *_models(scenario))
+    run = seeded_runs([policy], [0], _base_seed(args, scenario), _truth(scenario),
+                      *_models(scenario))
     path = _out_path(args, "trace.csv")
-    save_run_csv(result, scenario.hyperparams.C, path)
-    status = "full track" if result.successful else f"lost at step {result.lost_at}"
-    print(f"wrote {path} ({len(result.records)} steps, {status})")
+    save_run_csv(run, scenario.hyperparams.C, path)
+    status = "full track" if run.successful else f"lost at step {run.lost_at[0]}"
+    print(f"wrote {path} ({len(run.records)} steps, {status})")
     return 0
 
 

@@ -40,7 +40,7 @@ from .policy import (
     reward,
 )
 from .radar import RadarConfig, TruthSide, measure, observe_jacobian
-from .records import RECORD_DTYPE, RunResult, Runs
+from .records import RECORD_DTYPE, Runs
 from .tracker import (
     ProcessModel,
     gate,
@@ -109,9 +109,9 @@ def run_episode(
     episode: EpisodeConfig,
     rng: Union[np.random.Generator, Sequence[int]],
     learning: bool = False,
-) -> Union[RunResult, Runs]:
-    """Run one tracking episode on the truth side of a trajectory; returns a
-    record per transmission.
+) -> Runs:
+    """Run one tracking episode on the truth side of a trajectory; returns its
+    record per transmission as a one-lane ``Runs``.
 
     Truth row 0 initializes the track at the policy's initial bandwidth; rows
     1..n_transmissions are the decision loop.  The policy sees only
@@ -182,7 +182,7 @@ def run_episode(
     require_finite(x, P)  # the last posterior, which no predict checks
 
     records = np.array(rows, dtype=RECORD_DTYPE).view(np.recarray)
-    return RunResult(records=records, lost_at=lost_at)
+    return Runs(records, ends=np.array([len(records)]), lost_at=(lost_at,))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def run_episode(
 # ---------------------------------------------------------------------------
 
 
-def _run_named(i: int, seed: int, *args, **kwargs) -> Union[RunResult, Runs]:
+def _run_named(i: int, seed: int, *args, **kwargs) -> Runs:
     """``run_episode(*args, **kwargs)`` for run i on seed; a ValueError is
     re-raised with ``run i (seed s): `` in front, so the run can be replayed."""
     try:
@@ -199,7 +199,7 @@ def _run_named(i: int, seed: int, *args, **kwargs) -> Union[RunResult, Runs]:
         raise type(exc)(f"run {i} (seed {seed}): {exc}") from exc
 
 
-def seeded_run(i: int, base_seed: int, *args, **kwargs) -> RunResult:
+def seeded_run(i: int, base_seed: int, *args, **kwargs) -> Runs:
     """Run i of a campaign: ``run_episode(*args, **kwargs)`` drawing from
     ``default_rng(base_seed + i)``; a ValueError names the run and its seed."""
     seed = base_seed + i
@@ -366,12 +366,15 @@ def success_histogram(runs: Runs, n_transmissions: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def save_run_csv(result: RunResult, C: float, path: str) -> None:
+def save_run_csv(run: Runs, C: float, path: str) -> None:
+    """One row per transmission of the one lane of ``run``, with the reward a
+    learner clipping at C would receive."""
+    [lost_at] = run.lost_at
     rows = []
-    for step, row in enumerate(result.records.tolist()):
+    for step, row in enumerate(run.records.tolist()):
         bw, err, innov, window, correlated, state, action = row[:7]
         rows.append([step, bw, err, innov, window, int(correlated),
-                     reward(err, step + 1 == result.lost_at, C),
+                     reward(err, step + 1 == lost_at, C),
                      "" if state < 0 else state, "" if action < 0 else action])
     write_csv(path, RUN_CSV_HEADER, rows)
 

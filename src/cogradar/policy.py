@@ -178,18 +178,23 @@ class Discretizer:
         numpy's default (linear) percentiles computed by ``_percentiles``
         rather than ``np.percentile``, so that calibrating imports no
         ``numpy.ma``."""
-        def edges(samples, n_edges):
+        def edges(variance, samples, n_edges):
             samples = np.asarray(samples, dtype=float)
             if samples.size < 2:
                 raise ValueError("need at least two calibration samples")
             lo, hi = _percentiles(samples, (1.0, 99.0))
             if not 0.0 < lo < hi:
                 raise ValueError("calibration samples must spread over positives")
-            return tuple(np.geomspace(lo, hi, n_edges))
+            spaced = np.geomspace(lo, hi, n_edges)
+            if (np.diff(spaced) <= 0.0).any():  # lo and hi only ulps apart
+                raise ValueError(
+                    f"calibration samples of {variance} spread too little for {n_edges} "
+                    f"ascending edges: 1st and 99th percentiles {lo!r} and {hi!r}")
+            return tuple(spaced)
 
         return cls(
-            pred_var_edges=edges(pred_vars, N_PRED_VAR_EDGES),
-            meas_var_edges=edges(meas_vars, N_MEAS_VAR_EDGES),
+            pred_var_edges=edges("pred_var", pred_vars, N_PRED_VAR_EDGES),
+            meas_var_edges=edges("meas_var", meas_vars, N_MEAS_VAR_EDGES),
         )
 
     def to_json_dict(self) -> dict:

@@ -1,6 +1,6 @@
-"""What a run records: one ``RECORD_DTYPE`` row per transmission, held by a
-``RunResult`` for one run and by ``Runs`` for the lanes of one lockstep call,
-whose lane j is a ``RunResult``."""
+"""What a run records: one ``RECORD_DTYPE`` row per transmission, held by
+``Runs``, the one record type: the lanes of one lockstep call, or the one
+lane of a scalar episode."""
 
 from __future__ import annotations
 
@@ -26,32 +26,22 @@ RECORD_DTYPE = np.dtype(
 
 
 @dataclass(frozen=True, eq=False)
-class RunResult:
-    """One ``RECORD_DTYPE`` row per transmission; ``lost_at`` is the number
-    of transmissions when the track was declared lost, None for a full track."""
-
-    records: np.recarray
-    lost_at: Optional[int]
-
-    def __post_init__(self) -> None:
-        if self.lost_at is not None and self.lost_at != len(self.records):
-            raise ValueError("lost_at must equal the number of records")
-
-    @property
-    def successful(self) -> bool:
-        return self.lost_at is None
-
-
-@dataclass(frozen=True, eq=False)
 class Runs:
-    """The lanes of one lockstep ``run_episode`` call: every lane's
-    ``RECORD_DTYPE`` rows back to back in lane order, ``ends[j]`` the end of
-    lane j's rows and ``lost_at[j]`` as in ``RunResult``.  ``runs[j]`` is lane
-    j as a ``RunResult``."""
+    """The lanes of one ``run_episode`` call: every lane's ``RECORD_DTYPE``
+    rows back to back in lane order, ``ends[j]`` the end of lane j's rows and
+    ``lost_at[j]`` the number of lane j's transmissions when its track was
+    declared lost, None for a full track.  ``runs[j]`` is lane j as a one-lane
+    ``Runs``."""
 
     records: np.recarray
     ends: np.ndarray
     lost_at: tuple[Optional[int], ...]
+
+    def __post_init__(self) -> None:
+        ends = self.ends.tolist()
+        if any(lost not in (None, end - start)
+               for lost, start, end in zip(self.lost_at, [0, *ends], ends)):
+            raise ValueError("lost_at must equal the number of records")
 
     @property
     def successful(self) -> bool:
@@ -67,7 +57,6 @@ class Runs:
     def __len__(self) -> int:
         return len(self.lost_at)
 
-    def __getitem__(self, lane: int) -> RunResult:
+    def __getitem__(self, lane: int) -> "Runs":
         lane = range(len(self))[lane]
-        start = self.ends[lane - 1] if lane else 0
-        return RunResult(self.records[start : self.ends[lane]], self.lost_at[lane])
+        return self.block(lane, lane + 1)

@@ -32,7 +32,7 @@ from numpy.linalg import _umath_linalg
 from cogradar.experiment import _distance
 from cogradar.policy import QLearningPolicy, select_action
 from cogradar.radar import _geometry, measure, observe
-from cogradar.records import RECORD_DTYPE, RunResult
+from cogradar.records import RECORD_DTYPE, Runs
 from cogradar.tracker import (
     _EYE6,
     _MAX_CONDITION,
@@ -175,4 +175,4 @@ def run_episode(truth, policy, radar, process, episode, rng, learning=False):
             lost_at = k + 1
             break
 
-    return RunResult(records=records[: k + 1].view(np.recarray), lost_at=lost_at)
+    return Runs(records[: k + 1].view(np.recarray), ends=np.array([k + 1]), lost_at=(lost_at,))

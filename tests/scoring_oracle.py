@@ -1,6 +1,6 @@
 """Reference scoring: the per-run metrics as the package computed them before
-it scored a block of lanes whole, one ``RunResult`` and one sliding window
-per run.
+it scored a block of lanes whole, one one-lane ``Runs`` and one sliding
+window per run.
 
 ``experiment.mean_windowed_mse`` and ``overall_windowed_mse`` must equal
 these byte for byte.  The block forms take every lane's windows from one
@@ -9,8 +9,8 @@ back, so each window is the same minimum of the same squares; the per-step
 totals add the lanes in lane order, as the loop below does, and the pooled
 windows are the same array in the same order, so ``mean`` sums them alike.
 
-``pack`` lays a list of ``RunResult`` out as the ``Runs`` of one lockstep
-call.
+``pack`` lays a list of one-lane ``Runs`` out as the ``Runs`` of one
+lockstep call.
 """
 
 from __future__ import annotations
@@ -20,16 +20,17 @@ from typing import Sequence
 import numpy as np
 
 from cogradar.experiment import MSE_WINDOW
-from cogradar.records import RECORD_DTYPE, RunResult, Runs
+from cogradar.records import RECORD_DTYPE, Runs
 
 
-def pack(results: Sequence[RunResult]) -> Runs:
-    """The runs' records back to back, in order, as lanes of one ``Runs``."""
+def pack(results: Sequence[Runs]) -> Runs:
+    """The one-lane runs' records back to back, in order, as lanes of one
+    ``Runs``."""
     records = [result.records for result in results]
     return Runs(
         records=np.concatenate([np.zeros(0, RECORD_DTYPE), *records]).view(np.recarray),
         ends=np.cumsum([len(r) for r in records], dtype=int),
-        lost_at=tuple(result.lost_at for result in results),
+        lost_at=tuple(lost for result in results for lost in result.lost_at),
     )
 
 
@@ -43,7 +44,7 @@ def windowed_min(series: Sequence[float], window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(arr, window).min(axis=1)
 
 
-def mean_windowed_mse(results: Sequence[RunResult]) -> np.ndarray:
+def mean_windowed_mse(results: Sequence[Runs]) -> np.ndarray:
     """Per-step mean of the windowed-min squared range error, averaging only
     over runs still alive at each step."""
     if len(results) == 0:
@@ -61,7 +62,7 @@ def mean_windowed_mse(results: Sequence[RunResult]) -> np.ndarray:
     return total / alive
 
 
-def overall_windowed_mse(results: Sequence[RunResult]) -> float:
+def overall_windowed_mse(results: Sequence[Runs]) -> float:
     """Scalar summary: mean over every windowed-min value of every run."""
     pooled = np.concatenate(
         [windowed_min(result.records.range_error_true**2, MSE_WINDOW) for result in results]

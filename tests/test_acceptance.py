@@ -453,7 +453,7 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajecto
         ("|nu| = 58.9 m uncorrelated", not outside.correlated),
         ("|nu| = 58.7 m correlated", inside.correlated),
         ("loss declared at exactly the 5th miss",
-         result.lost_at == 5 and len(result.records) == 5),
+         result.lost_at == (5,) and len(result.records) == 5),
     ])
 
 

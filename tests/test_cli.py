@@ -701,6 +701,14 @@ class TestOneKernel:
         assert run("calibrate", "--runs", "0", "--out", str(tmp_path)) == 2
         assert "need at least two calibration samples" in capsys.readouterr().err
 
+    def test_calibrate_rejects_percentiles_ulps_apart(self, capsys, tmp_path):
+        """One dwell per pilot run leaves the pred_var percentiles ulps apart;
+        the error names the samples and no edges are written."""
+        out = str(tmp_path / "out")
+        assert run("calibrate", "--runs", "100", "--transmissions", "1", "--out", out) == 2
+        assert "calibration samples of pred_var spread too little" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "edges.json"))
+
 
 class TestCompare:
     def test_roster_outputs(self, capsys, tmp_path, edges_file):
@@ -808,6 +816,15 @@ class TestTrace:
         path = str(tmp_path / "run0.csv")
         save_run_csv(result, scenario.hyperparams.C, path)
         assert read(os.path.join(out, "trace.csv")) == read(path)
+
+    @pytest.mark.parametrize("policy, seed, status", [
+        ("fixed:1e7", "3", "145 steps, lost at step 145"),
+        ("scaling", "7", "160 steps, full track"),
+    ], ids=["lost", "full"])
+    def test_status_line(self, capsys, tmp_path, policy, seed, status):
+        out = str(tmp_path / "out")
+        assert run("trace", "--policy", policy, "--seed", seed, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {os.path.join(out, 'trace.csv')} ({status})\n"
 
 
 class TestOutputFiles:

@@ -12,7 +12,6 @@ from cogradar.experiment import (
     MSE_WINDOW,
     RECORD_DTYPE,
     EpisodeConfig,
-    RunResult,
     calibrate_discretizer,
     evaluate,
     mean_windowed_mse,
@@ -38,6 +37,7 @@ from cogradar.policy import (
     reward,
 )
 from cogradar.radar import RadarConfig, TruthSide
+from cogradar.records import Runs
 from cogradar.tracker import DegenerateInnovationError, GateResult, ProcessModel, update
 from cogradar.trajectory import Phase, TruthPoint, generate_trajectory
 import scoring_oracle
@@ -123,7 +123,7 @@ def fake_run(errors, lost=False):
     records.action_index = -1
     records.pred_var = 1.0
     records.meas_var = 1.0
-    return RunResult(records=records, lost_at=len(records) if lost else None)
+    return Runs(records, ends=np.array([len(records)]), lost_at=(len(records) if lost else None,))
 
 
 def same_run(one, two):
@@ -288,7 +288,7 @@ class TestRunEpisode:
             np.random.default_rng(0),
         )
         assert result.successful
-        assert result.lost_at is None
+        assert result.lost_at == (None,)
         assert len(result.records) == 160
         assert all(rec.correlated for rec in result.records)
         assert all(rec.bandwidth == 1e6 for rec in result.records)
@@ -322,7 +322,7 @@ class TestRunEpisode:
             np.random.default_rng(1),
         )
         assert not result.successful
-        assert result.lost_at == 5
+        assert result.lost_at == (5,)
         assert len(result.records) == 5
         assert not any(rec.correlated for rec in result.records)
 
@@ -447,23 +447,23 @@ class TestMissCounter:
         assert result.successful
         assert len(result.records) == 9
         lost = run_scripted([False] * 4 + [True] + [False] * 5 + [True])
-        assert lost.lost_at == 10
+        assert lost.lost_at == (10,)
 
     def test_fifth_consecutive_miss_loses(self):
         result = run_scripted([True] * 3 + [False] * 5 + [True] * 5)
-        assert result.lost_at == 8
+        assert result.lost_at == (8,)
         assert len(result.records) == 8
 
     def test_five_misses_from_fresh(self):
         result = run_scripted([False] * 10)
-        assert result.lost_at == 5
+        assert result.lost_at == (5,)
         assert len(result.records) == 5
 
     def test_custom_miss_limit(self):
         result = run_scripted([True] * 3 + [False] * 3 + [True] * 5, miss_limit=3)
-        assert result.lost_at == 6
+        assert result.lost_at == (6,)
         assert len(result.records) == 6
-        assert run_scripted([False] * 10, miss_limit=3).lost_at == 3
+        assert run_scripted([False] * 10, miss_limit=3).lost_at == (3,)
 
     def test_alternating_never_loses(self):
         result = run_scripted([i % 2 == 0 for i in range(200)])
@@ -481,7 +481,7 @@ class TestMissCounter:
                 expected_lost = i + 1
                 break
         result = run_scripted(hits)
-        assert result.lost_at == expected_lost
+        assert result.lost_at == (expected_lost,)
         n = len(hits) if expected_lost is None else expected_lost
         assert len(result.records) == n
         assert result.records.correlated.tolist() == hits[:n]
@@ -878,4 +878,6 @@ class TestConfigValidation:
 
     def test_run_result_invariant(self):
         with pytest.raises(ValueError):
-            RunResult(records=fake_run([]).records, lost_at=3)
+            Runs(fake_run([]).records, ends=np.array([0]), lost_at=(3,))
+        with pytest.raises(ValueError, match="lost_at must equal the number of records"):
+            Runs(fake_run([0.0] * 5).records, ends=np.array([2, 5]), lost_at=(None, 5))

@@ -31,6 +31,7 @@ from cogradar.policy import (
     BandwidthScalingPolicy,
     Discretizer,
     FixedPolicy,
+    Policy,
     QLearningPolicy,
     QTable,
     bandwidth_scaling_step,
@@ -109,7 +110,7 @@ class TestRuns:
         assert len(runs) == 6
         assert np.array_equal(np.concatenate([lane.records for lane in runs]), runs.records)
         assert runs.ends.tolist() == np.cumsum([len(lane.records) for lane in runs]).tolist()
-        assert runs[-1].lost_at == runs.lost_at[5]
+        assert runs[-1].lost_at == (runs.lost_at[5],)
         assert runs.successful is all(lane.successful for lane in runs)
         with pytest.raises(IndexError):
             runs[6]
@@ -297,7 +298,7 @@ def test_run_episode_returns_every_dwell(tmp_path, monkeypatch, scenario, hard_t
     def hooked(*args, **kwargs):
         result = run_episode(*args, **kwargs)
         returns.append((len(result.records), result.successful,
-                        isinstance(result, experiment.Runs)))
+                        not isinstance(args[1], Policy)))
         return result
 
     monkeypatch.setattr(experiment, "run_episode", hooked)

@@ -143,6 +143,17 @@ class TestDiscretizer:
         ratios = np.diff(np.log(d.pred_var_edges))
         assert ratios == pytest.approx(np.full(8, ratios[0]))
 
+    @pytest.mark.parametrize("variance", ["pred_var", "meas_var"])
+    def test_from_samples_rejects_percentiles_an_ulp_apart(self, variance):
+        """Percentiles one ulp apart are positive and ascending, but no
+        log-spaced edges between them are strictly ascending: the error names
+        the calibration samples, not an edges field."""
+        wide = np.geomspace(1.0, 1e4, 100)
+        samples = {"pred_var": wide, "meas_var": wide,
+                   variance: np.repeat([1062502.25, np.nextafter(1062502.25, np.inf)], 50)}
+        with pytest.raises(ValueError, match=f"calibration samples of {variance} spread too little"):
+            Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
+
     @pytest.mark.parametrize(
         "kwargs",
         [
