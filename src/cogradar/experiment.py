@@ -4,12 +4,12 @@ One episode walks a trajectory one transmission per sample: predict, let the
 policy pick a bandwidth, measure, gate on the predicted residual, update on a
 hit (a miss keeps the prediction), score.  The first sample initializes the
 track (velocity unknown, large covariance) and the remaining samples form the
-decision loop.  Episodes stop early when the gate misses ``miss_limit`` times
+dwell loop.  Episodes stop early when the gate misses ``miss_limit`` times
 in a row.
 
 Every frozen run, one lane or many, is a lane of one lockstep ``run_episode``
 call (the kernel is in ``lockstep``); the scalar loop here runs training and
-is the tests' oracle.  The two loops carry the same per-run decision state,
+is the tests' oracle.  The two loops carry the same per-run choice state,
 the previous bandwidth and the streak of gate hits, through the same
 ``choose`` contract.  ``seeded_runs`` bisects a failed call down to its first
 failed lane, so the error names its run.
@@ -114,7 +114,7 @@ def run_episode(
     record per transmission as a one-lane ``Runs``.
 
     Truth row 0 initializes the track at the policy's initial bandwidth; rows
-    1..n_transmissions are the decision loop.  The policy sees only
+    1..n_transmissions are the dwell loop.  The policy sees only
     quantities computable before its transmission: the range-projected prior
     variance, the previous waveform's range noise variance, the previous gate
     outcome, and the previous bandwidth and streak of gate hits, which the
@@ -160,8 +160,7 @@ def run_episode(
             pred_var, meas_var, correlated, bandwidth, streak, rng)
         z, r = measure(truth, k + 1, bandwidth, rng)
         nu = innovation(x, z, radar_position)
-        decision = gate(nu, r)
-        correlated = decision.correlated
+        correlated, window, nu_range = gate(nu, r)
         if correlated:
             x, P = update(x, P, r, H, nu)
             misses = 0
@@ -174,8 +173,8 @@ def run_episode(
             policy.learn(range_error, lost)
 
         meas_var = float(r[0])
-        rows.append((bandwidth, range_error, decision.range_innovation,
-                     decision.range_window, correlated, state, action, pred_var, meas_var))
+        rows.append((bandwidth, range_error, nu_range, window, correlated, state, action,
+                     pred_var, meas_var))
         if lost:
             lost_at = k + 1
             break
@@ -276,6 +275,8 @@ def evaluate(
     per policy, its block of lanes and their per-step mean windowed-min MSE."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if episode.n_transmissions < MSE_WINDOW:
+        raise ValueError(f"n_transmissions must be >= {MSE_WINDOW}, one MSE window, to evaluate")
     lanes = [policy for policy in policies for _ in range(n_runs)]
     runs = seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
                        trajectory, radar, process, episode)

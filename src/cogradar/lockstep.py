@@ -28,7 +28,8 @@ import numpy as np
 from .policy import FixedPolicy, Policy
 from .radar import RadarConfig, TruthSide
 from .records import RECORD_DTYPE, Runs
-from .tracker import _EYE6, ProcessModel, initialize_track, kalman_gain, require_finite, wrap_angle
+from .tracker import (_EYE6, GATE_SIGMAS, GATE_WINDOWS, ProcessModel, initialize_track,
+                      kalman_gain, require_finite, wrap_angle)
 from .trajectory import Phase
 
 if TYPE_CHECKING:  # experiment imports this module
@@ -278,8 +279,8 @@ class Lockstep:
         z, r = self._measure(row, bandwidth, lanes.noise_block)
         nu = z - h
         nu[:, 2:] = wrap_angle(nu[:, 2:])
-        window = 1.96 * np.sqrt(r[:, 0])
-        correlated = np.abs(nu[:, 0]) <= 3.0 * window
+        window = GATE_SIGMAS * np.sqrt(r[:, 0])
+        correlated = np.abs(nu[:, 0]) <= GATE_WINDOWS * window
         n_hits = np.count_nonzero(correlated)
         if n_hits == len(correlated):
             x, P = _lane_update(x, P, r, H, nu)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -35,6 +35,8 @@ _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
 INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
 INIT_VELOCITY_STD = 500.0  # m/s, per axis
+GATE_SIGMAS = 1.96  # the range window: a 95% CI half-width, in range noise sigmas
+GATE_WINDOWS = 3.0  # the gate's half-width, in range windows
 
 
 class DegenerateInnovationError(ValueError):
@@ -88,15 +90,10 @@ class ProcessModel:
         object.__setattr__(self, "Q", Q)
 
 
-@dataclass(frozen=True, slots=True)
-class GateResult:
+class GateResult(NamedTuple):
     correlated: bool
     range_window: float  # m, 95% CI half-width from the range noise entry
     range_innovation: float  # m
-
-    def __post_init__(self) -> None:
-        if self.range_window <= 0.0:
-            raise ValueError("range_window must be > 0")
 
 
 def predict(
@@ -132,15 +129,14 @@ def innovation(x: np.ndarray, z: np.ndarray, radar_position: np.ndarray) -> np.n
 
 
 def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
-    """Range-only correlation test on the predicted residual.
-
-    The window is the 95% CI half-width of the range measurement noise r[0];
-    the transmission correlates when the range innovation stays within three
-    windows on either side.
-    """
-    window = 1.96 * math.sqrt(r[0])
+    """Range-only correlation test on the predicted residual: the transmission
+    correlates when its range innovation is at most ``GATE_WINDOWS`` windows,
+    each ``GATE_SIGMAS`` sigmas of the range measurement noise r[0]."""
+    window = GATE_SIGMAS * math.sqrt(r[0])
+    if window <= 0.0:
+        raise ValueError("range_window must be > 0")
     nu_range = nu.item(0)
-    return GateResult(abs(nu_range) <= 3.0 * window, window, nu_range)
+    return GateResult(abs(nu_range) <= GATE_WINDOWS * window, window, nu_range)
 
 
 def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:

@@ -436,7 +436,7 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajecto
     outside = gated(58.9)
     inside = gated(58.7)
     def always_miss(nu, r):
-        return replace(gate(nu, r), correlated=False)
+        return gate(nu, r)._replace(correlated=False)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "gate", always_miss)

@@ -19,10 +19,15 @@ from trajectory_readers import load_trajectory_csv
 
 FAST = ["--transmissions", "40"]
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TOO_FEW_DWELLS = "n_transmissions must be >= 3, one MSE window, to evaluate"
 
 
 def run(*argv):
     return cli_main(list(argv))
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("no episode should run")
 
 
 def read(path):
@@ -621,9 +626,11 @@ class TestFailedRun:
         ("evaluate", "fixed:1e6"),
         ("compare", "fixed:1e6,scaling"),
     ])
-    def test_failed_scoring_writes_nothing(self, capsys, tmp_path, command, policy):
-        """Two transmissions fill no 3-wide window, so scoring fails; every
-        number is computed before the first write, so no file is left."""
+    def test_failed_scoring_writes_nothing(self, capsys, tmp_path, monkeypatch, command,
+                                           policy):
+        """Two transmissions fill no 3-wide window, so scoring is refused
+        before any run, naming the field and the window; no file is left."""
+        monkeypatch.setattr(experiment, "run_episode", fail_if_called)
         out = str(tmp_path / "out")
         code = run(
             command, "--policy", policy, "--transmissions", "2", "--runs", "2",
@@ -631,9 +638,31 @@ class TestFailedRun:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert "no full windows to aggregate" in captured.err
+        assert TOO_FEW_DWELLS in captured.err
         assert "wrote" not in captured.out
         assert not os.path.exists(out) or os.listdir(out) == []
+
+    def test_too_few_dwells_in_config_fail_the_same_way(self, capsys, tmp_path, monkeypatch):
+        """A --config file's n_transmissions below the window is refused as
+        --transmissions is."""
+        monkeypatch.setattr(experiment, "run_episode", fail_if_called)
+        doc = default_scenario().to_json_dict()
+        doc["episode"]["n_transmissions"] = 2
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        code = run("evaluate", "--policy", "fixed:1e6", "--runs", "1", "--config", str(path),
+                   "--out", out)
+        assert code == 2
+        assert f"cogradar: error: {TOO_FEW_DWELLS}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_trace_scores_no_window(self, tmp_path):
+        """trace writes the records of a run too short for one window."""
+        out = str(tmp_path / "out")
+        assert run("trace", "--policy", "scaling", "--transmissions", "2", "--out", out) == 0
+        with open(os.path.join(out, "trace.csv")) as handle:
+            assert len(handle.read().splitlines()) == 3  # the header and two dwells
 
 
 class TestFailedLockstepCall:

@@ -549,6 +549,20 @@ class TestEvaluate:
         assert len(results) == 8
         assert per_step == pytest.approx(mean_windowed_mse(results))
 
+    @pytest.mark.parametrize("n_transmissions", [1, 2])
+    def test_fewer_dwells_than_one_window_run_nothing(self, monkeypatch, n_transmissions):
+        """Fewer transmissions than ``MSE_WINDOW`` fill no window, so evaluate
+        refuses them, naming the field and the window, before any run."""
+        def fail(*args, **kwargs):
+            raise AssertionError("no episode should run")
+
+        monkeypatch.setattr(experiment, "run_episode", fail)
+        message = f"^n_transmissions must be >= {MSE_WINDOW}, one MSE window, to evaluate$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(stationary_trajectory(161), [FixedPolicy(1e6)], moderate_radar(),
+                     quiet_process(), EpisodeConfig(n_transmissions=n_transmissions),
+                     n_runs=1, base_seed=0)
+
     def test_single_run_report_matches_run(self):
         [(results, per_step)] = evaluate(
             stationary_trajectory(161),

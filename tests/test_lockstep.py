@@ -8,7 +8,9 @@ run is made once.
 
 The benchmark counts dwells by wrapping ``experiment.run_episode`` and summing
 ``len(result.records)`` over its returns, so every command must return each
-dwell it runs from that function, and ``successful`` must be a bool.
+dwell it runs from that function, and ``successful`` must be a bool.  Its gate
+hook reads ``correlated`` from each result of ``experiment.gate``, which must
+stay a bool attribute.
 """
 
 import os
@@ -308,3 +310,25 @@ def test_run_episode_returns_every_dwell(tmp_path, monkeypatch, scenario, hard_t
     assert sum(lockstep for _, _, lockstep in returns) == lockstep_calls
     assert sum(dwells for dwells, _, _ in returns) == scalar_dwells(argv, scenario, hard_trajectory)
 
+
+def test_gate_result_reads_correlated_as_a_bool(tmp_path, monkeypatch):
+    """The benchmark's gate hook counts misses from ``result.correlated`` on
+    each return of ``experiment.gate``, so the result must keep that
+    attribute, and it must be a bool.  Training runs the scalar loop, which
+    calls ``gate`` once per dwell."""
+    results = []
+    gate = experiment.gate
+
+    def hooked(*args, **kwargs):
+        result = gate(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(experiment, "gate", hooked)
+    edges = os.path.join(GOLDEN_DIR, "cal", "edges.json")
+    assert cli_main(["train", "--edges", edges, "--runs", "2", "--seed", "0", *FAST,
+                     "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert results
+    assert all(type(result.correlated) is bool for result in results)
+    assert any(result.correlated for result in results)

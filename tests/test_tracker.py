@@ -359,6 +359,15 @@ class TestGate:
         result = self.make_gate(-12.5, 10.0)
         assert result.range_innovation == pytest.approx(-12.5)
 
+    def test_result_is_plain_values(self):
+        """The result is a named tuple: it unpacks into the three values and
+        equals their plain tuple, and ``.correlated`` is still a bool."""
+        result = self.make_gate(-12.5, 10.0)
+        correlated, window, nu_range = result
+        assert isinstance(result, GateResult)
+        assert result == (True, 1.96 * 10.0, -12.5) == (correlated, window, nu_range)
+        assert type(result.correlated) is bool and type(window) is float
+
     @given(
         st.floats(1.0, 1e3),
         st.floats(1.1, 4.0),
@@ -474,5 +483,7 @@ class TestCovarianceInvariants:
             assert x.shape == (6,) and P.shape == (6, 6)
 
     def test_gate_result_validation(self):
-        with pytest.raises(ValueError):
-            GateResult(correlated=True, range_window=0.0, range_innovation=0.0)
+        """A zero range variance gives no window: gate refuses it, naming the
+        window, before it builds a result."""
+        with pytest.raises(ValueError, match="^range_window must be > 0$"):
+            gate(np.zeros(4), np.array([0.0, 1.0, 1.0, 1.0]))
