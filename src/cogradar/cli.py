@@ -10,9 +10,10 @@ invocation is reproducible byte for byte, a trace is lane 0 of the call a
 one-run evaluate at the same --seed makes, and a failed run names its index
 and seed.
 
-Every command that runs episodes generates the truth trajectory from the
-scenario's episode seed, not from --seed: policies evaluated under
-different noise seeds still fly against the same target.  The exception is
+Every command that runs episodes builds one truth side, from the scenario's
+episode seed, not from --seed: policies evaluated under different noise
+seeds still fly against the same target, and a trajectory too short for
+--transmissions fails before any run.  The exception is
 generate-trajectory, whose output is the truth itself: --seed seeds it.
 """
 
@@ -28,6 +29,7 @@ from typing import Iterator, Optional, Sequence
 from .config import ScenarioConfig, default_scenario
 from .experiment import (
     calibrate_discretizer,
+    campaign_truth,
     evaluate,
     overall_windowed_mse,
     save_histogram_csv,
@@ -99,12 +101,14 @@ def _base_seed(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
 
 
 def _truth(scenario: ScenarioConfig):
-    return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
+    """The command's one truth side, which every campaign it runs reads."""
+    trajectory = generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
+    return campaign_truth(trajectory, scenario.radar, scenario.episode)
 
 
 def _models(scenario: ScenarioConfig) -> tuple:
-    """The radar, process and episode arguments of every campaign."""
-    return scenario.radar, scenario.process, scenario.episode
+    """The process and miss-limit arguments of every campaign."""
+    return scenario.process, scenario.episode.miss_limit
 
 
 def _load_table(path: str, scenario: ScenarioConfig, name: str) -> QTable:
@@ -193,12 +197,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise UsageError("train expects one policy: qlearn or qlearn-lookahead")
     if spec.param is not None:
         raise UsageError("pass the warm-start table via --qtable, not in --policy")
+    if args.qtable is not None and args.edges is not None:
+        raise UsageError("--edges with --qtable: a warm start keeps the table's edges")
     scenario = _load_scenario(args)
-    trajectory = _truth(scenario)
+    truth = _truth(scenario)
     base_seed = _base_seed(args, scenario)
     if args.qtable is not None:
-        if args.edges is not None:
-            raise UsageError("--edges with --qtable: a warm start keeps the table's edges")
         table = _load_table(args.qtable, scenario, spec.name)
     else:
         if args.edges is not None:
@@ -206,12 +210,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         else:
             # self-contained default: pilot calibration on a disjoint seed stream
             discretizer = calibrate_discretizer(
-                trajectory, *_models(scenario), n_runs=DEFAULT_CALIBRATE_RUNS,
+                truth, *_models(scenario), n_runs=DEFAULT_CALIBRATE_RUNS,
                 base_seed=base_seed + 1_000_000, actions=scenario.actions)
         table = scenario.new_table(
             discretizer, lookahead=spec.name == "qlearn-lookahead"
         )
-    train_qlearning(trajectory, table, *_models(scenario), n_runs=args.runs,
+    train_qlearning(truth, table, *_models(scenario), n_runs=args.runs,
                     base_seed=base_seed)
     path = _out_path(args, "qtable.json")
     table.save(path)

@@ -104,51 +104,45 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
 def run_episode(
     truth: TruthSide,
     policy: Union[Policy, Sequence[Policy]],
-    radar: RadarConfig,
     process: ProcessModel,
-    episode: EpisodeConfig,
+    miss_limit: int,
     rng: Union[np.random.Generator, Sequence[int]],
     learning: bool = False,
 ) -> Runs:
-    """Run one tracking episode on the truth side of a trajectory; returns its
-    record per transmission as a one-lane ``Runs``.
+    """Run one tracking episode on a campaign's truth side and its radar;
+    returns its record per transmission as a one-lane ``Runs``.
 
-    Truth row 0 initializes the track at the policy's initial bandwidth; rows
-    1..n_transmissions are the dwell loop.  The policy sees only
+    Truth row 0 initializes the track at the policy's initial bandwidth; the
+    other ``len(truth) - 1`` rows are the dwell loop.  The policy sees only
     quantities computable before its transmission: the range-projected prior
     variance, the previous waveform's range noise variance, the previous gate
     outcome, and the previous bandwidth and streak of gate hits, which the
     loop carries.  When ``learning``, the policy learns from each dwell's
-    range error and loss.  A campaign builds its ``TruthSide`` once and
-    passes it to every call.
+    range error and loss.  A command builds its truth once, with
+    ``campaign_truth``, and passes it to every call.
 
     Lockstep, the path of every frozen run: given a sequence of frozen
     policies and of seeds, lane j runs ``policy[j]`` on ``default_rng(rng[j])``
     and the lanes step together; returns their ``Runs``.  A failed lane raises
     the scalar loop's error for its run, without the run's index or seed.
     """
-    if len(truth) < episode.n_transmissions + 1:
-        raise ValueError(
-            "trajectory too short: need n_transmissions + 1 = "
-            f"{episode.n_transmissions + 1} samples, have {len(truth)}"
-        )
     if not isinstance(policy, Policy):
         if learning:
             raise ValueError("lockstep lanes are frozen: they cannot learn")
-        return Lockstep(truth, policy, radar, process, episode, rng).run()
+        return Lockstep(truth, policy, process, miss_limit, rng).run()
     policy.reset()
 
     bandwidth = policy.initial_bandwidth()  # as a lane's, before the first choice
     z, r = measure(truth, 0, bandwidth, rng)
-    x, P = initialize_track(z, radar)
+    x, P = initialize_track(z, truth.config)
     meas_var = float(r[0])
     correlated = True
     streak = misses = 0  # gate hits counted by the policy, consecutive gate misses
     lost_at = None
 
     rows = []  # RECORD_DTYPE tuples, packed once the run ends
-    radar_position = radar.position
-    for k in range(episode.n_transmissions):
+    radar_position = truth.config.position
+    for k in range(len(truth) - 1):
         x, P = predict(x, P, process, truth.phases[k + 1])
         H = observe_jacobian(x, radar_position)
         pred_var = range_variance(H, P)
@@ -166,7 +160,7 @@ def run_episode(
             misses = 0
         else:  # a miss keeps the prediction
             misses += 1
-        lost = misses >= episode.miss_limit
+        lost = misses >= miss_limit
 
         range_error = abs(_distance(x.tolist(), radar_position) - truth.range[k + 1])
         if learning:
@@ -189,6 +183,18 @@ def run_episode(
 # ---------------------------------------------------------------------------
 
 
+def campaign_truth(trajectory: Sequence[TruthPoint], radar: RadarConfig,
+                   episode: EpisodeConfig) -> TruthSide:
+    """The truth side every run of a command reads: the trajectory's first
+    ``n_transmissions + 1`` rows, seen by ``radar``; a shorter trajectory
+    fails here, before any run."""
+    n = episode.n_transmissions
+    if len(trajectory) < n + 1:
+        raise ValueError(f"trajectory too short: need n_transmissions + 1 = {n + 1} samples, "
+                         f"have {len(trajectory)}")
+    return TruthSide(trajectory[: n + 1], radar)
+
+
 def _run_named(i: int, seed: int, *args, **kwargs) -> Runs:
     """``run_episode(*args, **kwargs)`` for run i on seed; a ValueError is
     re-raised with ``run i (seed s): `` in front, so the run can be replayed."""
@@ -209,10 +215,9 @@ def seeded_runs(
     policies: Sequence[Policy],
     runs: Sequence[int],
     base_seed: int,
-    trajectory: Sequence[TruthPoint],
-    radar: RadarConfig,
+    truth: TruthSide,
     process: ProcessModel,
-    episode: EpisodeConfig,
+    miss_limit: int,
 ) -> Runs:
     """Lane j is run ``runs[j]`` of the frozen ``policies[j]``; all lanes
     step together in one lockstep ``run_episode`` call.  A policy that draws
@@ -220,35 +225,30 @@ def seeded_runs(
     bisected with lockstep calls on the first half of its lanes, down to the
     first failed lane in lane order, which replays alone so that the error
     names its run; should that replay pass, the call's own error is raised:
-    there are no replayed results to fall back on.  Every call reads one
-    ``TruthSide``, built here."""
+    there are no replayed results to fall back on."""
     require_frozen(policies)
     seeds = [base_seed + i for i in runs]
-    truth = TruthSide(trajectory[: episode.n_transmissions + 1], radar)
     try:
-        return run_episode(truth, policies, radar, process, episode, seeds)
+        return run_episode(truth, policies, process, miss_limit, seeds)
     except ValueError:
         lo, hi = 0, len(seeds)  # the first failed lane is in [lo, hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                run_episode(truth, policies[lo:mid], radar, process, episode, seeds[lo:mid])
+                run_episode(truth, policies[lo:mid], process, miss_limit, seeds[lo:mid])
             except ValueError:
                 hi = mid
             else:
                 lo = mid
-        if hi > lo:
-            _run_named(runs[lo], seeds[lo], truth, policies[lo:hi], radar, process,
-                       episode, seeds[lo:hi])
+        _run_named(runs[lo], seeds[lo], truth, policies[lo:hi], process, miss_limit, seeds[lo:hi])
         raise
 
 
 def train_qlearning(
-    trajectory: Sequence[TruthPoint],
+    truth: TruthSide,
     table: QTable,
-    radar: RadarConfig,
     process: ProcessModel,
-    episode: EpisodeConfig,
+    miss_limit: int,
     n_runs: int,
     base_seed: int,
 ) -> QTable:
@@ -256,18 +256,16 @@ def train_qlearning(
     if n_runs < 0:
         raise ValueError("n_runs must be >= 0")
     policy = QLearningPolicy(table)
-    truth = TruthSide(trajectory[: episode.n_transmissions + 1], radar)
     for i in range(n_runs):
-        seeded_run(i, base_seed, truth, policy, radar, process, episode, learning=True)
+        seeded_run(i, base_seed, truth, policy, process, miss_limit, learning=True)
     return table
 
 
 def evaluate(
-    trajectory: Sequence[TruthPoint],
+    truth: TruthSide,
     policies: Sequence[Policy],
-    radar: RadarConfig,
     process: ProcessModel,
-    episode: EpisodeConfig,
+    miss_limit: int,
     n_runs: int,
     base_seed: int,
 ) -> list[tuple[Runs, np.ndarray]]:
@@ -275,20 +273,19 @@ def evaluate(
     per policy, its block of lanes and their per-step mean windowed-min MSE."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if episode.n_transmissions < MSE_WINDOW:
+    if len(truth) - 1 < MSE_WINDOW:
         raise ValueError(f"n_transmissions must be >= {MSE_WINDOW}, one MSE window, to evaluate")
     lanes = [policy for policy in policies for _ in range(n_runs)]
     runs = seeded_runs(lanes, list(range(n_runs)) * len(policies), base_seed,
-                       trajectory, radar, process, episode)
+                       truth, process, miss_limit)
     blocks = [runs.block(j, j + n_runs) for j in range(0, len(runs), n_runs)]
     return [(block, mean_windowed_mse(block)) for block in blocks]
 
 
 def calibrate_discretizer(
-    trajectory: Sequence[TruthPoint],
-    radar: RadarConfig,
+    truth: TruthSide,
     process: ProcessModel,
-    episode: EpisodeConfig,
+    miss_limit: int,
     n_runs: int,
     base_seed: int,
     actions: ActionSet,
@@ -297,11 +294,11 @@ def calibrate_discretizer(
     the action menu, pooling the variances the policies will later see."""
     if n_runs < 0:
         raise ValueError("n_runs must be >= 0")
+    radar = truth.config
     policies = [FixedPolicy(bw, radar.min_bw, radar.max_bw)
                 for bw in actions.bandwidths[:n_runs]]
     samples = seeded_runs([policies[i % len(policies)] for i in range(n_runs)],
-                          range(n_runs), base_seed, trajectory, radar, process,
-                          episode).records
+                          range(n_runs), base_seed, truth, process, miss_limit).records
     return Discretizer.from_samples(samples["pred_var"], samples["meas_var"])
 
 

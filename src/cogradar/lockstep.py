@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .policy import FixedPolicy, Policy
-from .radar import RadarConfig, TruthSide
+from .radar import TruthSide
 from .records import RECORD_DTYPE, Runs
 from .tracker import (_EYE6, GATE_SIGMAS, GATE_WINDOWS, ProcessModel, initialize_track,
                       kalman_gain, require_finite, wrap_angle)
 from .trajectory import Phase
-
-if TYPE_CHECKING:  # experiment imports this module
-    from .experiment import EpisodeConfig
 
 _AZIMUTH_SIGNS = np.array([-1.0, 1.0])
 # The checks count flags with np.count_nonzero, a C call, where .any() and
@@ -143,19 +140,17 @@ class Lockstep:
         self,
         truth: TruthSide,
         policies: Sequence[Policy],
-        radar: RadarConfig,
         process: ProcessModel,
-        episode: EpisodeConfig,
+        miss_limit: int,
         seeds: Sequence[int],
     ) -> None:
         if len(policies) != len(seeds):
             raise ValueError("need one seed per lane")
         self.policies = list(dict.fromkeys(policies))  # distinct, in lane order
         require_frozen(self.policies)
-        self.truth, self.radar, self.process = truth, radar, process
-        self.episode, self.seeds = episode, seeds
-        self.position = radar.position_array
-        n = episode.n_transmissions
+        self.truth, self.process, self.miss_limit, self.seeds = truth, process, miss_limit, seeds
+        self.position = truth.config.position_array
+        n = len(truth) - 1
         blocks: dict = {}  # one noise block per distinct seed
         for seed in seeds:
             blocks.setdefault(seed, len(blocks))
@@ -172,7 +167,7 @@ class Lockstep:
         ).take(sorted(range(len(groups)), key=groups.__getitem__))  # by policy
 
     def run(self) -> Runs:
-        n = self.episode.n_transmissions
+        n = len(self.truth) - 1
         records = np.zeros((len(self.seeds), n), dtype=RECORD_DTYPE)
         lost_at = np.zeros(len(self.seeds), dtype=int)  # 0: a full track
         lanes = self._initiate(self.start) if len(self.start) else self.start
@@ -182,7 +177,7 @@ class Lockstep:
             column = records[:, k]
             for name in RECORD_DTYPE.names:
                 column[name][at] = getattr(lanes, name)
-            lost = lanes.misses >= self.episode.miss_limit
+            lost = lanes.misses >= self.miss_limit
             if np.count_nonzero(lost):
                 require_finite(lanes.x[lost], lanes.P[lost])  # their last posteriors
                 lost_at[lanes.ids[lost]] = k + 1
@@ -230,7 +225,7 @@ class Lockstep:
     def _initiate(self, lanes: _Lanes) -> _Lanes:
         """Track initiation on truth row 0, at each policy's initial bandwidth."""
         z, r = self._measure(0, lanes.bandwidth, lanes.noise_block)
-        x, P = initialize_track(z, self.radar)
+        x, P = initialize_track(z, self.truth.config)
         m = len(lanes)
         return _Lanes(
             **vars(lanes),

@@ -146,7 +146,7 @@ def _noise_var(bandwidth: float, root: np.ndarray, rate_var: list[float],
 
 class TruthSide:
     """What every transmission on ``trajectory`` computes before it draws,
-    once per campaign, for both kernels: per truth row the noise-free
+    once per command, for both kernels: per truth row the noise-free
     measurement ``z_true``, the SNR and the true ``range``, and ``table``,
     (2, rows, bandwidths, 4), where ``table[0, k, column[b]]`` holds the
     noise variances r of row k at bandwidth b and ``table[1, k, column[b]]``

@@ -88,12 +88,14 @@ def trained_digests(tables: dict) -> dict:
 
 if __name__ == "__main__":
     from cogradar.config import default_scenario
+    from cogradar.experiment import campaign_truth
     from cogradar.trajectory import generate_trajectory
     from test_acceptance import calibrate, train_tables
 
     scenario = default_scenario()
     trajectory = generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
-    tables, _ = train_tables(scenario, trajectory, calibrate(scenario, trajectory))
+    truth = campaign_truth(trajectory, scenario.radar, scenario.episode)
+    tables, _ = train_tables(scenario, truth, calibrate(scenario, truth))
     record = {"platform": this_platform(), "golden": golden_digests(),
               "trained": trained_digests(tables)}
     with open(RECORD_PATH, "w") as handle:

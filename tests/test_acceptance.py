@@ -22,6 +22,7 @@ from cogradar.experiment import (
     evaluate,
     overall_windowed_mse,
     calibrate_discretizer,
+    campaign_truth,
     run_episode,
     train_qlearning,
 )
@@ -73,23 +74,23 @@ def scenario():
 
 
 @pytest.fixture(scope="module")
-def hard_trajectory(scenario):
-    return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
+def hard_truth(scenario):
+    trajectory = generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
+    return campaign_truth(trajectory, scenario.radar, scenario.episode)
 
 
-def calibrate(scenario, hard_trajectory):
+def calibrate(scenario, hard_truth):
     return calibrate_discretizer(
-        hard_trajectory,
-        scenario.radar,
+        hard_truth,
         scenario.process,
-        scenario.episode,
+        scenario.episode.miss_limit,
         n_runs=100,
         base_seed=500,
         actions=scenario.actions,
     )
 
 
-def train_tables(scenario, hard_trajectory, discretizer):
+def train_tables(scenario, hard_truth, discretizer):
     """{(train_seed, lookahead): table} plus wall-clock seconds per training."""
     tables, seconds = {}, {}
     for base_seed in TRAIN_SEEDS:
@@ -97,11 +98,10 @@ def train_tables(scenario, hard_trajectory, discretizer):
             table = scenario.new_table(discretizer, lookahead=lookahead)
             start = time.perf_counter()
             train_qlearning(
-                hard_trajectory,
+                hard_truth,
                 table,
-                scenario.radar,
                 scenario.process,
-                scenario.episode,
+                scenario.episode.miss_limit,
                 n_runs=200,
                 base_seed=base_seed,
             )
@@ -111,22 +111,21 @@ def train_tables(scenario, hard_trajectory, discretizer):
 
 
 @pytest.fixture(scope="module")
-def discretizer(scenario, hard_trajectory):
-    return calibrate(scenario, hard_trajectory)
+def discretizer(scenario, hard_truth):
+    return calibrate(scenario, hard_truth)
 
 
 @pytest.fixture(scope="module")
-def trained(scenario, hard_trajectory, discretizer):
-    return train_tables(scenario, hard_trajectory, discretizer)
+def trained(scenario, hard_truth, discretizer):
+    return train_tables(scenario, hard_truth, discretizer)
 
 
-def _eval(trajectory, policy, scenario):
+def _eval(truth, policy, scenario):
     [(results, _)] = evaluate(
-        trajectory,
+        truth,
         [policy],
-        scenario.radar,
         scenario.process,
-        scenario.episode,
+        scenario.episode.miss_limit,
         n_runs=N_EVAL_RUNS,
         base_seed=EVAL_SEED,
     )
@@ -135,11 +134,11 @@ def _eval(trajectory, policy, scenario):
 
 
 @pytest.fixture(scope="module")
-def fixed_baselines(scenario, hard_trajectory):
+def fixed_baselines(scenario, hard_truth):
     out = {}
     for bw in (1.0e6, 5.0e6):
         policy = FixedPolicy(bw, scenario.radar.min_bw, scenario.radar.max_bw)
-        out[bw] = _eval(hard_trajectory, policy, scenario)
+        out[bw] = _eval(hard_truth, policy, scenario)
     return out
 
 
@@ -340,15 +339,15 @@ def test_04_ekf_numerics(capsys, scenario):
     ])
 
 
-def test_05_bandwidth_trend_orderings(capsys, scenario, hard_trajectory):
+def test_05_bandwidth_trend_orderings(capsys, scenario, hard_truth):
     start = time.perf_counter()
     wide_succ, wide_mse = _eval(
-        hard_trajectory,
+        hard_truth,
         FixedPolicy(10.0e6, scenario.radar.min_bw, scenario.radar.max_bw),
         scenario,
     )
     narrow_succ, narrow_mse = _eval(
-        hard_trajectory,
+        hard_truth,
         FixedPolicy(0.5e6, scenario.radar.min_bw, scenario.radar.max_bw),
         scenario,
     )
@@ -364,13 +363,13 @@ def test_05_bandwidth_trend_orderings(capsys, scenario, hard_trajectory):
 
 
 def test_06_adaptive_policy_orderings(
-    capsys, scenario, hard_trajectory, trained, fixed_baselines
+    capsys, scenario, hard_truth, trained, fixed_baselines
 ):
     tables, _ = trained
     f1_succ, f1_mse = fixed_baselines[1.0e6]
     f5_succ, f5_mse = fixed_baselines[5.0e6]
     scal_succ, scal_mse = _eval(
-        hard_trajectory,
+        hard_truth,
         BandwidthScalingPolicy(scenario.radar.min_bw, scenario.radar.max_bw),
         scenario,
     )
@@ -378,12 +377,12 @@ def test_06_adaptive_policy_orderings(
     details = []
     for base_seed in TRAIN_SEEDS:
         q_succ, q_mse = _eval(
-            hard_trajectory,
+            hard_truth,
             QLearningPolicy(tables[(base_seed, False)], epsilon=0.0),
             scenario,
         )
         l_succ, l_mse = _eval(
-            hard_trajectory,
+            hard_truth,
             QLearningPolicy(tables[(base_seed, True)], epsilon=0.0),
             scenario,
         )
@@ -411,12 +410,13 @@ def test_06_adaptive_policy_orderings(
 
 def test_07_transfer_to_easier_trajectory(capsys, trained):
     easy = easy_scenario()
-    easy_trajectory = generate_trajectory(easy.trajectory, seed=easy.episode.seed)
+    easy_truth = campaign_truth(generate_trajectory(easy.trajectory, seed=easy.episode.seed),
+                                easy.radar, easy.episode)
     tables, _ = trained
     frozen = QLearningPolicy(tables[(TRAIN_SEEDS[0], False)], epsilon=0.0)
-    table_succ, table_mse = _eval(easy_trajectory, frozen, easy)
+    table_succ, table_mse = _eval(easy_truth, frozen, easy)
     f1_succ, f1_mse = _eval(
-        easy_trajectory,
+        easy_truth,
         FixedPolicy(1.0e6, easy.radar.min_bw, easy.radar.max_bw),
         easy,
     )
@@ -428,7 +428,7 @@ def test_07_transfer_to_easier_trajectory(capsys, trained):
     ])
 
 
-def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajectory):
+def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_truth):
     noise = np.array([100.0, 4.0, 1e-6, 1e-6])  # sigma_range = 10 m
     def gated(nu_range):
         return gate(np.array([nu_range, 0.0, 0.0, 0.0]), noise)
@@ -441,11 +441,10 @@ def test_08_gate_arithmetic_and_loss_declaration(capsys, scenario, hard_trajecto
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "gate", always_miss)
         result = run_episode(
-            TruthSide(hard_trajectory, scenario.radar),
+            hard_truth,
             FixedPolicy(1.0e6, scenario.radar.min_bw, scenario.radar.max_bw),
-            scenario.radar,
             scenario.process,
-            replace(scenario.episode, miss_limit=5),
+            5,
             np.random.default_rng(0),
         )
     _report(capsys, 8, "gate arithmetic and loss declaration", [

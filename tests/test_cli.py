@@ -11,8 +11,9 @@ import pytest
 from cogradar import experiment, lockstep
 from cogradar.cli import PolicySpec, cli_main
 from cogradar.config import default_scenario
-from cogradar.experiment import evaluate, save_run_csv
+from cogradar.experiment import campaign_truth, evaluate, save_run_csv
 from cogradar.policy import ActionSet, BandwidthScalingPolicy, Discretizer, QTable
+from cogradar.radar import TruthSide
 from cogradar.tracker import DegenerateInnovationError
 from cogradar.trajectory import generate_trajectory
 from trajectory_readers import load_trajectory_csv
@@ -218,6 +219,17 @@ class TestShapeFields:
         assert not os.path.exists(out)
 
 
+def loading(kind, path, out):
+    """A command that loads ``path`` as its ``kind`` of file."""
+    return {
+        "edges": ["train", "--edges", str(path), "--runs", "1", *FAST, "--out", out],
+        "Q-table": ["evaluate", "--policy", f"qlearn:{path}", "--runs", "1", *FAST,
+                    "--out", out],
+        "scenario": ["evaluate", "--policy", "fixed:1e6", "--config", str(path),
+                     "--runs", "1", *FAST, "--out", out],
+    }[kind]
+
+
 class TestTopLevelObject:
     """An edges file, a Q-table or a scenario whose JSON is not an object
     exits 2, and the message names the kind of file."""
@@ -229,15 +241,26 @@ class TestTopLevelObject:
         path = tmp_path / "doc.json"
         path.write_text(text)
         out = str(tmp_path / "out")
-        argv = {
-            "edges": ["train", "--edges", str(path), "--runs", "1", *FAST, "--out", out],
-            "Q-table": ["evaluate", "--policy", f"qlearn:{path}", "--runs", "1", *FAST,
-                        "--out", out],
-            "scenario": ["evaluate", "--policy", "fixed:1e6", "--config", str(path),
-                         "--runs", "1", *FAST, "--out", out],
-        }[kind]
-        assert run(*argv) == 2
+        assert run(*loading(kind, path, out)) == 2
         assert f"cogradar: error: {kind} file must be an object, got " in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestMalformedJson:
+    """An edges file, a Q-table or a scenario that is not JSON text, cut
+    short, empty or not UTF-8, exits 2 before any file is written, and the
+    message names the kind of file and its path."""
+
+    @pytest.mark.parametrize("content", [b'{"pred_var_edges": [1,2', b"", b"\xff{}"],
+                             ids=["truncated", "empty", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["edges", "Q-table", "scenario"])
+    def test_rejected(self, capsys, tmp_path, kind, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        out = str(tmp_path / "out")
+        assert run(*loading(kind, path, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cogradar: error: {kind} file {path} is not valid JSON: ")
         assert not os.path.exists(out)
 
 
@@ -450,6 +473,35 @@ class TestCalibrateAndTrain:
         err = capsys.readouterr().err
         assert "L" in err and path in err and policy in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("policy", ["qlearn", "qlearn-lookahead"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_pilot_calibration_is_calibrate(self, capsys, tmp_path, policy, seed):
+        """train without --edges calibrates on the --seed + 1000000 stream
+        and trains on the same truth: its table has the bytes of calibrate
+        at that seed followed by train --edges."""
+        alone, cal, edged = (str(tmp_path / name) for name in ("alone", "cal", "edged"))
+        train = ["train", "--policy", policy, "--runs", "3", "--seed", str(seed)]
+        assert run(*train, "--out", alone) == 0
+        assert run("calibrate", "--runs", "100", "--seed", str(seed + 1_000_000),
+                   "--out", cal) == 0
+        assert run(*train, "--edges", os.path.join(cal, "edges.json"), "--out", edged) == 0
+        assert (read(os.path.join(alone, "qtable.json"))
+                == read(os.path.join(edged, "qtable.json")))
+
+    def test_train_builds_one_truth_side(self, capsys, tmp_path, monkeypatch):
+        """The pilot calibration and the training of one train read the one
+        truth side the command builds."""
+        built = []
+
+        class Counted(TruthSide):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(experiment, "TruthSide", Counted)
+        assert run("train", "--runs", "2", *FAST, "--out", str(tmp_path)) == 0
+        assert len(built) == 1
 
     def test_warm_start_rejects_edges(self, capsys, tmp_path, edges_file):
         """A warm start keeps the table's own edges, so --edges is an error."""
@@ -671,14 +723,21 @@ class TestFailedLockstepCall:
         ["evaluate", "--policy", "fixed:1e6", "--runs", "2"],
         ["compare", "--policy", "fixed:1e6,fixed:5e6", "--runs", "2"],
         ["calibrate", "--runs", "3"],
-    ], ids=["evaluate-1", "evaluate-2", "compare", "calibrate"])
-    def test_short_trajectory_names_run_zero(self, capsys, tmp_path, argv):
-        """One scalar run or a lockstep call: either way the error names the
-        first run and its seed."""
+        ["train", "--policy", "qlearn", "--runs", "2"],
+        ["train", "--policy", "qlearn", "--runs", "2",
+         "--edges", os.path.join(GOLDEN_DIR, "cal", "edges.json")],
+        ["trace", "--policy", "scaling"],
+    ], ids=["evaluate-1", "evaluate-2", "compare", "calibrate", "train", "train-edges",
+            "trace"])
+    def test_short_trajectory_fails_before_any_run(self, capsys, tmp_path, monkeypatch, argv):
+        """A trajectory too short for --transmissions fails as the command
+        builds its truth, before any run, so the error names no run."""
+        monkeypatch.setattr(experiment, "run_episode", fail_if_called)
         out = str(tmp_path / "out")
         code = run(*argv, "--seed", "7", "--transmissions", "5000", "--out", out)
         assert code == 2
-        assert "run 0 (seed 7): trajectory too short" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("cogradar: error: trajectory too short: need "
+                                           "n_transmissions + 1 = 5001 samples, have 183\n")
         assert not os.path.exists(out)
 
     def test_failure_seen_only_in_the_lanes(self, capsys, tmp_path, monkeypatch):
@@ -833,12 +892,12 @@ class TestTrace:
         assert run("trace", "--policy", "scaling", "--seed", "7", "--out", out) == 0
         scenario = default_scenario()
         radar = scenario.radar
+        trajectory = generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
         [([result], _)] = evaluate(
-            generate_trajectory(scenario.trajectory, seed=scenario.episode.seed),
+            campaign_truth(trajectory, radar, scenario.episode),
             [BandwidthScalingPolicy(radar.min_bw, radar.max_bw)],
-            radar,
             scenario.process,
-            scenario.episode,
+            scenario.episode.miss_limit,
             n_runs=1,
             base_seed=7,
         )

@@ -10,9 +10,9 @@ import pytest
 
 import dwell_oracle as oracle
 from cogradar.config import default_scenario
-from cogradar.experiment import seeded_run
+from cogradar.experiment import campaign_truth, seeded_run
 from cogradar.policy import BandwidthScalingPolicy, Discretizer, FixedPolicy, QLearningPolicy
-from cogradar.radar import TruthSide, measurement_noise_var, observe, observe_jacobian
+from cogradar.radar import measurement_noise_var, observe, observe_jacobian
 from cogradar.tracker import gate, innovation, predict, update
 from cogradar.trajectory import Phase, generate_trajectory
 from test_ekf_oracle import GOLDEN_DIR, RADAR_POSITIONS
@@ -23,8 +23,7 @@ from test_radar import random_states
 def hard():
     scenario = default_scenario()
     trajectory = generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
-    return scenario, TruthSide(trajectory[: scenario.episode.n_transmissions + 1],
-                               scenario.radar)
+    return scenario, campaign_truth(trajectory, scenario.radar, scenario.episode)
 
 
 def random_dwells(n, seed, position):
@@ -91,7 +90,8 @@ def test_training_matches_the_reference_loop(hard, lookahead):
     models = (scenario.radar, scenario.process, scenario.episode)
     lost = 0
     for i in range(12):
-        got = seeded_run(i, 0, truth, lean, *models, learning=True)
+        got = seeded_run(i, 0, truth, lean, scenario.process, scenario.episode.miss_limit,
+                         learning=True)
         want = oracle.run_episode(truth, reference, *models, np.random.default_rng(i),
                                   learning=True)
         assert got.lost_at == want.lost_at, i
@@ -111,7 +111,7 @@ def test_frozen_runs_match_the_reference_loop(hard):
     for policy in (BandwidthScalingPolicy(radar.min_bw, radar.max_bw),
                    FixedPolicy(1e6, radar.min_bw, radar.max_bw)):
         for i in range(4):
-            got = seeded_run(i, 1000, truth, policy, *models)
+            got = seeded_run(i, 1000, truth, policy, scenario.process, scenario.episode.miss_limit)
             want = oracle.run_episode(truth, policy, *models, np.random.default_rng(1000 + i))
             assert got.lost_at == want.lost_at, i
             assert got.records.tobytes() == want.records.tobytes(), i

@@ -19,7 +19,7 @@ import pytest
 
 import ekf_oracle as oracle
 from cogradar.config import default_scenario
-from cogradar.experiment import evaluate, seeded_run
+from cogradar.experiment import campaign_truth, evaluate, seeded_run
 from cogradar.policy import (
     BandwidthScalingPolicy,
     Discretizer,
@@ -28,7 +28,7 @@ from cogradar.policy import (
     QTable,
     reward,
 )
-from cogradar.radar import TruthSide, measurement_noise_var, observe, observe_jacobian
+from cogradar.radar import measurement_noise_var, observe, observe_jacobian
 from cogradar.tracker import update
 from cogradar.trajectory import generate_trajectory
 from test_acceptance import EVAL_SEED, N_EVAL_RUNS
@@ -85,6 +85,12 @@ def hard_trajectory():
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
+@pytest.fixture(scope="module")
+def hard_truth(hard_trajectory):
+    scenario = default_scenario()
+    return campaign_truth(hard_trajectory, scenario.radar, scenario.episode)
+
+
 def _frozen(name, radar):
     if name == "scaling":
         return BandwidthScalingPolicy(radar.min_bw, radar.max_bw)
@@ -95,30 +101,29 @@ def _frozen(name, radar):
 
 
 @pytest.fixture(scope="module")
-def roster_lanes(hard_trajectory):
+def roster_lanes(hard_truth):
     """Every policy below evaluated in one lockstep call: {name: (policy, runs)}."""
     sc = default_scenario()
     policies = [_frozen(name, sc.radar) for name in ROSTER]
-    scores = evaluate(hard_trajectory, policies, sc.radar, sc.process, sc.episode,
+    scores = evaluate(hard_truth, policies, sc.process, sc.episode.miss_limit,
                       n_runs=N_EVAL_RUNS, base_seed=EVAL_SEED)
     return {name: (policy, runs) for name, policy, (runs, _) in zip(ROSTER, policies, scores)}
 
 
 @pytest.mark.parametrize("name", ROSTER)
-def test_run_episode_matches_oracle_loop(hard_trajectory, roster_lanes, name):
+def test_run_episode_matches_oracle_loop(hard_trajectory, hard_truth, roster_lanes, name):
     """``evaluate --seed 1000`` run by run.  Against the oracle loop: the same
     gate decision on every dwell, the same ``lost_at``, range errors within
     1e-9 m.  The run's lockstep lane, from one call for all six policies,
     has the scalar run's records byte for byte, every field."""
     sc = default_scenario()
     policy, lanes = roster_lanes[name]
-    args = (policy, sc.radar, sc.process, sc.episode)
-    truth = TruthSide(hard_trajectory[: sc.episode.n_transmissions + 1], sc.radar)
     assert len(lanes) == N_EVAL_RUNS
     for i, lane in enumerate(lanes):
-        result = seeded_run(i, EVAL_SEED, truth, *args)
+        result = seeded_run(i, EVAL_SEED, hard_truth, policy, sc.process, sc.episode.miss_limit)
         correlated, range_errors, lost_at = oracle.run_episode(
-            hard_trajectory, *args, np.random.default_rng(EVAL_SEED + i)
+            hard_trajectory, policy, sc.radar, sc.process, sc.episode,
+            np.random.default_rng(EVAL_SEED + i)
         )
         assert result.lost_at == (lost_at,) == lane.lost_at, f"run {i}"
         assert result.records.correlated.tolist() == correlated, f"run {i}"
@@ -129,7 +134,7 @@ def test_run_episode_matches_oracle_loop(hard_trajectory, roster_lanes, name):
 
 
 @pytest.mark.parametrize("lookahead", [False, True], ids=["L1", "L5"])
-def test_training_matches_oracle_rules(hard_trajectory, lookahead):
+def test_training_matches_oracle_rules(hard_truth, lookahead):
     """Eight epsilon-greedy episodes through ``seeded_run(learning=True)``,
     then each run's recorded states, actions, range errors and ``lost_at``
     replayed through the oracle's ndarray rules on a copy of the starting
@@ -140,8 +145,7 @@ def test_training_matches_oracle_rules(hard_trajectory, lookahead):
     table = sc.new_table(edges, lookahead=lookahead)
     replay = QTable(table.values.copy(), table.discretizer, table.actions, table.hyperparams)
     policy = QLearningPolicy(table)
-    truth = TruthSide(hard_trajectory[: sc.episode.n_transmissions + 1], sc.radar)
-    runs = [seeded_run(i, 0, truth, policy, sc.radar, sc.process, sc.episode,
+    runs = [seeded_run(i, 0, hard_truth, policy, sc.process, sc.episode.miss_limit,
                        learning=True) for i in range(8)]
     assert any(not run.successful for run in runs)
     C, L = table.hyperparams.C, table.hyperparams.L

@@ -13,6 +13,7 @@ from cogradar.experiment import (
     RECORD_DTYPE,
     EpisodeConfig,
     calibrate_discretizer,
+    campaign_truth,
     evaluate,
     mean_windowed_mse,
     overall_windowed_mse,
@@ -239,9 +240,10 @@ class TestBlockScoring:
         """A lockstep campaign's blocks, lost lanes among them, scored whole
         and run by run."""
         sc = default_scenario()
-        truth = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+        truth = campaign_truth(generate_trajectory(sc.trajectory, seed=sc.episode.seed),
+                               sc.radar, sc.episode)
         policies = [FixedPolicy(5e6), BandwidthScalingPolicy(), FixedPolicy(1e6)]
-        scores = evaluate(truth, policies, sc.radar, sc.process, sc.episode, n_runs=12,
+        scores = evaluate(truth, policies, sc.process, sc.episode.miss_limit, n_runs=12,
                           base_seed=100)
         assert any(not runs.successful for runs, _ in scores)
         for runs, per_step in scores:
@@ -278,13 +280,11 @@ class TestSuccessHistogram:
 class TestRunEpisode:
     def test_stationary_quiet_scenario_is_successful(self):
         trajectory = stationary_trajectory(161)
-        episode = EpisodeConfig(n_transmissions=160)
         result = run_episode(
             TruthSide(trajectory, quiet_radar()),
             FixedPolicy(1e6),
-            quiet_radar(),
             quiet_process(),
-            episode,
+            5,
             np.random.default_rng(0),
         )
         assert result.successful
@@ -300,9 +300,8 @@ class TestRunEpisode:
         result = run_episode(
             TruthSide(trajectory, moderate_radar()),
             FixedPolicy(1e6),
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             np.random.default_rng(3),
         )
         assert result.successful
@@ -316,9 +315,8 @@ class TestRunEpisode:
         result = run_episode(
             TruthSide(trajectory, quiet_radar()),
             FixedPolicy(0.5e6),
-            quiet_radar(),
             quiet_process(),
-            EpisodeConfig(miss_limit=5),
+            5,
             np.random.default_rng(1),
         )
         assert not result.successful
@@ -328,9 +326,9 @@ class TestRunEpisode:
 
     def test_deterministic_given_seed(self):
         truth = TruthSide(stationary_trajectory(161), moderate_radar())
-        args = (truth, FixedPolicy(2.5e6), moderate_radar(), quiet_process())
-        one = run_episode(*args, EpisodeConfig(), np.random.default_rng(7))
-        two = run_episode(*args, EpisodeConfig(), np.random.default_rng(7))
+        args = (truth, FixedPolicy(2.5e6), quiet_process(), 5)
+        one = run_episode(*args, np.random.default_rng(7))
+        two = run_episode(*args, np.random.default_rng(7))
         assert same_run(one, two)
 
     def test_causality_prefix_replay(self):
@@ -346,17 +344,15 @@ class TestRunEpisode:
             full = run_episode(
                 TruthSide(trajectory, moderate_radar()),
                 policy_factory(),
-                moderate_radar(),
                 quiet_process(),
-                EpisodeConfig(n_transmissions=160),
+                5,
                 np.random.default_rng(5),
             )
             prefix = run_episode(
-                TruthSide(trajectory, moderate_radar()),
+                campaign_truth(trajectory, moderate_radar(), EpisodeConfig(n_transmissions=60)),
                 policy_factory(),
-                moderate_radar(),
                 quiet_process(),
-                EpisodeConfig(n_transmissions=60),
+                5,
                 np.random.default_rng(5),
             )
             assert np.array_equal(full.records[:60], prefix.records)
@@ -366,9 +362,8 @@ class TestRunEpisode:
         result = run_episode(
             TruthSide(trajectory, moderate_radar()),
             FixedPolicy(1e6),
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             np.random.default_rng(2),
         )
         # meas_var recorded at step k becomes the context of step k+1; all
@@ -377,23 +372,25 @@ class TestRunEpisode:
         assert all(rec.meas_var > 0.0 for rec in result.records)
 
     def test_trajectory_too_short_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            run_episode(
-                TruthSide(stationary_trajectory(100), quiet_radar()),
-                FixedPolicy(1e6),
-                quiet_radar(),
-                quiet_process(),
-                EpisodeConfig(n_transmissions=160),
-                np.random.default_rng(0),
-            )
+        """The campaign's truth refuses a trajectory too short for its dwells,
+        naming no run; the episode runs as many dwells as its truth has."""
+        message = r"^trajectory too short: need n_transmissions \+ 1 = 161 samples, have 100$"
+        with pytest.raises(ValueError, match=message):
+            campaign_truth(stationary_trajectory(100), quiet_radar(),
+                           EpisodeConfig(n_transmissions=160))
+        truth = campaign_truth(stationary_trajectory(100), quiet_radar(),
+                               EpisodeConfig(n_transmissions=99))
+        assert len(truth) == 100
+        result = run_episode(truth, FixedPolicy(1e6), quiet_process(), 5,
+                             np.random.default_rng(0))
+        assert len(result.records) == 99
 
     def test_nontabular_records_have_no_indices(self):
         result = run_episode(
             TruthSide(stationary_trajectory(21), moderate_radar()),
             BandwidthScalingPolicy(),
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(n_transmissions=20),
+            5,
             np.random.default_rng(0),
         )
         assert all(rec.state_index == -1 for rec in result.records)
@@ -402,9 +399,8 @@ class TestRunEpisode:
         result = run_episode(
             TruthSide(stationary_trajectory(21), moderate_radar()),
             QLearningPolicy(QTable.zeros(wide_edges()), epsilon=0.0),
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(n_transmissions=20),
+            5,
             np.random.default_rng(0),
         )
         assert all(0 <= rec.state_index < 80 for rec in result.records)
@@ -426,9 +422,8 @@ def run_scripted(hits, miss_limit=5):
         return run_episode(
             TruthSide(stationary_trajectory(len(hits) + 1), quiet_radar()),
             FixedPolicy(1e6),
-            quiet_radar(),
             quiet_process(),
-            EpisodeConfig(n_transmissions=len(hits), miss_limit=miss_limit),
+            miss_limit,
             np.random.default_rng(0),
         )
 
@@ -492,11 +487,10 @@ class TestTrainQlearning:
         table = QTable.zeros(wide_edges())
         before = table.values.copy()
         out = train_qlearning(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             table,
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=0,
             base_seed=0,
         )
@@ -506,11 +500,10 @@ class TestTrainQlearning:
     def test_training_touches_table_within_bounds(self):
         table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.2, L=1))
         train_qlearning(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             table,
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=10,
             base_seed=42,
         )
@@ -522,11 +515,10 @@ class TestTrainQlearning:
         def train_once():
             table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(epsilon=0.2, L=5))
             train_qlearning(
-                stationary_trajectory(161),
+                TruthSide(stationary_trajectory(161), moderate_radar()),
                 table,
-                moderate_radar(),
                 quiet_process(),
-                EpisodeConfig(),
+                5,
                 n_runs=5,
                 base_seed=7,
             )
@@ -538,11 +530,10 @@ class TestTrainQlearning:
 class TestEvaluate:
     def test_aggregates_all_runs(self):
         [(results, per_step)] = evaluate(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             [FixedPolicy(1e6)],
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=8,
             base_seed=0,
         )
@@ -559,17 +550,16 @@ class TestEvaluate:
         monkeypatch.setattr(experiment, "run_episode", fail)
         message = f"^n_transmissions must be >= {MSE_WINDOW}, one MSE window, to evaluate$"
         with pytest.raises(ValueError, match=message):
-            evaluate(stationary_trajectory(161), [FixedPolicy(1e6)], moderate_radar(),
-                     quiet_process(), EpisodeConfig(n_transmissions=n_transmissions),
-                     n_runs=1, base_seed=0)
+            evaluate(campaign_truth(stationary_trajectory(161), moderate_radar(),
+                                    EpisodeConfig(n_transmissions=n_transmissions)),
+                     [FixedPolicy(1e6)], quiet_process(), 5, n_runs=1, base_seed=0)
 
     def test_single_run_report_matches_run(self):
         [(results, per_step)] = evaluate(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             [FixedPolicy(1e6)],
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=1,
             base_seed=3,
         )
@@ -582,11 +572,10 @@ class TestEvaluate:
         table.values[:] = -np.random.default_rng(0).random((80, 6))
         before = table.values.copy()
         evaluate(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             [QLearningPolicy(table, epsilon=0.0)],
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=4,
             base_seed=0,
         )
@@ -595,11 +584,10 @@ class TestEvaluate:
     def test_deterministic_across_invocations(self):
         def once():
             [score] = evaluate(
-                stationary_trajectory(161),
+                TruthSide(stationary_trajectory(161), moderate_radar()),
                 [BandwidthScalingPolicy()],
-                moderate_radar(),
                 quiet_process(),
-                EpisodeConfig(),
+                5,
                 n_runs=5,
                 base_seed=9,
             )
@@ -618,9 +606,7 @@ class TestLastPosterior:
     N = 10
 
     def campaign(self):
-        radar = quiet_radar()
-        return (TruthSide(stationary_trajectory(self.N + 1), radar), radar, quiet_process(),
-                EpisodeConfig(n_transmissions=self.N))
+        return TruthSide(stationary_trajectory(self.N + 1), quiet_radar()), quiet_process(), 5
 
     @pytest.fixture
     def nan_last_update(self, monkeypatch):
@@ -636,18 +622,18 @@ class TestLastPosterior:
         return calls
 
     def test_scalar_run(self, nan_last_update):
-        truth, radar, process, episode = self.campaign()
+        truth, process, miss_limit = self.campaign()
         with pytest.raises(ValueError, match=r"^run 3 \(seed 103\): non-finite track state$"):
-            seeded_run(3, 100, truth, FixedPolicy(1e6), radar, process, episode)
+            seeded_run(3, 100, truth, FixedPolicy(1e6), process, miss_limit)
         assert len(nan_last_update) == self.N  # a hit on every dwell
 
     def test_scalar_training_run(self, nan_last_update):
         """A learner's reward rejects the NaN range error first."""
-        truth, radar, process, episode = self.campaign()
+        truth, process, miss_limit = self.campaign()
         table = QTable.zeros(wide_edges(), hyperparams=Hyperparams(L=5))
         with pytest.raises(ValueError, match=r"^run 3 \(seed 103\): range_error must be "
                                              r"finite, got nan$"):
-            seeded_run(3, 100, truth, QLearningPolicy(table), radar, process, episode,
+            seeded_run(3, 100, truth, QLearningPolicy(table), process, miss_limit,
                        learning=True)
         assert np.count_nonzero(np.isfinite(table.values)) == table.values.size
 
@@ -655,7 +641,7 @@ class TestLastPosterior:
     def test_lanes(self, monkeypatch, lost):
         """Lane by lane: the run of seed 102 turns NaN on its last dwell, or
         on dwell 4 where it is made to lose its track."""
-        truth, radar, process, episode = self.campaign()
+        truth, process, miss_limit = self.campaign()
         last = 4 if lost else self.N - 1
         dwell = lockstep.Lockstep._dwell
 
@@ -665,13 +651,12 @@ class TestLastPosterior:
                 bad = [self.seeds[i] == 102 for i in lanes.ids.tolist()]
                 lanes.x[bad] = np.nan
                 if lost:
-                    lanes.misses[bad] = episode.miss_limit
+                    lanes.misses[bad] = miss_limit
             return lanes
 
         monkeypatch.setattr(lockstep.Lockstep, "_dwell", nan_dwell)
         with pytest.raises(ValueError, match=r"^run 2 \(seed 102\): non-finite track state$"):
-            seeded_runs([FixedPolicy(1e6)] * 4, range(4), 100, stationary_trajectory(self.N + 1),
-                        radar, process, episode)
+            seeded_runs([FixedPolicy(1e6)] * 4, range(4), 100, truth, process, miss_limit)
 
 
 class TestSeededRuns:
@@ -697,8 +682,8 @@ class TestSeededRuns:
         monkeypatch.setattr(lockstep, "_lane_update", failing_lane_update)
         monkeypatch.setattr(experiment, "run_episode", recorded)
         with pytest.raises(DegenerateInnovationError) as raised:
-            seeded_runs([FixedPolicy(1e6)] * 3, range(3), 0, stationary_trajectory(41),
-                        moderate_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
+            seeded_runs([FixedPolicy(1e6)] * 3, range(3), 0,
+                        TruthSide(stationary_trajectory(41), moderate_radar()), quiet_process(), 5)
         assert raised.value is error
         assert [run.successful for run in replayed] == [True] * 3
 
@@ -719,14 +704,14 @@ class TestSeededRuns:
         monkeypatch.setattr(experiment, "run_episode", counted)
         with pytest.raises(ValueError, match=r"^run 63 \(seed 163\): failed lane$"):
             seeded_runs([FixedPolicy(1e6)] * 63 + [FailingPolicy()], range(64), 100,
-                        stationary_trajectory(11), moderate_radar(), quiet_process(),
-                        EpisodeConfig(n_transmissions=10))
+                        TruthSide(stationary_trajectory(11), moderate_radar()), quiet_process(), 5)
         assert len(calls) <= 8
 
     def test_one_truth_side_per_campaign(self, monkeypatch):
         """Every lockstep call of a failing 64-lane campaign, bisection and
-        replay included, reads the one ``TruthSide`` built for it, whose
-        noise table then holds one column per bandwidth the lanes used."""
+        replay included, reads the one ``TruthSide`` that ``campaign_truth``
+        built for it and builds none, and its noise table then holds one
+        column per bandwidth the lanes used."""
         class FailingPolicy(BandwidthScalingPolicy):  # fixed lanes make no choice
             def choose_lanes(self, *args):
                 raise ValueError("failed lane")
@@ -747,13 +732,14 @@ class TestSeededRuns:
         monkeypatch.setattr(experiment, "TruthSide", Counted)
         monkeypatch.setattr(experiment, "run_episode", recorded)
         policies = [FixedPolicy(1e6), BandwidthScalingPolicy()] * 31 + [FailingPolicy()] * 2
+        episode = EpisodeConfig(n_transmissions=40)
+        truth = campaign_truth(stationary_trajectory(41), moderate_radar(), episode)
         with pytest.raises(ValueError, match=r"^run 62 \(seed 162\): failed lane$"):
-            seeded_runs(policies, range(64), 100, stationary_trajectory(41),
-                        moderate_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
-        assert len(built) == 1 and read == {id(built[0])}
-        runs = seeded_runs(policies[:4], range(4), 100, teleport_trajectory(41),
-                           quiet_radar(), quiet_process(), EpisodeConfig(n_transmissions=40))
-        [truth] = built[1:]
+            seeded_runs(policies, range(64), 100, truth, quiet_process(), 5)
+        assert built == [truth] and read == {id(truth)}
+        truth = campaign_truth(teleport_trajectory(41), quiet_radar(), episode)
+        runs = seeded_runs(policies[:4], range(4), 100, truth, quiet_process(), 5)
+        assert built[1:] == [truth]
         used = set(runs.records.bandwidth.tolist()) | {1e6, 10e6}  # initiation included
         assert len(used) > 2 and sorted(truth.column) == sorted(used)
         assert truth.table.shape == (2, 41, len(used), 4)
@@ -762,10 +748,9 @@ class TestSeededRuns:
 class TestCalibrateDiscretizer:
     def test_produces_valid_discretizer(self):
         d = calibrate_discretizer(
-            stationary_trajectory(161),
-            moderate_radar(),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=12,
             base_seed=0,
             actions=ActionSet(),
@@ -774,16 +759,12 @@ class TestCalibrateDiscretizer:
         assert len(d.meas_var_edges) == 7
 
     def test_deterministic(self):
-        args = (
-            stationary_trajectory(161),
-            moderate_radar(),
-            quiet_process(),
-            EpisodeConfig(),
-        )
-        kwargs = dict(n_runs=6, base_seed=0, actions=ActionSet())
-        assert calibrate_discretizer(*args, **kwargs) == calibrate_discretizer(
-            *args, **kwargs
-        )
+        def calibrate():
+            truth = TruthSide(stationary_trajectory(161), moderate_radar())
+            return calibrate_discretizer(truth, quiet_process(), 5, n_runs=6, base_seed=0,
+                                         actions=ActionSet())
+
+        assert calibrate() == calibrate()
 
 
 class TestCsvExport:
@@ -791,9 +772,8 @@ class TestCsvExport:
         return run_episode(
             TruthSide(stationary_trajectory(41), moderate_radar()),
             FixedPolicy(1e6),
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(n_transmissions=40),
+            5,
             np.random.default_rng(4),
         )
 
@@ -845,11 +825,10 @@ class TestCsvExport:
 
     def test_metrics_csv(self, tmp_path):
         [(_, per_step)] = evaluate(
-            stationary_trajectory(161),
+            TruthSide(stationary_trajectory(161), moderate_radar()),
             [FixedPolicy(1e6)],
-            moderate_radar(),
             quiet_process(),
-            EpisodeConfig(),
+            5,
             n_runs=3,
             base_seed=0,
         )

@@ -80,3 +80,13 @@ class TestReadJson:
         path = tmp_path / "doc.json"
         path.write_text("{}")
         assert read_json(str(path), (), "scenario") == {}
+
+    @pytest.mark.parametrize("content", [b'{"pred_var_edges": [1,2', b"", b"\xff{}"],
+                             ids=["truncated", "empty", "not-utf8"])
+    def test_names_file_kind_and_path_of_non_json(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            read_json(str(path), ("pred_var_edges",), "edges")
+        assert str(info.value).startswith(f"edges file {path} is not valid JSON: ")
+        assert isinstance(info.value.__cause__, (json.JSONDecodeError, UnicodeDecodeError))

@@ -19,7 +19,7 @@ import pytest
 from cogradar import experiment, lockstep, tracker
 from cogradar.cli import cli_main
 from cogradar.config import default_scenario
-from cogradar.experiment import seeded_run, train_qlearning
+from cogradar.experiment import campaign_truth, seeded_run, train_qlearning
 from cogradar.policy import BandwidthScalingPolicy, Discretizer, QLearningPolicy
 from cogradar.radar import (
     SPEED_OF_LIGHT,
@@ -386,10 +386,11 @@ def test_training_takes_no_eigenvalues(monkeypatch):
     with ``eigvalsh_lo`` and ``numpy.dot`` made to raise, the table trains,
     and to the bytes it has with both at hand."""
     sc = default_scenario()
-    trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
+    truth = campaign_truth(generate_trajectory(sc.trajectory, seed=sc.episode.seed),
+                           sc.radar, sc.episode)
     edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
     tables = [sc.new_table(edges, lookahead=True) for _ in range(2)]
-    train_qlearning(trajectory, tables[0], sc.radar, sc.process, sc.episode, n_runs=20,
+    train_qlearning(truth, tables[0], sc.process, sc.episode.miss_limit, n_runs=20,
                     base_seed=0)
     linalg = tracker._umath_linalg
 
@@ -402,7 +403,7 @@ def test_training_takes_no_eigenvalues(monkeypatch):
     monkeypatch.setattr(tracker, "_umath_linalg", SimpleNamespace(
         eigvalsh_lo=eigvalsh_lo, cholesky_lo=linalg.cholesky_lo, solve=linalg.solve))
     monkeypatch.setattr(np, "dot", dot)
-    train_qlearning(trajectory, tables[1], sc.radar, sc.process, sc.episode, n_runs=20,
+    train_qlearning(truth, tables[1], sc.process, sc.episode.miss_limit, n_runs=20,
                     base_seed=0)
     assert tables[0].values.tobytes() == tables[1].values.tobytes()
     assert np.count_nonzero(tables[1].values) > 0
@@ -537,7 +538,7 @@ def test_noise_squares_are_float_powers(hard):
     rounds as that one's does."""
     scenario, trajectory = hard
     radar = scenario.radar
-    truth = TruthSide(trajectory[: scenario.episode.n_transmissions + 1], radar)
+    truth = campaign_truth(trajectory, radar, scenario.episode)
     bandwidths = np.linspace(radar.min_bw, radar.max_bw, 400).tolist()
     columns = truth.columns(np.array(bandwidths))
     assert columns.tolist() == list(range(400))
@@ -639,18 +640,17 @@ def test_campaign_truth_side_changes_no_bit(hard):
     rows = trajectory[: sc.episode.n_transmissions + 1]
     edges = Discretizer.load(f"{GOLDEN_DIR}/cal/edges.json")
     shared = sc.new_table(edges, lookahead=True)
-    train_qlearning(trajectory, shared, sc.radar, sc.process, sc.episode, n_runs=4,
-                    base_seed=9)
+    models = (sc.process, sc.episode.miss_limit)
+    train_qlearning(TruthSide(rows, sc.radar), shared, *models, n_runs=4, base_seed=9)
     alone = sc.new_table(edges, lookahead=True)
     policy = QLearningPolicy(alone)
     for i in range(4):
-        seeded_run(i, 9, TruthSide(rows, sc.radar), policy, sc.radar, sc.process,
-                   sc.episode, learning=True)
+        seeded_run(i, 9, TruthSide(rows, sc.radar), policy, *models, learning=True)
     assert shared.values.tobytes() == alone.values.tobytes()
     truth = TruthSide(rows, sc.radar)
     scaling = BandwidthScalingPolicy(sc.radar.min_bw, sc.radar.max_bw)
-    seeded_run(0, 50, truth, scaling, sc.radar, sc.process, sc.episode)
+    seeded_run(0, 50, truth, scaling, *models)
     assert len(truth.column) > 1
-    a, b = (seeded_run(3, 50, side, scaling, sc.radar, sc.process, sc.episode)
+    a, b = (seeded_run(3, 50, side, scaling, *models)
             for side in (truth, TruthSide(rows, sc.radar)))
     assert a.records.tobytes() == b.records.tobytes() and a.lost_at == b.lost_at

@@ -24,6 +24,7 @@ from cogradar.cli import cli_main
 from cogradar.config import default_scenario
 from cogradar.experiment import (
     calibrate_discretizer,
+    campaign_truth,
     evaluate,
     run_episode,
     seeded_run,
@@ -38,7 +39,6 @@ from cogradar.policy import (
     QTable,
     bandwidth_scaling_step,
 )
-from cogradar.radar import TruthSide
 from cogradar.tracker import DegenerateInnovationError, update
 from cogradar.trajectory import generate_trajectory
 
@@ -68,11 +68,6 @@ def hard_trajectory(scenario):
     return generate_trajectory(scenario.trajectory, seed=scenario.episode.seed)
 
 
-def truth_side(trajectory, radar, episode):
-    """The ``TruthSide`` a campaign builds on ``trajectory``."""
-    return TruthSide(trajectory[: episode.n_transmissions + 1], radar)
-
-
 def assert_same_run(lane, scalar, label):
     """The lane's records are its scalar run's, byte for byte in all nine fields."""
     assert lane.lost_at == scalar.lost_at, label
@@ -85,19 +80,20 @@ def test_calibrate_pools_the_scalar_samples(scenario, hard_trajectory):
     runs pool, so the edges agree."""
     sc, n_runs, base_seed = scenario, 100, 500
     policies = [FixedPolicy(bw, sc.radar.min_bw, sc.radar.max_bw) for bw in sc.actions.bandwidths]
-    truth = truth_side(hard_trajectory, sc.radar, sc.episode)
-    scalar = [seeded_run(i, base_seed, truth, policies[i % len(policies)],
-                         sc.radar, sc.process, sc.episode) for i in range(n_runs)]
+    truth = campaign_truth(hard_trajectory, sc.radar, sc.episode)
+    models = (sc.process, sc.episode.miss_limit)
+    scalar = [seeded_run(i, base_seed, truth, policies[i % len(policies)], *models)
+              for i in range(n_runs)]
     lanes = seeded_runs([policies[i % len(policies)] for i in range(n_runs)], range(n_runs),
-                        base_seed, hard_trajectory, sc.radar, sc.process, sc.episode)
+                        base_seed, truth, *models)
     for i, (lane, run) in enumerate(zip(lanes, scalar)):
         assert_same_run(lane, run, f"calibrate run {i}")
     pooled = np.concatenate([run.records for run in scalar])
     lane_pooled = np.concatenate([lane.records for lane in lanes])
     assert lane_pooled["meas_var"].tolist() == pooled["meas_var"].tolist()
     np.testing.assert_allclose(lane_pooled["pred_var"], pooled["pred_var"], rtol=1e-9, atol=0.0)
-    edges = calibrate_discretizer(hard_trajectory, sc.radar, sc.process, sc.episode,
-                                  n_runs=n_runs, base_seed=base_seed, actions=sc.actions)
+    edges = calibrate_discretizer(truth, *models, n_runs=n_runs, base_seed=base_seed,
+                                  actions=sc.actions)
     want = Discretizer.from_samples(pooled["pred_var"], pooled["meas_var"])
     np.testing.assert_allclose(edges.pred_var_edges, want.pred_var_edges, rtol=1e-9)
     np.testing.assert_allclose(edges.meas_var_edges, want.meas_var_edges, rtol=1e-9)
@@ -107,8 +103,8 @@ class TestRuns:
     def test_lanes_are_their_records_back_to_back(self, scenario, hard_trajectory):
         sc = scenario
         policies = [FixedPolicy(bw, sc.radar.min_bw, sc.radar.max_bw) for bw in (1e6, 1e7)]
-        runs = run_episode(truth_side(hard_trajectory, sc.radar, sc.episode), policies * 3,
-                           sc.radar, sc.process, sc.episode, [7, 7, 8, 8, 9, 9])
+        runs = run_episode(campaign_truth(hard_trajectory, sc.radar, sc.episode), policies * 3,
+                           sc.process, sc.episode.miss_limit, [7, 7, 8, 8, 9, 9])
         assert len(runs) == 6
         assert np.array_equal(np.concatenate([lane.records for lane in runs]), runs.records)
         assert runs.ends.tolist() == np.cumsum([len(lane.records) for lane in runs]).tolist()
@@ -119,8 +115,8 @@ class TestRuns:
 
     def test_lanes_are_frozen(self, scenario, hard_trajectory):
         sc = scenario
-        args = (truth_side(hard_trajectory, sc.radar, sc.episode), sc.radar, sc.process,
-                sc.episode)
+        args = (campaign_truth(hard_trajectory, sc.radar, sc.episode), sc.process,
+                sc.episode.miss_limit)
         exploring = QLearningPolicy(QTable.load(Q_TABLES["q"]))
         assert not exploring.lockstep
         with pytest.raises(ValueError, match="draw nothing"):
@@ -142,8 +138,9 @@ class TestRuns:
         monkeypatch.setattr(experiment, "run_episode", no_dwell)
         for n_runs in (1, 3):
             with pytest.raises(ValueError, match="draw nothing") as raised:
-                evaluate(hard_trajectory, [FixedPolicy(1e6), policy], sc.radar, sc.process,
-                         sc.episode, n_runs=n_runs, base_seed=4)
+                evaluate(campaign_truth(hard_trajectory, sc.radar, sc.episode),
+                         [FixedPolicy(1e6), policy], sc.process, sc.episode.miss_limit,
+                         n_runs=n_runs, base_seed=4)
             assert not str(raised.value).startswith("run ")
 
 
@@ -204,11 +201,11 @@ def test_mixed_lanes_are_their_scalar_runs(scenario, hard_trajectory, roster):
     policies = [other_edges_table() if spec == "other-edges" else build(spec, sc.radar)
                 for spec in roster]
     lane_policies = [policies[i % len(policies)] for i in range(n_runs)]
-    lanes = seeded_runs(lane_policies, range(n_runs), base_seed, hard_trajectory, sc.radar,
-                        sc.process, sc.episode)
-    truth = truth_side(hard_trajectory, sc.radar, sc.episode)
+    truth = campaign_truth(hard_trajectory, sc.radar, sc.episode)
+    models = (sc.process, sc.episode.miss_limit)
+    lanes = seeded_runs(lane_policies, range(n_runs), base_seed, truth, *models)
     for i, (lane, policy) in enumerate(zip(lanes, lane_policies)):
-        scalar = seeded_run(i, base_seed, truth, policy, sc.radar, sc.process, sc.episode)
+        scalar = seeded_run(i, base_seed, truth, policy, *models)
         assert_same_run(lane, scalar, f"{roster[i % len(roster)]} run {i}")
     assert len(set(lanes.lost_at)) > 2  # full tracks and losses at two dwells or more
 
@@ -253,11 +250,12 @@ def scalar_dwells(argv, scenario, trajectory):
     episode = replace(sc.episode, n_transmissions=int(
         option.get("--transmissions", sc.episode.n_transmissions)))
     n_runs, seed = int(option["--runs"]), int(option["--seed"])
-    args = (truth_side(trajectory, radar, episode),)
+    truth = campaign_truth(trajectory, radar, episode)
+    models = (sc.process, episode.miss_limit)
 
     def runs(policy_at, n, base):
-        return sum(len(seeded_run(i, base, *args, policy_at(i), radar, sc.process,
-                                  episode).records) for i in range(n))
+        return sum(len(seeded_run(i, base, truth, policy_at(i), *models).records)
+                   for i in range(n))
 
     def calibration(n, base):
         fixed = [FixedPolicy(bw, radar.min_bw, radar.max_bw) for bw in sc.actions.bandwidths]
@@ -273,11 +271,11 @@ def scalar_dwells(argv, scenario, trajectory):
         discretizer = Discretizer.load(option["--edges"])
     else:
         total += calibration(100, seed + 1_000_000)
-        discretizer = calibrate_discretizer(trajectory, radar, sc.process, episode, n_runs=100,
+        discretizer = calibrate_discretizer(truth, *models, n_runs=100,
                                             base_seed=seed + 1_000_000, actions=sc.actions)
     learner = QLearningPolicy(sc.new_table(discretizer, lookahead=False))
     return total + sum(
-        len(seeded_run(i, seed, *args, learner, radar, sc.process, episode, learning=True).records)
+        len(seeded_run(i, seed, truth, learner, *models, learning=True).records)
         for i in range(n_runs))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cogradar import experiment, lockstep
 from cogradar import policy as policy_module
 from cogradar.config import default_scenario
-from cogradar.experiment import EpisodeConfig, run_episode
+from cogradar.experiment import run_episode
 from cogradar.policy import (
     DEFAULT_ACTIONS_HZ,
     ActionSet,
@@ -265,8 +265,9 @@ class TestPercentiles:
                     for bw in sc.actions.bandwidths]
         trajectory = generate_trajectory(sc.trajectory, seed=sc.episode.seed)
         episode = replace(sc.episode, n_transmissions=40)
-        records = experiment.seeded_runs(policies, range(6), 0, trajectory, sc.radar,
-                                         sc.process, episode).records
+        truth = experiment.campaign_truth(trajectory, sc.radar, episode)
+        records = experiment.seeded_runs(policies, range(6), 0, truth, sc.process,
+                                         episode.miss_limit).records
         d = Discretizer.from_samples(records["pred_var"], records["meas_var"])
         for field, got, n_edges in (("pred_var", d.pred_var_edges, 9),
                                     ("meas_var", d.meas_var_edges, 7)):
@@ -891,7 +892,6 @@ class TestValidation:
         """A variance that is not positive fails the dwell before the policy
         chooses, with the same message from the scalar loop and from a lane."""
         sc = default_scenario()
-        episode = EpisodeConfig(n_transmissions=3)
         truth = TruthSide(generate_trajectory(sc.trajectory, seed=sc.episode.seed)[:4], sc.radar)
         policy = FixedPolicy(1e6)
         observe_lanes = lockstep._lane_observe
@@ -918,10 +918,9 @@ class TestValidation:
                 for owner, name, fake in patches:
                     patched.setattr(owner, name, fake)
                 with pytest.raises(ValueError, match=message):
-                    run_episode(truth, policy, sc.radar, sc.process, episode,
-                                np.random.default_rng(0))
+                    run_episode(truth, policy, sc.process, 5, np.random.default_rng(0))
                 with pytest.raises(ValueError, match=message):
-                    run_episode(truth, [policy], sc.radar, sc.process, episode, [0])
+                    run_episode(truth, [policy], sc.process, 5, [0])
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
