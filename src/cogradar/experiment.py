@@ -135,24 +135,25 @@ def run_episode(
     bandwidth = policy.initial_bandwidth()  # as a lane's, before the first choice
     z, r = measure(truth, 0, bandwidth, rng)
     x, P = initialize_track(z, truth.config)
-    meas_var = float(r[0])
+    meas_var = r.item(0)
     correlated = True
     streak = misses = 0  # gate hits counted by the policy, consecutive gate misses
     lost_at = None
 
     rows = []  # RECORD_DTYPE tuples, packed once the run ends
     radar_position = truth.config.position
-    for k in range(len(truth) - 1):
-        x, P = predict(x, P, process, truth.phases[k + 1])
+    phases, true_range, choose, learn = truth.phases, truth.range, policy.choose, policy.learn
+    for k in range(1, len(truth)):
+        x, P = predict(x, P, process, phases[k])
         H = observe_jacobian(x, radar_position)
         pred_var = range_variance(H, P)
         if pred_var <= 0.0:
             raise ValueError("predicted_range_variance must be > 0")
         if meas_var <= 0.0:
             raise ValueError("last_measurement_range_variance must be > 0")
-        bandwidth, streak, state, action = policy.choose(
+        bandwidth, streak, state, action = choose(
             pred_var, meas_var, correlated, bandwidth, streak, rng)
-        z, r = measure(truth, k + 1, bandwidth, rng)
+        z, r = measure(truth, k, bandwidth, rng)
         nu = innovation(x, z, radar_position)
         correlated, window, nu_range = gate(nu, r)
         if correlated:
@@ -162,19 +163,19 @@ def run_episode(
             misses += 1
         lost = misses >= miss_limit
 
-        range_error = abs(_distance(x.tolist(), radar_position) - truth.range[k + 1])
+        range_error = abs(_distance(x.tolist(), radar_position) - true_range[k])
         if learning:
-            policy.learn(range_error, lost)
+            learn(range_error, lost)
 
-        meas_var = float(r[0])
+        meas_var = r.item(0)
         rows.append((bandwidth, range_error, nu_range, window, correlated, state, action,
                      pred_var, meas_var))
         if lost:
-            lost_at = k + 1
+            lost_at = k
             break
     require_finite(x, P)  # the last posterior, which no predict checks
 
-    records = np.array(rows, dtype=RECORD_DTYPE).view(np.recarray)
+    records = np.fromiter(rows, RECORD_DTYPE, len(rows)).view(np.recarray)
     return Runs(records, ends=np.array([len(records)]), lost_at=(lost_at,))
 
 

@@ -49,6 +49,15 @@ def require_object(name: str, value) -> None:
         raise TypeError(f"{name} must be an object, got {value!r}")
 
 
+def named_power(name: str, base: float, exponent: int) -> float:
+    """``base ** exponent`` as a Python float power, whose OverflowError, which
+    no command catches, becomes a ValueError naming the field ``name``."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(f"{name} out of range: a float power of it overflows") from None
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file.
 

@@ -33,8 +33,8 @@ from .tracker import (_EYE6, GATE_SIGMAS, GATE_WINDOWS, ProcessModel, initialize
 from .trajectory import Phase
 
 _AZIMUTH_SIGNS = np.array([-1.0, 1.0])
-# The checks count flags with np.count_nonzero, a C call, where .any() and
-# .all() would each go through a Python-level wrapper.
+# The checks count flags with np.count_nonzero: cheaper than .any()/.all(), though on numpy 2
+# it pays a dispatcher and a Python wrapper; require_finite searches its masks' bytes instead.
 
 
 def require_frozen(policies: Sequence[Policy]) -> None:

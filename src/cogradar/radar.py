@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fileio import require_float, require_point
+from .fileio import named_power, require_float, require_point
 from .trajectory import TruthPoint
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -88,19 +88,19 @@ def observe_jacobian(state: np.ndarray, radar_position: tuple | np.ndarray) -> n
     dv = dx * vx + dy * vy + dz * vz
     ux, uy, uz = dx / r, dy / r, dz / r
     r2_rho = r2 * rho
-    return np.array([  # one flat list converts faster than nested rows
+    return np.fromiter([  # one flat list converts faster than nested rows
         ux, uy, uz, 0.0, 0.0, 0.0,
         vx / r - dv * dx / r3, vy / r - dv * dy / r3, vz / r - dv * dz / r3, ux, uy, uz,
         -dy / rho_sq, dx / rho_sq, 0.0, 0.0, 0.0, 0.0,
         -dz * dx / r2_rho, -dz * dy / r2_rho, rho / r2, 0.0, 0.0, 0.0,
-    ]).reshape(4, 6)
+    ], float, 24).reshape(4, 6)
 
 
 def snr_at_range(range_m: float, config: RadarConfig) -> float:
     """Fourth-power radar-equation SNR relative to the reference point."""
     if range_m <= 0.0:
         raise ValueError("range must be > 0")
-    return config.snr_ref * (config.range_ref / range_m) ** 4
+    return config.snr_ref * named_power("range_ref", config.range_ref / range_m, 4)
 
 
 def measurement_noise_var(
@@ -119,10 +119,10 @@ def measurement_noise_var(
     return _noise_var(bandwidth, *_noise_parts([snr], config))[0]
 
 
-def _squares(values: np.ndarray) -> list[float]:
+def _squares(values: np.ndarray, name: str) -> list[float]:
     """Each value squared as a Python float power, libm's pow(x, 2.0), which
-    does not always round as x * x (or ``np.square``) does."""
-    return [value**2 for value in values.tolist()]
+    does not always round as x * x (or ``np.square``) does; overflow names ``name``."""
+    return [named_power(name, value, 2) for value in values.tolist()]
 
 
 def _noise_parts(snr: Sequence[float], config: RadarConfig) -> tuple:
@@ -130,7 +130,8 @@ def _noise_parts(snr: Sequence[float], config: RadarConfig) -> tuple:
     the range-rate variance and the angle variance."""
     root = np.sqrt(2.0 * np.asarray(snr, dtype=float))
     sigma_rate = SPEED_OF_LIGHT / (2.0 * config.carrier_freq * config.pulse_duration * root)
-    return root, _squares(sigma_rate), config.angle_noise_std**2
+    return (root, _squares(sigma_rate, "carrier_freq * pulse_duration"),
+            named_power("angle_noise_std", config.angle_noise_std, 2))
 
 
 def _noise_var(bandwidth: float, root: np.ndarray, rate_var: list[float],
@@ -138,7 +139,7 @@ def _noise_var(bandwidth: float, root: np.ndarray, rate_var: list[float],
     """``measurement_noise_var``'s four variances of every row, (rows, 4),
     unchecked, from the rows' ``_noise_parts``."""
     r = np.empty((len(root), 4))
-    r[:, 0] = _squares(SPEED_OF_LIGHT / (2.0 * bandwidth * root))
+    r[:, 0] = _squares(SPEED_OF_LIGHT / (2.0 * bandwidth * root), "bandwidth")
     r[:, 1] = rate_var
     r[:, 2:] = angle_var
     return r
@@ -164,11 +165,12 @@ class TruthSide:
         for point in trajectory:
             try:
                 z = observe(np.concatenate([point.position, point.velocity]), config.position)
-                snr = snr_at_range(float(z[0]), config)
-                if snr <= 0.0:  # measurement_noise_var's check, made per row
-                    raise ValueError("snr must be > 0")
-            except ValueError as exc:
+            except ValueError as exc:  # target at radar
                 self.failure = exc
+                break
+            snr = snr_at_range(float(z[0]), config)  # an overflow fails the command
+            if snr <= 0.0:  # measurement_noise_var's check, made per row
+                self.failure = ValueError("snr must be > 0")
                 break
             self.z_true.append(z)
             self.snr.append(snr)
@@ -224,6 +226,6 @@ def measure(
     range_m, _, _, elevation = z.tolist()  # Python floats compare faster
     if range_m <= 0.0:
         raise ValueError("measured range must be > 0")
-    if not -np.pi / 2.0 < elevation < np.pi / 2.0:
+    if not -math.pi / 2.0 < elevation < math.pi / 2.0:
         raise ValueError("elevation out of (-pi/2, pi/2)")
     return z, r

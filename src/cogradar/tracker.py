@@ -18,9 +18,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .fileio import require_float
-# observe is not called here, but stays in this namespace: perfbench/hooks.py
-# wraps tracker.observe by name
+from .fileio import named_power, require_float
+# observe, unused here, stays for perfbench/hooks.py, which wraps tracker.observe by name
 from .radar import RadarConfig, _observe, observe
 from .trajectory import Phase
 
@@ -33,6 +32,7 @@ _CERTIFY_SHIFT = 1e-11  # mu = 1e-11 tr(S), 10x inside the condition bound
 _NORMAL_MIN = sys.float_info.min  # the smallest normal double, 2^-1022
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
+_HALF = np.array(0.5)  # a 0-d array multiplies faster than the float 0.5
 INIT_POSITION_STD = 1_000.0  # m, per axis, of a track started from one measurement
 INIT_VELOCITY_STD = 500.0  # m/s, per axis
 GATE_SIGMAS = 1.96  # the range window: a 95% CI half-width, in range noise sigmas
@@ -45,7 +45,7 @@ class DegenerateInnovationError(ValueError):
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
-    return np.pi - (np.pi - angle) % (2.0 * np.pi)
+    return math.pi - (math.pi - angle) % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ class ProcessModel:
         if self.dt <= 0.0:
             raise ValueError("dt must be > 0")
         dt = self.dt
+        dt4, dt3, dt2 = (named_power("dt", dt, n) for n in (4, 3, 2))
         F = np.eye(6)
         F[:3, 3:] = dt * np.eye(3)
         Q = {}
@@ -76,12 +77,11 @@ class ProcessModel:
             require_float(f"accel_noise_std.{phase.value}", std)
             if std < 0.0:
                 raise ValueError("accel_noise_std must be >= 0")
-            var = std**2
+            var = named_power(f"accel_noise_std.{phase.value}", std, 2)
             q = Q[phase] = np.zeros((6, 6))
-            q[:3, :3] = var * dt**4 / 4.0 * np.eye(3)
-            q[:3, 3:] = var * dt**3 / 2.0 * np.eye(3)
-            q[3:, :3] = var * dt**3 / 2.0 * np.eye(3)
-            q[3:, 3:] = var * dt**2 * np.eye(3)
+            q[:3, :3] = var * dt4 / 4.0 * np.eye(3)
+            q[:3, 3:] = q[3:, :3] = var * dt3 / 2.0 * np.eye(3)
+            q[3:, 3:] = var * dt2 * np.eye(3)
         F_T = np.ascontiguousarray(F.T)
         for matrix in (F, F_T, *Q.values()):
             matrix.flags.writeable = False
@@ -102,15 +102,21 @@ def predict(
     """Time update of the mean ``x`` (6,) and covariance ``P`` (6, 6):
     x = F x, P = F P F' + Q(phase), symmetrized."""
     require_finite(x, P)
-    F = model.F
-    P = F.dot(P).dot(model.F_T) + model.Q[phase]
-    return F.dot(x), 0.5 * (P + P.T)
+    return model.F.dot(x), _symmetric_sum(model.F.dot(P).dot(model.F_T), model.Q[phase])
+
+
+def _symmetric_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """0.5 (C + C') for C = A + B, summed into A, a fresh product: C + C.T
+    would add C- and F-ordered arrays, off numpy's contiguous loop."""
+    A += B
+    C = A + A.T.copy()
+    C *= _HALF
+    return C
 
 
 def require_finite(x: np.ndarray, P: np.ndarray) -> None:
     """Raise unless every entry of a track, or of a stack of tracks, is finite."""
-    if (np.count_nonzero(np.isfinite(x)) < x.size
-            or np.count_nonzero(np.isfinite(P)) < P.size):
+    if 0 in np.isfinite(x).tobytes() or 0 in np.isfinite(P).tobytes():  # a C byte search
         raise ValueError("non-finite track state")
 
 
@@ -132,7 +138,7 @@ def gate(nu: np.ndarray, r: np.ndarray) -> GateResult:
     """Range-only correlation test on the predicted residual: the transmission
     correlates when its range innovation is at most ``GATE_WINDOWS`` windows,
     each ``GATE_SIGMAS`` sigmas of the range measurement noise r[0]."""
-    window = GATE_SIGMAS * math.sqrt(r[0])
+    window = GATE_SIGMAS * math.sqrt(r.item(0))
     if window <= 0.0:
         raise ValueError("range_window must be > 0")
     nu_range = nu.item(0)
@@ -147,26 +153,19 @@ def kalman_gain(S: np.ndarray, PHt: np.ndarray) -> np.ndarray:
     a singular S.
 
     S is first certified by a Cholesky factor of S - mu I, mu = 1e-11 tr(S):
-    a stack of at least ``_CERTIFY_MIN_LANES`` (12) S whole by
-    ``_certified``.  A lone S is certified where the scalar ``update``
-    forms it, on its 16 Python floats, by ``_lone_gain``.  A certified S has
-    cond2 < 1.0003e11, so its eigenvalue test would pass (the rounding
-    argument is in CHANGES.md, "Certified innovation covariances").  A stack
-    with any lane uncertified, and every smaller stack, is tested by its
+    a stack of at least ``_CERTIFY_MIN_LANES`` (12) S whole by ``_certified``,
+    a lone S on the 16 floats the scalar ``update`` forms by
+    ``_certified_one``, and solved there by the same call (``PHt.T`` is the
+    view ``swapaxes`` makes).  A certified S has cond2 < 1.0003e11, so its
+    eigenvalue test would pass (the rounding argument is in CHANGES.md,
+    "Certified innovation covariances").  Any other S is tested by its
     eigenvalues in ``_gain``: each rejection is theirs, with the same
     message, in the same order."""
     return _gain(S, PHt, len(S) >= _CERTIFY_MIN_LANES and _certified(S))
 
 
-def _lone_gain(S: list[float], PHt: np.ndarray) -> np.ndarray:
-    """``kalman_gain`` for one S given row by row as 16 Python floats, which
-    ``_certified_one`` decides as they are, with no trip through the array."""
-    return _gain(np.array(S).reshape(4, 4), PHt, _certified_one(S))
-
-
 def _gain(S: np.ndarray, PHt: np.ndarray, certified: bool) -> np.ndarray:
-    """The solve behind both gains, one S or a stack; S not ``certified``
-    is first tested by its eigenvalues."""
+    """The solve of one S or a stack; S not ``certified`` first meets its eigenvalues."""
     if not certified:
         lam = _umath_linalg.eigvalsh_lo(S)  # ascending; NaN if not converged
         # a NaN eigenvalue fails the first test
@@ -220,9 +219,9 @@ def _certified_one(S: list[float]) -> bool:
 def update(
     x: np.ndarray, P: np.ndarray, r: np.ndarray, H: np.ndarray, nu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form EKF measurement update of the prior ``(x, P)`` with noise
-    variances ``r``; the Jacobian ``H`` and residual ``nu`` are taken at the
-    predicted state."""
+    """Joseph-form EKF measurement update of the prior ``(x, P)``:
+    P = (I - K H) P (I - K H)' + K R K', R = diag(r) the noise variances;
+    the Jacobian ``H`` and residual ``nu`` are taken at the predicted state."""
     PHt = P.dot(H.T)
     # S = (H P H' + (H P H')')/2 + diag(r), entry for entry on Python floats
     (s00, s01, s02, s03, s10, s11, s12, s13,
@@ -230,14 +229,15 @@ def update(
     r0, r1, r2, r3 = r.tolist()
     s01, s02, s03 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
     s12, s13, s23 = 0.5 * (s12 + s21), 0.5 * (s13 + s31), 0.5 * (s23 + s32)
-    K = _lone_gain([0.5 * (s00 + s00) + r0, s01, s02, s03,
-                    s01, 0.5 * (s11 + s11) + r1, s12, s13,
-                    s02, s12, 0.5 * (s22 + s22) + r2, s23,
-                    s03, s13, s23, 0.5 * (s33 + s33) + r3], PHt)
+    floats = [0.5 * (s00 + s00) + r0, s01, s02, s03,
+              s01, 0.5 * (s11 + s11) + r1, s12, s13,
+              s02, s12, 0.5 * (s22 + s22) + r2, s23,
+              s03, s13, s23, 0.5 * (s33 + s33) + r3]
+    S = np.fromiter(floats, float, 16).reshape(4, 4)
+    K = _umath_linalg.solve(S, PHt.T).T if _certified_one(floats) else _gain(S, PHt, False)
 
     I_KH = _EYE6 - K.dot(H)
-    P = I_KH.dot(P).dot(I_KH.T) + (K * r).dot(K.T)  # K R K' with R = diag(r)
-    return x + K.dot(nu), 0.5 * (P + P.T)
+    return x + K.dot(nu), _symmetric_sum(I_KH.dot(P).dot(I_KH.T), (K * r).dot(K.T))
 
 
 def initialize_track(z: np.ndarray, radar: RadarConfig) -> tuple[np.ndarray, np.ndarray]:

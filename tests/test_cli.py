@@ -194,6 +194,42 @@ class TestFloatFields:
         assert not os.path.exists(out)
 
 
+class TestOverflowingFields:
+    """A finite scenario value whose Python float power overflows (the
+    process noise's dt**4 and std**2, the radar equation's (range_ref /
+    range)**4, the noise variances' squares) fails before any run with exit
+    2, naming its field, and writes no file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--runs", "2"],
+        ["train", "--policy", "qlearn", "--runs", "1"],
+        ["evaluate", "--policy", "scaling", "--runs", "2"],
+    ], ids=["calibrate", "train", "evaluate"])
+    @pytest.mark.parametrize("keys, value, name", [
+        (("process", "dt"), 1e300, "dt"),
+        *((("process", "accel_noise_std", phase), 1e300, f"accel_noise_std.{phase}")
+          for phase in ("boost", "mid_course", "terminal")),
+        (("radar", "range_ref"), 1e300, "range_ref"),
+        (("radar", "pulse_duration"), 1e-300, "carrier_freq * pulse_duration"),
+        (("radar", "angle_noise_std"), 1e300, "angle_noise_std"),
+    ], ids=lambda value: ".".join(value) if isinstance(value, tuple) else None)
+    def test_exits_2_naming_the_field(self, capsys, monkeypatch, tmp_path, argv, keys, value,
+                                      name):
+        doc = default_scenario().to_json_dict()
+        *inner, field = keys
+        section = doc
+        for key in inner:
+            section = section[key]
+        section[field] = value
+        path, out = tmp_path / "scenario.json", tmp_path / "out"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(experiment, "run_episode", fail_if_called)
+        assert run(*argv, "--config", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"cogradar: error: {name} out of range: a float power of it overflows\n")
+        assert not out.exists()
+
+
 class TestShapeFields:
     """A list or a section given as a scalar fails at load time, and the
     message names the field."""

@@ -49,8 +49,14 @@ def random_gain_inputs(rng, m):
 
 
 def lone_gain(S, PHt):
-    """The gain of one S as the scalar ``update`` takes it, from S's 16 floats."""
-    return tracker._lone_gain(S.ravel().tolist(), PHt)
+    """The gain of one S as the scalar ``update`` takes it, from S's 16
+    floats: solved at once when ``_certified_one`` certifies them, else
+    tested by its eigenvalues first."""
+    floats = S.ravel().tolist()
+    S = np.fromiter(floats, float, 16).reshape(4, 4)
+    if tracker._certified_one(floats):
+        return tracker._umath_linalg.solve(S, PHt.T).T
+    return tracker._gain(S, PHt, False)
 
 
 def test_gain_matches_linalg():

@@ -22,6 +22,7 @@ from cogradar.tracker import (
     initialize_track,
     innovation,
     predict,
+    require_finite,
     update,
     wrap_angle,
 )
@@ -127,6 +128,20 @@ class TestPredict:
         x = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="non-finite"):
             predict(x, np.eye(6), make_model(), Phase.BOOST)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_entry_rejected(self, value):
+        """The finiteness check raises on any one non-finite entry of x or P,
+        for one track and for a stack of three, and passes finite extremes."""
+        for x, P in ((np.zeros(6), np.eye(6)), (np.zeros((3, 6)), np.ones((3, 6, 6)))):
+            require_finite(np.full_like(x, np.finfo(float).max), np.full_like(P, 5e-324))
+            for i in range(x.size + P.size):
+                bad_x, bad_P = x.copy(), P.copy()
+                flat = np.concatenate([bad_x.reshape(-1), bad_P.reshape(-1)])
+                flat[i] = value
+                bad_x.flat, bad_P.flat = flat[:x.size], flat[x.size:]
+                with pytest.raises(ValueError, match="^non-finite track state$"):
+                    require_finite(bad_x, bad_P)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
